@@ -78,8 +78,11 @@ def _prime(spec: RingSpec, p) -> MonomialPrime:
 
 
 def _chart_data(spec: RingSpec, f: Monomial):
-    sg = degree_zero_semigroup(spec, f.support)
-    return hilbert_basis(sg)
+    """Units and generators of the chart of f; they depend on supp(f) only."""
+    support = f.support
+    return spec.cache.lookup(
+        "chart", support,
+        lambda: hilbert_basis(degree_zero_semigroup(spec, support)))
 
 
 def chart_algebra(spec: RingSpec, f) -> ChartAlgebra:
@@ -162,8 +165,7 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
     if set(p.variables) & f.support:
         raise PrimeMeetsF(p.render(spec.variables))
     units, gens = _chart_data(spec, f)
-    pool = (list(gens) + [tuple(u) for u in units]
-            + [tuple(-a for a in u) for u in units])
+    pool = ChartAlgebra(f, units, gens, f.support).pool()
     hit = {v for v in pool
            if any(v[i] > 0 for i in p.variables)}
     return tuple(sorted(hit, key=vector_key))
@@ -186,11 +188,14 @@ def psi_collision_scan(spec: RingSpec, f) -> Union[str, tuple[MonomialPrime, Mon
             if gens and all(g.support & s for g in gens):
                 continue  # contains the irrelevant ideal
             primes.append(MonomialPrime(combo))
-    images = [psi_image(spec, f, p) for p in primes]
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            if images[i] == images[j]:
-                return (primes[i], primes[j])
+    # the earliest prime sharing its image with a later one opens the first
+    # image class (in scan order) of size two or more
+    classes: dict[tuple[ExponentVector, ...], list[MonomialPrime]] = {}
+    for p in primes:
+        classes.setdefault(psi_image(spec, f, p), []).append(p)
+    for same in classes.values():
+        if len(same) > 1:
+            return (same[0], same[1])
     return "injective"
 
 

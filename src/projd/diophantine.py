@@ -24,6 +24,11 @@ from projd.fgab import hnf_reduce, kernel_basis, lattice_coords, row_hnf
 ExponentVector = tuple[int, ...]
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a fault of the engine, not of
+    its input.  Raised explicitly so that it survives ``python -O``."""
+
+
 def vector_key(vec: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Graded-lex sort key: L1 norm first, then entries."""
     return (sum(abs(a) for a in vec), tuple(vec))
@@ -62,13 +67,26 @@ class ConstrainedSemigroup:
 # Contejean-Devie completion
 
 def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
-                             rhs: Optional[Sequence[int]] = None) -> list[ExponentVector]:
+                             rhs: Optional[Sequence[int]] = None,
+                             least_only: bool = False) -> list[ExponentVector]:
     """Minimal solutions of rows @ x = rhs with x >= 0 integral.
 
     With rhs omitted (or zero) this is the Hilbert basis of the solution
     monoid, excluding zero.  With rhs given, the system is homogenized with
     a counter coordinate forced to 1, and the returned vectors are exactly
     the minimal inhomogeneous solutions.
+
+    least_only stops the search after the first level that records a
+    returned solution and returns only the solutions of that level.  Level
+    k holds the vectors of L1 norm k (counter included), and a solution of
+    least norm can dominate no other solution, so it is minimal and is
+    recorded at its level: the result is exactly the least-norm part of the
+    full answer, and its first entry is the full answer's first entry.
+
+    >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4])
+    [(0, 2), (2, 1), (4, 0)]
+    >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_only=True)
+    [(0, 2)]
     """
     homogeneous = rhs is None or not any(rhs)
     if rhs is None:
@@ -110,6 +128,8 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
                     continue
                 seen.add(t2)
                 nxt.append((t2, tuple(v + c for v, c in zip(val, columns[j]))))
+        if least_only and any(homogeneous or m[ncols] == 1 for m in minimals):
+            break  # every least-norm solution is recorded by now
         frontier = nxt
     if homogeneous:
         return sorted(minimals, key=vector_key)
@@ -180,7 +200,8 @@ def _member_with_units(gens, units, constrained, target):
     conn = list(constrained)
     target = tuple(target)
     for g in gens:
-        assert any(g[i] > 0 for i in conn), "generator with no constrained mass"
+        if not any(g[i] > 0 for i in conn):
+            raise InvariantError(f"generator {g} has no constrained mass")
     if any(target[i] < 0 for i in conn):
         return None
 
@@ -259,8 +280,9 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
 
     gens may be a ConstrainedSemigroup (decomposition runs over its Hilbert
     generators followed by +units and -units) or an explicit vector list;
-    coefficients are returned in the order of the list used.  The decision
-    is exact, never heuristic.
+    coefficients are returned in the order of the list used.  Over a list
+    the answer is the graded-lex least minimal decomposition, found without
+    enumerating the others.  The decision is exact, never heuristic.
 
     >>> semigroup_member([(1, 1, -1)], (2, 2, -2))
     (2,)
@@ -277,7 +299,8 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
         if not sg.contains(target):
             return None
         found = _member_with_units(pointed, units, sg.constrained_coords(), target)
-        assert found is not None, "Hilbert generators fail to reach a member"
+        if found is None:
+            raise InvariantError(f"Hilbert generators fail to reach the member {target}")
         coeffs, coords = found
         return (tuple(coeffs) + tuple(max(z, 0) for z in coords)
                 + tuple(max(-z, 0) for z in coords))
@@ -288,7 +311,8 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
         return None
     n = len(target)
     rows = [[g[i] for g in gens] for i in range(n)]
-    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target))
+    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
+                                    least_only=True)
     if not sols:
         return None
     return sols[0]
@@ -339,7 +363,16 @@ def kernel_lattice(spec) -> tuple[ExponentVector, ...]:
 
     Torsion congruences are absorbed by auxiliary columns scaled by the
     torsion orders; the auxiliary block is projected away afterwards.
+    A spec carrying a support cache (every RingSpec) computes it once;
+    any object with group, variables and degrees is accepted.
     """
+    cache = getattr(spec, "cache", None)
+    if cache is None:
+        return _kernel_lattice(spec)
+    return cache.lookup("kernel", None, lambda: _kernel_lattice(spec))
+
+
+def _kernel_lattice(spec) -> tuple[ExponentVector, ...]:
     group = spec.group
     n = len(spec.variables)
     t = len(group.torsion)

@@ -72,6 +72,26 @@ class Monomial:
         return "".join(parts)
 
 
+class SupportCache:
+    """Results of one RingSpec that depend only on a support set.
+
+    Relevance, chart data, the generator list and the kernel lattice are
+    fixed by the grading, so each is computed once per (kind, support)
+    key.  Keys never involve the spec itself, whose hash is undefined
+    until its constructor has finished.
+    """
+
+    def __init__(self):
+        self._table: dict = {}
+
+    def lookup(self, kind: str, support, compute):
+        """The value stored under (kind, support), computed on first use."""
+        key = (kind, support)
+        if key not in self._table:
+            self._table[key] = compute()
+        return self._table[key]
+
+
 class RingSpec:
     """A polynomial ring with an effective grading by an fg abelian group.
 
@@ -93,6 +113,8 @@ class RingSpec:
                  degrees: Sequence[GroupElement],
                  conical_ideal: Optional[Sequence[Monomial]] = None,
                  check_effective: bool = True):
+        # first, because relevance checks below already go through it
+        self.cache = SupportCache()
         if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
         if len(set(variables)) != len(variables):
@@ -146,7 +168,9 @@ class RingSpec:
         return self.group.subgroup(gens)
 
     def is_relevant(self, mono: Monomial) -> bool:
-        return subgroup_index(self.group, self.support_group(mono)) != math.inf
+        return self.cache.lookup(
+            "relevant", mono.support,
+            lambda: subgroup_index(self.group, self.support_group(mono)) != math.inf)
 
     def irrelevant_generators(self) -> tuple[Monomial, ...]:
         """Minimal square-free relevant monomials, graded-lex ordered.
@@ -154,6 +178,9 @@ class RingSpec:
         A rank-zero grading makes every monomial relevant, so the single
         generator is 1 and the model collapses to one affine chart.
         """
+        return self.cache.lookup("generators", None, self._irrelevant_generators)
+
+    def _irrelevant_generators(self) -> tuple[Monomial, ...]:
         n = len(self.variables)
         if self.group.rank == 0:
             return (Monomial((0,) * n),)

@@ -215,16 +215,41 @@ def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:
     irrelevant-ideal generators, deterministically ordered.
     """
     gens = [g for g in spec.irrelevant_generators()]
-    edges = {frozenset(r.pair) for r in weak_pairs(spec, gens)}
-    independent = []
-    for size in range(len(gens), -1, -1):
-        for combo in itertools.combinations(gens, size):
-            chosen = set(combo)
-            if any(set(e) <= chosen for e in edges):
-                continue
-            if any(chosen < set(big) for big in independent):
-                continue
-            independent.append(combo)
+    index = {g: i for i, g in enumerate(gens)}
+    edges = [(index[r.pair[0]], index[r.pair[1]])
+             for r in weak_pairs(spec, gens)]
+    independent = [[gens[i] for i in chosen]
+                   for chosen in _maximal_independent_sets(len(gens), edges)]
     key = lambda combo: tuple(vector_key(m.exponents) for m in combo)
     return tuple(sorted((tuple(sorted(c, key=lambda m: vector_key(m.exponents)))
                          for c in independent), key=key))
+
+
+def _maximal_independent_sets(count: int, edges) -> list[frozenset[int]]:
+    """Maximal independent sets of a graph on range(count), in discovery order.
+
+    They are the maximal cliques of the complement graph, listed by
+    Bron-Kerbosch with Tomita pivoting: the work is bounded by the number
+    of answers, not by the 2^count subsets.  An empty graph has the one
+    answer {}.
+    """
+    vertices = frozenset(range(count))
+    adjacent = {v: set(vertices - {v}) for v in vertices}
+    for u, v in edges:
+        adjacent[u].discard(v)
+        adjacent[v].discard(u)
+    found: list[frozenset[int]] = []
+
+    def expand(chosen: frozenset[int], candidates: set[int], excluded: set[int]):
+        if not candidates and not excluded:
+            found.append(chosen)
+            return
+        pivot = max(candidates | excluded,
+                    key=lambda u: (len(candidates & adjacent[u]), -u))
+        for v in sorted(candidates - adjacent[pivot]):
+            expand(chosen | {v}, candidates & adjacent[v], excluded & adjacent[v])
+            candidates.discard(v)
+            excluded.add(v)
+
+    expand(frozenset(), set(vertices), set())
+    return found

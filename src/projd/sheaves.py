@@ -15,13 +15,13 @@ from functools import reduce
 from typing import Optional
 
 from projd.diophantine import (
-    ConstrainedSemigroup,
     ExponentVector,
+    _assemble,
     _coset_minimal,
+    _degree_rows,
     _unit_lattice,
     degree_zero_semigroup,
-    hilbert_basis,
-    kernel_lattice,
+    minimal_nonneg_solutions,
     shifted_minimal_generators,
     vector_key,
 )
@@ -165,13 +165,27 @@ def _bounded_exponents(n: int, bound: int):
             yield (head,) + tail
 
 
+def _is_pointed(spec: RingSpec) -> bool:
+    """Whether no nonzero monomial has degree zero.
+
+    Torsion is finite, so some power of a monomial with zero free degree
+    has degree zero: only the free coordinates need checking, and a single
+    nonnegative solution of them settles the question.
+    """
+    rows = [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
+    return not minimal_nonneg_solutions(rows, len(spec.variables), least_only=True)
+
+
 def global_sections(spec: RingSpec, d: GroupElement,
                     total_degree_bound: int) -> GlobalSectionsReport:
     """Monomials of degree d up to a total-degree bound.
 
-    The listing is complete (no monomial of degree d was cut off by the
-    bound) iff the grading is pointed: no nonzero monomial has degree
-    zero, so each degree class is finite.
+    On a pointed grading (no nonzero monomial has degree zero) the degree
+    class of d is finite: it is the set of minimal nonnegative solutions
+    of the degree equations, computed exactly, and the listing is complete
+    iff no member of the class exceeds the bound.  Otherwise the class is
+    empty or infinite, the listing comes from a scan up to the bound, and
+    it is never marked complete.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -184,11 +198,18 @@ def global_sections(spec: RingSpec, d: GroupElement,
     if total_degree_bound < 0:
         raise ValueError("bound must be nonnegative")
     n = len(spec.variables)
-    found = []
-    for exps in _bounded_exponents(n, total_degree_bound):
-        if spec.degree_of(Monomial(exps)) == d:
-            found.append(Monomial(exps))
-    found.sort(key=lambda m: vector_key(m.exponents))
-    sg = ConstrainedSemigroup(n, kernel_lattice(spec), frozenset())
-    units, pointed_gens = hilbert_basis(sg)
-    return GlobalSectionsReport(tuple(found), not (units or pointed_gens))
+    if not _is_pointed(spec):
+        found = [exps for exps in _bounded_exponents(n, total_degree_bound)
+                 if spec.degree_of(Monomial(exps)) == d]
+        complete = False
+    else:
+        rows, rhs, width = _degree_rows(spec, (), d)
+        # with the torsion pairs taken least, each member of the class is
+        # exactly one minimal solution
+        fiber = [(0,) * n] if d.is_zero() else [
+            _assemble(spec, (), sol)
+            for sol in minimal_nonneg_solutions(rows, width, rhs=rhs)]
+        found = [exps for exps in fiber if sum(exps) <= total_degree_bound]
+        complete = len(found) == len(fiber)
+    found.sort(key=vector_key)
+    return GlobalSectionsReport(tuple(Monomial(e) for e in found), complete)

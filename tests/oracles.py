@@ -130,3 +130,45 @@ def brute_combination(gens, target, bound):
         if vec == list(target):
             return coeffs
     return None
+
+
+# ---------------------------------------------------------------------------
+# earlier exhaustive forms of library fast paths, kept as references
+
+def full_enumeration_member(gens, target):
+    """Graded-lex least of *all* minimal decompositions of target, or None."""
+    from projd.diophantine import minimal_nonneg_solutions
+
+    gens = [tuple(g) for g in gens]
+    target = tuple(target)
+    if not any(target):
+        return (0,) * len(gens)
+    if not gens:
+        return None
+    rows = [[g[i] for g in gens] for i in range(len(target))]
+    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target))
+    return sols[0] if sols else None
+
+
+def maximal_independent_sets_scan(count, edges):
+    """Maximal independent sets by scanning all subsets, largest first."""
+    edges = [frozenset(e) for e in edges]
+    found = []
+    for size in range(count, -1, -1):
+        for combo in itertools.combinations(range(count), size):
+            chosen = frozenset(combo)
+            if any(e <= chosen for e in edges):
+                continue
+            if any(chosen < big for big in found):
+                continue
+            found.append(chosen)
+    return found
+
+
+def first_equal_pair(items, images):
+    """The pair (items[i], items[j]), i < j, with equal images and least (i, j)."""
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if images[i] == images[j]:
+                return (items[i], items[j])
+    return None

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from types import SimpleNamespace
 
+import oracles
 import pytest
 from projd.charts import (
     ChartAlgebra,
@@ -15,7 +18,8 @@ from projd.charts import (
     psi_image,
     v_plus,
 )
-from projd.fgab import FgAbGroup
+from projd.diophantine import ConstrainedSemigroup, hilbert_basis, kernel_lattice
+from projd.fgab import FgAbGroup, subgroup_index
 from projd.ringspec import Monomial, NotRelevant, RingSpec
 
 
@@ -272,3 +276,42 @@ def test_chart_algebra_deterministic():
     a = chart_algebra(R, "xz")
     b = chart_algebra(R, "xz")
     assert a == b
+
+
+def test_cached_charts_equal_fresh_ones():
+    from projd.cli import fixture_text, parse_ring_spec
+
+    specs = [parse_ring_spec(fixture_text(name))
+             for name in ("plane", "plane-b", "torsion", "quad", "five", "parity")]
+    G = FgAbGroup(2)
+    # B is checked for relevance while the spec is still being built
+    specs.append(RingSpec(G, ["x", "y", "z"],
+                          [G.element((1, 0)), G.element((0, 1)), G.element((1, 1))],
+                          conical_ideal=["x*y", "y*z^2"]))
+    for spec in specs:
+        bare = SimpleNamespace(group=spec.group, variables=spec.variables,
+                               degrees=spec.degrees)
+        n = len(spec.variables)
+        supports = [Monomial(bits) for bits in itertools.product((0, 1), repeat=n)]
+        # visit supports twice, in two orders, so later calls are cache hits
+        for m in supports + supports[::-1]:
+            fresh = subgroup_index(spec.group, spec.support_group(m)) != math.inf
+            assert spec.is_relevant(m) == fresh
+            if not fresh:
+                continue
+            units, gens = hilbert_basis(ConstrainedSemigroup(
+                n, kernel_lattice(bare), m.support))
+            assert chart_algebra(spec, m) == ChartAlgebra(m, units, gens, m.support)
+        assert spec.irrelevant_generators() == spec._irrelevant_generators()
+
+
+def test_psi_collision_scan_matches_pairwise_loop():
+    for spec in (plane_spec(), torsion_spec(), quad_spec(), five_spec()):
+        n = len(spec.variables)
+        for bits in itertools.product((0, 1), repeat=n):
+            f = Monomial(bits)
+            primes = [p for p in all_primes(spec)
+                      if not set(p.variables) & f.support]
+            images = [psi_image(spec, f, p) for p in primes]
+            expected = oracles.first_equal_pair(primes, images)
+            assert psi_collision_scan(spec, f) == (expected or "injective")

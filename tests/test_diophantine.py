@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import oracles
+import projd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from projd.diophantine import (
     ConstrainedSemigroup,
     hilbert_basis,
@@ -206,3 +214,103 @@ def test_minimal_nonneg_solutions_against_box():
             for s2 in sols:
                 if s != s2:
                     assert not all(a <= b for a, b in zip(s, s2))
+
+
+FIXTURE_NAMES = ["plane", "plane-b", "torsion", "quad", "five", "parity"]
+
+
+def _fixture_pools():
+    """Every (pool, target) pair that mu_surjective and intersect pose."""
+    from projd.charts import chart_algebra
+    from projd.cli import fixture_text, parse_ring_spec
+
+    for name in FIXTURE_NAMES:
+        spec = parse_ring_spec(fixture_text(name))
+        gens = [g for g in spec.irrelevant_generators() if g.support]
+        for f, g in itertools.permutations(gens, 2):
+            chart_f = chart_algebra(spec, f)
+            targets = chart_algebra(spec, f * g).pool()
+            inverted = [v for v in chart_f.generators
+                        if all(i in (f * g).support for i, a in enumerate(v) if a)]
+            for pool in (chart_f.pool() + chart_algebra(spec, g).pool(),
+                         chart_f.pool() + [tuple(-a for a in v) for v in inverted]):
+                for target in targets:
+                    yield pool, target
+
+
+def test_early_exit_member_matches_full_enumeration_on_fixtures():
+    count = 0
+    for pool, target in _fixture_pools():
+        assert semigroup_member(pool, target) == \
+            oracles.full_enumeration_member(pool, target), (pool, target)
+        count += 1
+    assert count > 100
+
+
+_pool_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=5),
+    st.tuples(*[st.integers(-3, 3)] * n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pool_cases)
+def test_early_exit_member_matches_full_enumeration_on_random_pools(case):
+    pool, target = case
+    assert semigroup_member(pool, target) == \
+        oracles.full_enumeration_member(pool, target)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_pool_cases, st.booleans())
+def test_least_only_is_the_least_norm_part(case, homogeneous):
+    pool, target = case
+    n = len(target)
+    rows = [[g[i] for g in pool] for i in range(n)]
+    rhs = None if homogeneous else list(target)
+    full = minimal_nonneg_solutions(rows, len(pool), rhs=rhs)
+    least = [s for s in full if full and sum(s) == sum(full[0])]
+    assert minimal_nonneg_solutions(rows, len(pool), rhs=rhs,
+                                    least_only=True) == least
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(projd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    done = _run_optimized(
+        "import projd.diophantine as d\n"
+        "from projd.diophantine import ConstrainedSemigroup, InvariantError\n"
+        "assert False, 'asserts must be off in this check'\n"
+        "for call in (lambda: d._member_with_units([(1, 0)], (), [1], (0, 1)),\n"
+        "             lambda: (setattr(d, 'hilbert_basis', lambda sg: ((), ())),\n"
+        "                      d.semigroup_member(ConstrainedSemigroup(\n"
+        "                          3, ((1, 1, -1),), frozenset({0, 1})),\n"
+        "                          (-1, -1, 1)))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantError as exc:\n"
+        "        print('raised', exc)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("raised") == 2, done.stdout
+
+
+def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):
+    from projd.cli import fixture_text
+
+    spec = tmp_path / "plane.yaml"
+    spec.write_text(fixture_text("plane"), encoding="utf-8")
+    # without its unit lattice the chart of xyz^2 offers a unit as a
+    # generator, which the decomposition search must refuse
+    done = _run_optimized(
+        "import sys\n"
+        "import projd.diophantine as d\n"
+        "d._unit_lattice = lambda sg: ()\n"
+        "from projd.cli import main\n"
+        f"sys.argv = ['projd', 'chart', 'x*y*z^2', '--spec', {str(spec)!r}]\n"
+        "main()\n")
+    assert done.returncode == 4, (done.returncode, done.stderr)
+    assert "internal error: generator" in done.stderr

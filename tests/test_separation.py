@@ -3,13 +3,17 @@ from __future__ import annotations
 import itertools
 import random
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from projd.charts import chart_algebra
 from projd.diophantine import minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
 from projd.ringspec import NotRelevant, RingSpec
 from projd.separation import (
     _graver_relations,
+    _maximal_independent_sets,
     classify_dependencies,
     is_separated,
     mu_surjective,
@@ -348,3 +352,33 @@ def test_random_pairs_weak_iff_scan_reports():
         for _ in range(10):
             f, g = rng.sample(gens, 2)
             assert mu_surjective(spec, f, g).weak == (frozenset((f, g)) in scan)
+
+
+def _as_sets(found):
+    return sorted(sorted(s) for s in found)
+
+
+def test_maximal_independent_sets_match_scan_on_fixtures():
+    from projd.cli import fixture_text, parse_ring_spec
+
+    for name in ("plane", "plane-b", "torsion", "quad", "five", "parity"):
+        spec = parse_ring_spec(fixture_text(name))
+        gens = list(spec.irrelevant_generators())
+        edges = [(gens.index(r.pair[0]), gens.index(r.pair[1]))
+                 for r in weak_pairs(spec, gens)]
+        assert _as_sets(_maximal_independent_sets(len(gens), edges)) == \
+            _as_sets(oracles.maximal_independent_sets_scan(len(gens), edges))
+
+
+_graphs = st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+             .filter(lambda e: e[0] != e[1]), max_size=20)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_graphs)
+def test_maximal_independent_sets_match_scan_on_random_graphs(graph):
+    count, edges = graph
+    assert _as_sets(_maximal_independent_sets(count, edges)) == \
+        _as_sets(oracles.maximal_independent_sets_scan(count, edges))

@@ -10,8 +10,9 @@ from projd.diophantine import (
     semigroup_member,
 )
 from projd.fgab import FgAbGroup
-from projd.ringspec import NotRelevant, RingSpec
+from projd.ringspec import NotEffective, NotRelevant, RingSpec
 from projd.sheaves import (
+    _is_pointed,
     global_sections,
     is_free,
     is_invertible,
@@ -266,6 +267,43 @@ def test_global_sections_not_pointed():
     assert not report.complete
     odd = global_sections(R, G.element((), (1,)), 4)
     assert [m.render(R.variables) for m in odd.monomials] == ["x", "x^3"]
+
+
+def test_global_sections_complete_only_when_bound_reaches_the_fiber():
+    R = plane_spec()
+    d = R.group.element((4, 4))
+    short = global_sections(R, d, 3)
+    assert short.monomials == () and not short.complete
+    full = global_sections(R, d, 8)
+    assert [m.render(R.variables) for m in full.monomials] == \
+        ["z^4", "xyz^3", "x^2y^2z^2", "x^3y^3z", "x^4y^4"]
+    assert full.complete
+    partial = global_sections(R, d, 6)
+    assert [m.render(R.variables) for m in partial.monomials] == \
+        ["z^4", "xyz^3", "x^2y^2z^2"]
+    assert not partial.complete
+
+
+def test_pointedness_matches_degree_zero_hilbert_basis():
+    rng = random.Random(149)
+    specs = [plane_spec(), torsion_spec(), quad_spec(), weighted_spec(), steep_spec()]
+    # kept small: the reference Hilbert basis grows fast with mixed signs
+    while len(specs) < 60:
+        r = rng.randint(1, 2)
+        G = FgAbGroup(r, rng.choice([[], [2]]))
+        degrees = [G.element(tuple(rng.randint(-1, 2) for _ in range(r)),
+                             tuple(rng.randint(0, 1) for _ in G.torsion))
+                   for _ in range(rng.randint(r, r + 2))]
+        try:
+            specs.append(RingSpec(G, [f"v{i}" for i in range(len(degrees))], degrees))
+        except NotEffective:
+            continue
+    kinds = set()
+    for spec in specs:
+        reference = hilbert_basis(degree_zero_semigroup(spec, ())) == ((), ())
+        assert _is_pointed(spec) == reference
+        kinds.add(reference)
+    assert kinds == {True, False}
 
 
 def test_global_sections_unreachable_degree():
