@@ -79,10 +79,10 @@ def _prime(spec: RingSpec, p) -> MonomialPrime:
 
 def _chart_data(spec: RingSpec, f: Monomial):
     """Units and generators of the chart of f; they depend on supp(f) only."""
-    support = f.support
-    return spec.cache.lookup(
-        "chart", support,
-        lambda: hilbert_basis(degree_zero_semigroup(spec, support)))
+    key = ("chart", f.support)
+    if key not in spec.cache:
+        spec.cache[key] = hilbert_basis(degree_zero_semigroup(spec, f.support))
+    return spec.cache[key]
 
 
 def chart_algebra(spec: RingSpec, f) -> ChartAlgebra:

@@ -88,6 +88,36 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
     >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_only=True)
     [(0, 2)]
     """
+    return _contejean_devie(rows, ncols, rhs, least_only)[0]
+
+
+def bounded_minimal_solutions(rows: Sequence[Sequence[int]], ncols: int,
+                              rhs: Sequence[int], bound: int
+                              ) -> tuple[list[ExponentVector], bool]:
+    """Minimal solutions of rows @ x = rhs, x >= 0, with sum(x) <= bound.
+
+    The search never explores a vector past the bound, so its cost follows
+    the bound, not the number of minimal solutions.  It reaches each
+    minimal solution through vectors that solution dominates, so the list
+    holds exactly the minimal solutions within the bound.  Returns
+    (solutions, reached): reached says the bound cut nothing, so that no
+    minimal solution exceeds it.  A cut search may still have lost none.
+
+    >>> bounded_minimal_solutions([[1, 2]], 2, [4], 3)
+    ([(0, 2), (2, 1)], False)
+    >>> bounded_minimal_solutions([[1, 2]], 2, [4], 4)
+    ([(0, 2), (2, 1), (4, 0)], True)
+    """
+    sols, cut = _contejean_devie(rows, ncols, rhs, bound=bound)
+    return sols, not cut
+
+
+def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
+    """The search behind minimal_nonneg_solutions: (solutions, cut).
+
+    With a bound, vectors whose first ncols entries sum past it are left
+    unexplored, and cut says whether any was.
+    """
     homogeneous = rhs is None or not any(rhs)
     if rhs is None:
         rhs = [0] * len(rows)
@@ -98,21 +128,37 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
     if not homogeneous:
         columns.append(tuple(-b for b in rhs))
 
+    cut = False
     minimals: list[tuple[int, ...]] = []
+    # minimals by (coordinate, value): a frontier vector t dominates no
+    # minimal, so t + e_j can only dominate a minimal m with m_j = t_j + 1
+    by_entry: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     frontier = []
     seen = set()
     for j in range(cols):
         t = tuple(1 if i == j else 0 for i in range(cols))
+        if bound is not None and sum(t[:ncols]) > bound:
+            cut = True
+            continue
         frontier.append((t, columns[j]))
         seen.add(t)
     while frontier:
+        # record the whole level before extending any of it, so that no
+        # vector on the next frontier dominates a recorded minimal; a
+        # solution on the frontier is then minimal.  Counter 0 solutions
+        # are recorded too: pruning against them is what bounds the
+        # search, they are filtered on return.
+        for t, val in frontier:
+            if not any(val):
+                minimals.append(t)
+                for i, a in enumerate(t):
+                    if a:
+                        by_entry.setdefault((i, a), []).append(t)
+        if least_only and any(homogeneous or m[ncols] == 1 for m in minimals):
+            break  # every least-norm solution is recorded by now
         nxt = []
         for t, val in frontier:
             if not any(val):
-                # counter 0 solutions are recorded too: pruning against them
-                # is what bounds the search, they are filtered on return
-                if not any(all(a <= b for a, b in zip(m, t)) for m in minimals):
-                    minimals.append(t)
                 continue
             for j in range(cols):
                 if not homogeneous and j == ncols and t[ncols] >= 1:
@@ -124,17 +170,19 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
                 t2 = tuple(t2)
                 if t2 in seen:
                     continue
-                if any(all(a <= b for a, b in zip(m, t2)) for m in minimals):
+                if any(all(a <= b for a, b in zip(m, t2))
+                       for m in by_entry.get((j, t2[j]), ())):
+                    continue
+                if bound is not None and sum(t2[:ncols]) > bound:
+                    cut = True
                     continue
                 seen.add(t2)
                 nxt.append((t2, tuple(v + c for v, c in zip(val, columns[j]))))
-        if least_only and any(homogeneous or m[ncols] == 1 for m in minimals):
-            break  # every least-norm solution is recorded by now
         frontier = nxt
     if homogeneous:
-        return sorted(minimals, key=vector_key)
+        return sorted(minimals, key=vector_key), cut
     out = [m[:ncols] for m in minimals if m[ncols] == 1]
-    return sorted(out, key=vector_key)
+    return sorted(out, key=vector_key), cut
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +411,13 @@ def kernel_lattice(spec) -> tuple[ExponentVector, ...]:
 
     Torsion congruences are absorbed by auxiliary columns scaled by the
     torsion orders; the auxiliary block is projected away afterwards.
-    A spec carrying a support cache (every RingSpec) computes it once;
-    any object with group, variables and degrees is accepted.
+    A RingSpec computes it once, into its cache; any object with group,
+    variables and degrees is accepted.
     """
-    cache = getattr(spec, "cache", None)
-    if cache is None:
-        return _kernel_lattice(spec)
-    return cache.lookup("kernel", None, lambda: _kernel_lattice(spec))
+    cache = getattr(spec, "cache", {})
+    if "kernel" not in cache:
+        cache["kernel"] = _kernel_lattice(spec)
+    return cache["kernel"]
 
 
 def _kernel_lattice(spec) -> tuple[ExponentVector, ...]:

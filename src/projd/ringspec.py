@@ -72,26 +72,6 @@ class Monomial:
         return "".join(parts)
 
 
-class SupportCache:
-    """Results of one RingSpec that depend only on a support set.
-
-    Relevance, chart data, the generator list and the kernel lattice are
-    fixed by the grading, so each is computed once per (kind, support)
-    key.  Keys never involve the spec itself, whose hash is undefined
-    until its constructor has finished.
-    """
-
-    def __init__(self):
-        self._table: dict = {}
-
-    def lookup(self, kind: str, support, compute):
-        """The value stored under (kind, support), computed on first use."""
-        key = (kind, support)
-        if key not in self._table:
-            self._table[key] = compute()
-        return self._table[key]
-
-
 class RingSpec:
     """A polynomial ring with an effective grading by an fg abelian group.
 
@@ -113,8 +93,10 @@ class RingSpec:
                  degrees: Sequence[GroupElement],
                  conical_ideal: Optional[Sequence[Monomial]] = None,
                  check_effective: bool = True):
-        # first, because relevance checks below already go through it
-        self.cache = SupportCache()
+        # Results fixed by the grading, computed once: ("relevant", support),
+        # ("chart", support), "generators" and "kernel".  Set first, because
+        # the relevance checks below already fill it.
+        self.cache: dict = {}
         if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
         if len(set(variables)) != len(variables):
@@ -168,9 +150,10 @@ class RingSpec:
         return self.group.subgroup(gens)
 
     def is_relevant(self, mono: Monomial) -> bool:
-        return self.cache.lookup(
-            "relevant", mono.support,
-            lambda: subgroup_index(self.group, self.support_group(mono)) != math.inf)
+        key = ("relevant", mono.support)
+        if key not in self.cache:
+            self.cache[key] = subgroup_index(self.group, self.support_group(mono)) != math.inf
+        return self.cache[key]
 
     def irrelevant_generators(self) -> tuple[Monomial, ...]:
         """Minimal square-free relevant monomials, graded-lex ordered.
@@ -178,7 +161,9 @@ class RingSpec:
         A rank-zero grading makes every monomial relevant, so the single
         generator is 1 and the model collapses to one affine chart.
         """
-        return self.cache.lookup("generators", None, self._irrelevant_generators)
+        if "generators" not in self.cache:
+            self.cache["generators"] = self._irrelevant_generators()
+        return self.cache["generators"]
 
     def _irrelevant_generators(self) -> tuple[Monomial, ...]:
         n = len(self.variables)

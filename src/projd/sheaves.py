@@ -16,10 +16,9 @@ from typing import Optional
 
 from projd.diophantine import (
     ExponentVector,
-    _assemble,
     _coset_minimal,
-    _degree_rows,
     _unit_lattice,
+    bounded_minimal_solutions,
     degree_zero_semigroup,
     minimal_nonneg_solutions,
     shifted_minimal_generators,
@@ -165,6 +164,10 @@ def _bounded_exponents(n: int, bound: int):
             yield (head,) + tail
 
 
+def _free_degree_rows(spec: RingSpec) -> list[list[int]]:
+    return [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
+
+
 def _is_pointed(spec: RingSpec) -> bool:
     """Whether no nonzero monomial has degree zero.
 
@@ -172,8 +175,8 @@ def _is_pointed(spec: RingSpec) -> bool:
     has degree zero: only the free coordinates need checking, and a single
     nonnegative solution of them settles the question.
     """
-    rows = [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
-    return not minimal_nonneg_solutions(rows, len(spec.variables), least_only=True)
+    return not minimal_nonneg_solutions(_free_degree_rows(spec), len(spec.variables),
+                                        least_only=True)
 
 
 def global_sections(spec: RingSpec, d: GroupElement,
@@ -181,11 +184,13 @@ def global_sections(spec: RingSpec, d: GroupElement,
     """Monomials of degree d up to a total-degree bound.
 
     On a pointed grading (no nonzero monomial has degree zero) the degree
-    class of d is finite: it is the set of minimal nonnegative solutions
-    of the degree equations, computed exactly, and the listing is complete
-    iff no member of the class exceeds the bound.  Otherwise the class is
-    empty or infinite, the listing comes from a scan up to the bound, and
-    it is never marked complete.
+    class of d is finite, and a search of the free degree equations that
+    stops at the bound lists its members up to the bound.  The listing is
+    marked complete when the bound cut nothing from that search, so no
+    member of the class exceeds it; a cut search is marked partial, even
+    when the cut part held no member.  Otherwise the class is empty or
+    infinite, the listing comes from a scan up to the bound, and it is
+    never marked complete.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -202,14 +207,16 @@ def global_sections(spec: RingSpec, d: GroupElement,
         found = [exps for exps in _bounded_exponents(n, total_degree_bound)
                  if spec.degree_of(Monomial(exps)) == d]
         complete = False
+    elif not any(d.free):
+        # on a pointed grading only the monomial 1 has free degree zero
+        found = [(0,) * n] if d.is_zero() else []
+        complete = True
     else:
-        rows, rhs, width = _degree_rows(spec, (), d)
-        # with the torsion pairs taken least, each member of the class is
-        # exactly one minimal solution
-        fiber = [(0,) * n] if d.is_zero() else [
-            _assemble(spec, (), sol)
-            for sol in minimal_nonneg_solutions(rows, width, rhs=rhs)]
-        found = [exps for exps in fiber if sum(exps) <= total_degree_bound]
-        complete = len(found) == len(fiber)
+        # no two monomials of one free degree divide each other, so those
+        # of free degree d.free are exactly the minimal solutions of the
+        # free degree equations; the torsion part is checked afterwards
+        sols, complete = bounded_minimal_solutions(
+            _free_degree_rows(spec), n, d.free, total_degree_bound)
+        found = [exps for exps in sols if spec.degree_of(Monomial(exps)) == d]
     found.sort(key=vector_key)
     return GlobalSectionsReport(tuple(Monomial(e) for e in found), complete)

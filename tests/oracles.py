@@ -172,3 +172,18 @@ def first_equal_pair(items, images):
             if images[i] == images[j]:
                 return (items[i], items[j])
     return None
+
+
+def bounded_degree_scan(spec, d, bound):
+    """Every exponent vector of total degree <= bound and degree d, graded-lex."""
+    n = len(spec.variables)
+    found = []
+    for vec in itertools.product(range(bound + 1), repeat=n):
+        if sum(vec) > bound:
+            continue
+        deg = spec.group.zero()
+        for e, g in zip(vec, spec.degrees):
+            deg = deg + e * g
+        if deg == d:
+            found.append(vec)
+    return sorted(found, key=lambda v: (sum(v), v))

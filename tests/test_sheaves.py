@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
+import oracles
 import pytest
 from projd.diophantine import (
     degree_zero_semigroup,
     hilbert_basis,
     semigroup_member,
+    shifted_minimal_generators,
 )
 from projd.fgab import FgAbGroup
 from projd.ringspec import NotEffective, NotRelevant, RingSpec
@@ -282,6 +285,51 @@ def test_global_sections_complete_only_when_bound_reaches_the_fiber():
     assert [m.render(R.variables) for m in partial.monomials] == \
         ["z^4", "xyz^3", "x^2y^2z^2"]
     assert not partial.complete
+
+
+def test_sections_listing_matches_the_bounded_scan():
+    rng = random.Random(83)
+    specs = [plane_spec(), quad_spec(), weighted_spec(), steep_spec()]
+    while len(specs) < 12:
+        r = rng.randint(1, 2)
+        G = FgAbGroup(r, rng.choice([[], [2], [3]]))
+        # nonzero nonnegative free parts keep the grading pointed
+        degrees = [G.element(tuple(rng.randint(0, 2) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(rng.randint(r + 1, r + 2))]
+        if any(not any(deg.free) for deg in degrees):
+            continue
+        try:
+            specs.append(RingSpec(G, [f"v{i}" for i in range(len(degrees))], degrees))
+        except NotEffective:
+            continue
+    verdicts = set()
+    for spec in specs:
+        assert _is_pointed(spec)
+        for d in small_elements(spec.group, 2):
+            # on a pointed grading these are the whole degree class
+            whole = shifted_minimal_generators(spec, (), d)
+            top = max((sum(v) for v in whole), default=0)
+            for bound in range(6):
+                report = global_sections(spec, d, bound)
+                assert [m.exponents for m in report.monomials] == \
+                    oracles.bounded_degree_scan(spec, d, bound)
+                # complete is never claimed while a monomial lies past the bound
+                assert not (report.complete and top > bound)
+                verdicts.add(report.complete)
+    assert verdicts == {True, False}
+
+
+def test_global_sections_cost_follows_the_bound_not_the_degree():
+    G = FgAbGroup(1)
+    P3 = RingSpec(G, ["x", "y", "z", "w"], [G.element((1,))] * 4)
+    start = time.perf_counter()
+    # the degree-200 class has over a million members; none is within 6
+    report = global_sections(P3, G.element((200,)), 6)
+    assert report.monomials == () and not report.complete
+    assert time.perf_counter() - start < 10
+    low = global_sections(P3, G.element((3,)), 6)
+    assert len(low.monomials) == 20 and low.complete
 
 
 def test_pointedness_matches_degree_zero_hilbert_basis():
