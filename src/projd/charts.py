@@ -22,10 +22,10 @@ from projd.diophantine import (
     semigroup_member,
     vector_key,
 )
-from projd.ringspec import Monomial, NotRelevant, RingSpec
+from projd.ringspec import InvalidInput, Monomial, NotRelevant, RingSpec
 
 
-class PrimeMeetsF(ValueError):
+class PrimeMeetsF(InvalidInput):
     """The prime contains a variable of the localizing monomial."""
 
 

@@ -6,8 +6,8 @@ B restricting the model.  Every command parses the file, delegates to
 one library operation, and emits either a short human rendering or a
 byte-stable JSON report {command, digest, payload}.
 
-Exit codes: 0 success, 2 usage, 3 invalid input, 4 internal invariant
-violation or fixture mismatch.
+Exit codes: 0 success, 2 usage, 3 invalid input (InvalidInput), 4 any
+other fault or a fixture mismatch.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from projd.charts import (
 )
 from projd.fgab import FgAbGroup, GroupElement
 from projd.ringspec import (
-    BadConicalIdeal,
+    InvalidInput,
     Monomial,
-    NotEffective,
     NotRelevant,
     RingSpec,
     degree_zero_companion,
@@ -45,12 +44,8 @@ from projd.separation import is_separated, classify_dependencies, weak_pairs, \
 from projd.sheaves import global_sections, is_invertible
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     """Malformed ring-spec input; the message names the offending part."""
-
-
-VALIDATION_ERRORS = (ParseError, NotEffective, BadConicalIdeal, NotRelevant,
-                     PrimeMeetsF, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +82,15 @@ def parse_ring_spec(source) -> RingSpec:
     >>> [m.render(R.variables) for m in R.irrelevant_generators()]
     ['yz', 'xz', 'xy']
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif "\n" not in source and Path(source).exists():
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
     try:
+        if isinstance(source, Path):
+            text = source.read_text(encoding="utf-8")
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        elif "\n" not in source and Path(source).exists():
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            text = source
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
@@ -103,6 +98,8 @@ def parse_ring_spec(source) -> RingSpec:
                  if mark else "document")
         problem = getattr(exc, "problem", None) or str(exc)
         raise ParseError(f"{where}: {problem}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or a scalar such as !!int x
+        raise ParseError(str(exc)) from exc
     return ring_spec_from_dict(data)
 
 
@@ -156,7 +153,7 @@ def ring_spec_to_dict(spec: RingSpec) -> dict:
         ],
     }
     if spec.conical_ideal is not None:
-        out["B"] = [monomial_text(b, spec.variables) for b in spec.conical_ideal]
+        out["B"] = [b.render(spec.variables, "*") for b in spec.conical_ideal]
     return out
 
 
@@ -166,17 +163,6 @@ def serialize_ring_spec(spec: RingSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # renderings
-
-def monomial_text(m: Monomial, names: Sequence[str]) -> str:
-    """Unambiguous '*'-joined form, e.g. "x*z^2"; "1" for the unit."""
-    parts = []
-    for name, e in zip(names, m.exponents):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
 
 def laurent_text(vec: Sequence[int], names: Sequence[str]) -> str:
     """Fraction form of an integer exponent vector, e.g. "z/(xy)"."""
@@ -256,11 +242,8 @@ def parse_prime(spec: RingSpec, text: str) -> MonomialPrime:
 
 
 # ---------------------------------------------------------------------------
-# command execution (pure: spec + args -> JSON-ready payload)
-
-def _mono(spec, text) -> Monomial:
-    return spec.monomial(text)
-
+# commands: each one's payload (spec + args -> JSON-ready dict, pure) next
+# to its human rendering (payload -> lines)
 
 def _payload_check(spec: RingSpec) -> dict:
     return {
@@ -271,8 +254,19 @@ def _payload_check(spec: RingSpec) -> dict:
         "variables": list(spec.variables),
         "degrees": [str(d) for d in spec.degrees],
         "B": (None if spec.conical_ideal is None
-              else [monomial_text(b, spec.variables) for b in spec.conical_ideal]),
+              else [b.render(spec.variables, "*") for b in spec.conical_ideal]),
     }
+
+
+def _render_check(payload: dict) -> list[str]:
+    count = len(payload["variables"])
+    noun = "variable" if count == 1 else "variables"
+    lines = [f"OK: {count} {noun} graded by {payload['group']}"]
+    for name, deg in zip(payload["variables"], payload["degrees"]):
+        lines.append(f"  deg({name}) = {deg}")
+    if payload["B"] is not None:
+        lines.append("  B = (" + ", ".join(payload["B"]) + ")")
+    return lines
 
 
 def _payload_gens(spec: RingSpec) -> dict:
@@ -283,10 +277,17 @@ def _payload_gens(spec: RingSpec) -> dict:
     }
 
 
+def _render_gens(payload: dict) -> list[str]:
+    listed = "{" + ", ".join(payload["generators"]) + "}"
+    if payload["single_chart"]:
+        return [f"Gen = {listed} - Proj = Spec(S_0), a single affine chart"]
+    return [f"Gen = {listed}"]
+
+
 def _payload_chart(spec: RingSpec, f: str) -> dict:
     chart = chart_algebra(spec, f)
     return {
-        "f": monomial_text(chart.f, spec.variables),
+        "f": chart.f.render(spec.variables, "*"),
         "inverted": [spec.variables[i] for i in sorted(chart.free_coords)],
         "units": [list(u) for u in chart.units],
         "unit_renders": [laurent_text(u, spec.variables) for u in chart.units],
@@ -296,11 +297,19 @@ def _payload_chart(spec: RingSpec, f: str) -> dict:
     }
 
 
+def _render_chart(payload: dict) -> list[str]:
+    units = ", ".join(payload["unit_renders"]) or "none"
+    gens = ", ".join(payload["generator_renders"]) or "none"
+    inverted = ", ".join(payload["inverted"]) or "none"
+    return [f"Q_({payload['f']}): units: {units}; generators: {gens}; "
+            f"inverted variables: {inverted}"]
+
+
 def _payload_intersect(spec: RingSpec, f: str, g: str) -> dict:
     report = chart_intersection_check(spec, f, g)
     return {
-        "f": monomial_text(report.f, spec.variables),
-        "g": monomial_text(report.g, spec.variables),
+        "f": report.f.render(spec.variables, "*"),
+        "g": report.g.render(spec.variables, "*"),
         "ok": report.ok,
         "inverted": [list(v) for v in report.inverted],
         "inverted_renders": [laurent_text(v, spec.variables)
@@ -313,33 +322,59 @@ def _payload_intersect(spec: RingSpec, f: str, g: str) -> dict:
     }
 
 
+def _render_intersect(payload: dict) -> list[str]:
+    status = "ok" if payload["ok"] else "FAILED"
+    inverted = ", ".join(payload["inverted_renders"]) or "none"
+    return [f"intersection of Q_({payload['f']}) and Q_({payload['g']}): "
+            f"{status}; newly inverted: {inverted}; "
+            f"{len(payload['decompositions'])} decompositions"]
+
+
 def _payload_psi(spec: RingSpec, f: str, prime_text: str) -> dict:
     prime = parse_prime(spec, prime_text)
     image = psi_image(spec, f, prime)
     return {
-        "f": monomial_text(_mono(spec, f), spec.variables),
+        "f": spec.monomial(f).render(spec.variables, "*"),
         "prime": prime.render(spec.variables),
         "image": [list(v) for v in image],
         "image_renders": [laurent_text(v, spec.variables) for v in image],
     }
 
 
+def _render_psi(payload: dict) -> list[str]:
+    image = "{" + ", ".join(payload["image_renders"]) + "}"
+    return [f"psi_({payload['f']}) maps {payload['prime']} to {image}"]
+
+
 def _payload_cover(spec: RingSpec, h: str) -> dict:
     cover = cover_decomposition(spec, h)
     return {
-        "h": monomial_text(_mono(spec, h), spec.variables),
+        "h": spec.monomial(h).render(spec.variables, "*"),
         "cover": [m.render(spec.variables) for m in cover],
         "covered": bool(cover),
     }
+
+
+def _render_cover(payload: dict) -> list[str]:
+    if payload["covered"]:
+        parts = " u ".join(f"D+({g})" for g in payload["cover"])
+        return [f"D+({payload['h']}) = {parts}"]
+    return [f"D+({payload['h']}) is not a union of generator charts"]
 
 
 def _payload_vplus(spec: RingSpec, ideal_text: str) -> dict:
     pieces = [p.strip() for p in ideal_text.split(",") if p.strip()]
     primes = v_plus(spec, pieces)
     return {
-        "ideal": [monomial_text(_mono(spec, p), spec.variables) for p in pieces],
+        "ideal": [spec.monomial(p).render(spec.variables, "*") for p in pieces],
         "primes": [p.render(spec.variables) for p in primes],
     }
+
+
+def _render_vplus(payload: dict) -> list[str]:
+    primes = "; ".join(payload["primes"]) or "none"
+    return [f"minimal relevant primes over ({', '.join(payload['ideal'])})"
+            f": {primes}"]
 
 
 def _pair_entries(spec: RingSpec, reports) -> list[dict]:
@@ -355,6 +390,13 @@ def _payload_weak_pairs(spec: RingSpec) -> dict:
     return {"pairs": _pair_entries(spec, weak_pairs(spec))}
 
 
+def _render_weak_pairs(payload: dict) -> list[str]:
+    if not payload["pairs"]:
+        return ["no weak pairs"]
+    return [f"weak pair ({p['pair'][0]}, {p['pair'][1]}); "
+            f"witness {p['witness_render']}" for p in payload["pairs"]]
+
+
 def _payload_separated(spec: RingSpec) -> dict:
     verdict = is_separated(spec)
     return {
@@ -362,6 +404,18 @@ def _payload_separated(spec: RingSpec) -> dict:
         "dependency_class": verdict.dependency_class,
         "pairs": _pair_entries(spec, verdict.weak_pairs),
     }
+
+
+def _render_separated(payload: dict) -> list[str]:
+    if payload["separated"]:
+        return [f"SEPARATED; no weak pairs; dependency class: "
+                f"{payload['dependency_class']}"]
+    lines = ["NOT SEPARATED; dependency class: "
+             f"{payload['dependency_class']}"]
+    for p in payload["pairs"]:
+        lines.append(f"  weak pair ({p['pair'][0]}, {p['pair'][1]}); "
+                     f"witness {p['witness_render']}")
+    return lines
 
 
 def _payload_deps(spec: RingSpec) -> dict:
@@ -377,10 +431,24 @@ def _payload_deps(spec: RingSpec) -> dict:
     }
 
 
+def _render_deps(payload: dict) -> list[str]:
+    lines = [f"dependency class: {payload['class']} "
+             f"(scope: {payload['scope']})"]
+    if payload["witness_equation"]:
+        lines.append(f"  witness: {payload['witness_equation']}")
+    lines.extend(f"  relation: {eq}" for eq in payload["equations"])
+    return lines
+
+
 def _payload_submodels(spec: RingSpec) -> dict:
     subs = separated_submodels(spec)
     return {"submodels": [[m.render(spec.variables) for m in sub]
                           for sub in subs]}
+
+
+def _render_submodels(payload: dict) -> list[str]:
+    return ["separated submodel: {" + ", ".join(sub) + "}"
+            for sub in payload["submodels"]]
 
 
 def _payload_sheaf(spec: RingSpec, degree_text: str) -> dict:
@@ -402,6 +470,18 @@ def _payload_sheaf(spec: RingSpec, degree_text: str) -> dict:
     }
 
 
+def _render_sheaf(payload: dict) -> list[str]:
+    free = "yes" if payload["free"] else "no"
+    inv = "yes" if payload["invertible"] else "no"
+    line = f"twist by {payload['degree']}: free: {free}; invertible: {inv}"
+    if payload["invertible"]:
+        units = " | ".join(u["render"] for u in payload["chart_units"])
+        line += f"; witnesses {units}"
+    else:
+        line += f"; obstruction chart {payload['obstruction']}"
+    return [line]
+
+
 def _payload_sections(spec: RingSpec, degree_text: str, bound: int) -> dict:
     d = parse_degree(spec.group, degree_text)
     report = global_sections(spec, d, bound)
@@ -413,12 +493,19 @@ def _payload_sections(spec: RingSpec, degree_text: str, bound: int) -> dict:
     }
 
 
+def _render_sections(payload: dict) -> list[str]:
+    listed = "{" + ", ".join(payload["monomials"]) + "}"
+    status = "complete" if payload["complete"] else "partial list"
+    return [f"sections of degree {payload['degree']} up to total degree "
+            f"{payload['bound']}: {listed} ({status})"]
+
+
 def _payload_companion(spec: RingSpec, h: str, f: str) -> dict:
-    h, f = _mono(spec, h), _mono(spec, f)
+    h, f = spec.monomial(h), spec.monomial(f)
     result = degree_zero_companion(spec, h, f)
     payload = {
-        "h": monomial_text(h, spec.variables),
-        "f": monomial_text(f, spec.variables),
+        "h": h.render(spec.variables, "*"),
+        "f": f.render(spec.variables, "*"),
         "found": result is not None,
         "power": None,
         "cofactor": None,
@@ -426,144 +513,84 @@ def _payload_companion(spec: RingSpec, h: str, f: str) -> dict:
     }
     if result is not None:
         N, g, k = result
-        payload.update(power=N, cofactor=monomial_text(g, spec.variables),
+        payload.update(power=N, cofactor=g.render(spec.variables, "*"),
                        chart_power=k)
     return payload
 
 
+def _render_companion(payload: dict) -> list[str]:
+    if not payload["found"]:
+        return [f"no degree-zero companion for ({payload['h']}, "
+                f"{payload['f']})"]
+
+    def powered(text, k):
+        base = f"({text})" if ("*" in text or "^" in text) else text
+        return base if k == 1 else f"{base}^{k}"
+
+    top = powered(payload["h"], payload["power"])
+    if payload["cofactor"] != "1":
+        top = f"{top} * {payload['cofactor']}"
+    if payload["chart_power"] == 0:
+        return [f"{top} has degree zero"]
+    bottom = powered(payload["f"], payload["chart_power"])
+    return [f"({top}) / {bottom} has degree zero"]
+
+
+BOUND = click.Option(["--bound"], type=int, default=6, show_default=True,
+                     help="total-degree cutoff for the listing")
+
+# The one list of commands; dispatch, rendering and the click commands all
+# come from it.  name: (params, help, payload_fn, render_fn), where params
+# are the argument names in order, plus BOUND for a command that takes it,
+# and payload_fn(spec, *arguments[, bound]) returns the payload.
+COMMANDS = {
+    "check": ((), "validate a ring-spec file", _payload_check, _render_check),
+    "gens": ((), "minimal relevant monomial generators",
+             _payload_gens, _render_gens),
+    "chart": (("f",), "degree-zero chart algebra of F",
+              _payload_chart, _render_chart),
+    "intersect": (("f", "g"), "consistency of the chart overlap of F and G",
+                  _payload_intersect, _render_intersect),
+    "psi": (("f", "prime"), "image of a monomial prime in the chart of F",
+            _payload_psi, _render_psi),
+    "cover": (("h",), "express D+(H) through generator charts",
+              _payload_cover, _render_cover),
+    "vplus": (("ideal",), "minimal relevant primes over a monomial ideal",
+              _payload_vplus, _render_vplus),
+    "weak-pairs": ((), "weak pairs among the model's generators",
+                   _payload_weak_pairs, _render_weak_pairs),
+    "separated": ((), "separatedness verdict for the model",
+                  _payload_separated, _render_separated),
+    "deps": ((), "classify the variable-degree relations",
+             _payload_deps, _render_deps),
+    "submodels": ((), "maximal separated generator subsets",
+                  _payload_submodels, _render_submodels),
+    "sheaf": (("degree",), "freeness and invertibility of the twist by D",
+              _payload_sheaf, _render_sheaf),
+    "sections": (("degree", BOUND), "monomial sections of the twist by D",
+                 _payload_sections, _render_sections),
+    "companion": (("h", "f"), "least power of H reaching degree zero over F",
+                  _payload_companion, _render_companion),
+}
+
+
 def execute(spec: RingSpec, command: str, args: Sequence[str],
             bound: Optional[int] = None) -> dict:
-    """Dispatch one command to its library operation; returns the payload."""
-    if command == "check":
-        return _payload_check(spec)
-    if command == "gens":
-        return _payload_gens(spec)
-    if command == "chart":
-        return _payload_chart(spec, args[0])
-    if command == "intersect":
-        return _payload_intersect(spec, args[0], args[1])
-    if command == "psi":
-        return _payload_psi(spec, args[0], args[1])
-    if command == "cover":
-        return _payload_cover(spec, args[0])
-    if command == "vplus":
-        return _payload_vplus(spec, args[0])
-    if command == "weak-pairs":
-        return _payload_weak_pairs(spec)
-    if command == "separated":
-        return _payload_separated(spec)
-    if command == "deps":
-        return _payload_deps(spec)
-    if command == "submodels":
-        return _payload_submodels(spec)
-    if command == "sheaf":
-        return _payload_sheaf(spec, args[0])
-    if command == "sections":
-        return _payload_sections(spec, args[0], 6 if bound is None else bound)
-    if command == "companion":
-        return _payload_companion(spec, args[0], args[1])
-    raise ParseError(f"unknown command {command!r}")
+    """Dispatch one command to its library operation; returns the payload.
 
+    bound applies to a command that takes --bound (None: its default);
+    the other commands ignore it.
+    """
+    if command not in COMMANDS:
+        raise ParseError(f"unknown command {command!r}")
+    params, _, payload_fn, _ = COMMANDS[command]
+    if BOUND in params:
+        args = [*args, BOUND.default if bound is None else bound]
+    return payload_fn(spec, *args)
 
-# ---------------------------------------------------------------------------
-# human renderings
 
 def human_lines(command: str, payload: dict) -> list[str]:
-    if command == "check":
-        count = len(payload["variables"])
-        noun = "variable" if count == 1 else "variables"
-        lines = [f"OK: {count} {noun} graded by {payload['group']}"]
-        for name, deg in zip(payload["variables"], payload["degrees"]):
-            lines.append(f"  deg({name}) = {deg}")
-        if payload["B"] is not None:
-            lines.append("  B = (" + ", ".join(payload["B"]) + ")")
-        return lines
-    if command == "gens":
-        listed = "{" + ", ".join(payload["generators"]) + "}"
-        if payload["single_chart"]:
-            return [f"Gen = {listed} - Proj = Spec(S_0), a single affine chart"]
-        return [f"Gen = {listed}"]
-    if command == "chart":
-        units = ", ".join(payload["unit_renders"]) or "none"
-        gens = ", ".join(payload["generator_renders"]) or "none"
-        inverted = ", ".join(payload["inverted"]) or "none"
-        return [f"Q_({payload['f']}): units: {units}; generators: {gens}; "
-                f"inverted variables: {inverted}"]
-    if command == "intersect":
-        status = "ok" if payload["ok"] else "FAILED"
-        inverted = ", ".join(payload["inverted_renders"]) or "none"
-        return [f"intersection of Q_({payload['f']}) and Q_({payload['g']}): "
-                f"{status}; newly inverted: {inverted}; "
-                f"{len(payload['decompositions'])} decompositions"]
-    if command == "psi":
-        image = "{" + ", ".join(payload["image_renders"]) + "}"
-        return [f"psi_({payload['f']}) maps {payload['prime']} to {image}"]
-    if command == "cover":
-        if payload["covered"]:
-            parts = " u ".join(f"D+({g})" for g in payload["cover"])
-            return [f"D+({payload['h']}) = {parts}"]
-        return [f"D+({payload['h']}) is not a union of generator charts"]
-    if command == "vplus":
-        primes = "; ".join(payload["primes"]) or "none"
-        return [f"minimal relevant primes over ({', '.join(payload['ideal'])})"
-                f": {primes}"]
-    if command == "weak-pairs":
-        if not payload["pairs"]:
-            return ["no weak pairs"]
-        return [f"weak pair ({p['pair'][0]}, {p['pair'][1]}); "
-                f"witness {p['witness_render']}" for p in payload["pairs"]]
-    if command == "separated":
-        if payload["separated"]:
-            return [f"SEPARATED; no weak pairs; dependency class: "
-                    f"{payload['dependency_class']}"]
-        lines = ["NOT SEPARATED; dependency class: "
-                 f"{payload['dependency_class']}"]
-        for p in payload["pairs"]:
-            lines.append(f"  weak pair ({p['pair'][0]}, {p['pair'][1]}); "
-                         f"witness {p['witness_render']}")
-        return lines
-    if command == "deps":
-        lines = [f"dependency class: {payload['class']} "
-                 f"(scope: {payload['scope']})"]
-        if payload["witness_equation"]:
-            lines.append(f"  witness: {payload['witness_equation']}")
-        lines.extend(f"  relation: {eq}" for eq in payload["equations"])
-        return lines
-    if command == "submodels":
-        return ["separated submodel: {" + ", ".join(sub) + "}"
-                for sub in payload["submodels"]]
-    if command == "sheaf":
-        free = "yes" if payload["free"] else "no"
-        inv = "yes" if payload["invertible"] else "no"
-        line = f"twist by {payload['degree']}: free: {free}; invertible: {inv}"
-        if payload["invertible"]:
-            units = " | ".join(u["render"] for u in payload["chart_units"])
-            line += f"; witnesses {units}"
-        else:
-            line += f"; obstruction chart {payload['obstruction']}"
-        return [line]
-    if command == "sections":
-        listed = "{" + ", ".join(payload["monomials"]) + "}"
-        status = "complete" if payload["complete"] else "partial list"
-        return [f"sections of degree {payload['degree']} up to total degree "
-                f"{payload['bound']}: {listed} ({status})"]
-    if command == "companion":
-        if not payload["found"]:
-            return [f"no degree-zero companion for ({payload['h']}, "
-                    f"{payload['f']})"]
-
-        def powered(text, k):
-            base = f"({text})" if ("*" in text or "^" in text) else text
-            return base if k == 1 else f"{base}^{k}"
-
-        top = powered(payload["h"], payload["power"])
-        if payload["cofactor"] != "1":
-            top = f"{top} * {payload['cofactor']}"
-        if payload["chart_power"] == 0:
-            return [f"{top} has degree zero"]
-        bottom = powered(payload["f"], payload["chart_power"])
-        return [f"({top}) / {bottom} has degree zero"]
-    raise AssertionError(f"no rendering for command {command!r}")
+    return COMMANDS[command][3](payload)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +649,7 @@ def _emit(command: str, spec_path: str, as_json: bool,
     except PrimeMeetsF as exc:
         click.echo(f"error: prime {exc} meets the chart monomial", err=True)
         sys.exit(3)
-    except VALIDATION_ERRORS as exc:
+    except InvalidInput as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
     except Exception as exc:
@@ -638,16 +665,26 @@ def _emit(command: str, spec_path: str, as_json: bool,
             click.echo(line)
 
 
-def _spec_options(f):
-    f = click.option("--json", "as_json", is_flag=True,
-                     help="emit the machine-readable report")(f)
-    f = click.option("--spec", "spec_path", required=True,
+def _command(name: str, params, help_text: str) -> click.Command:
+    """The click command of a COMMANDS entry: its params, then --spec and --json."""
+    arguments = [p for p in params if isinstance(p, str)]
+
+    def callback(spec_path, as_json, bound=None, **values):
+        _emit(name, spec_path, as_json, [values[a] for a in arguments], bound)
+
+    return click.Command(name, callback=callback, help=help_text, params=[
+        *(click.Argument([p]) if isinstance(p, str) else p for p in params),
+        click.Option(["--spec", "spec_path"], required=True,
                      type=click.Path(exists=True, dir_okay=False),
-                     help="ring-spec YAML file")(f)
-    return f
+                     help="ring-spec YAML file"),
+        click.Option(["--json", "as_json"], is_flag=True,
+                     help="emit the machine-readable report"),
+    ])
 
 
-@click.group(invoke_without_command=True)
+@click.group(invoke_without_command=True,
+             commands=[_command(name, params, help_text)
+                       for name, (params, help_text, _, _) in COMMANDS.items()])
 @click.option("--fixtures", "fixtures_flag", is_flag=True,
               help="run the built-in example corpus against stored expectations")
 @click.pass_context
@@ -658,103 +695,6 @@ def main(ctx, fixtures_flag):
     if ctx.invoked_subcommand is None:
         click.echo(ctx.get_help())
         ctx.exit(2)
-
-
-@main.command("check", help="validate a ring-spec file")
-@_spec_options
-def cmd_check(spec_path, as_json):
-    _emit("check", spec_path, as_json)
-
-
-@main.command("gens", help="minimal relevant monomial generators")
-@_spec_options
-def cmd_gens(spec_path, as_json):
-    _emit("gens", spec_path, as_json)
-
-
-@main.command("chart", help="degree-zero chart algebra of F")
-@click.argument("f")
-@_spec_options
-def cmd_chart(f, spec_path, as_json):
-    _emit("chart", spec_path, as_json, [f])
-
-
-@main.command("intersect", help="consistency of the chart overlap of F and G")
-@click.argument("f")
-@click.argument("g")
-@_spec_options
-def cmd_intersect(f, g, spec_path, as_json):
-    _emit("intersect", spec_path, as_json, [f, g])
-
-
-@main.command("psi", help="image of a monomial prime in the chart of F")
-@click.argument("f")
-@click.argument("prime")
-@_spec_options
-def cmd_psi(f, prime, spec_path, as_json):
-    _emit("psi", spec_path, as_json, [f, prime])
-
-
-@main.command("cover", help="express D+(H) through generator charts")
-@click.argument("h")
-@_spec_options
-def cmd_cover(h, spec_path, as_json):
-    _emit("cover", spec_path, as_json, [h])
-
-
-@main.command("vplus", help="minimal relevant primes over a monomial ideal")
-@click.argument("ideal")
-@_spec_options
-def cmd_vplus(ideal, spec_path, as_json):
-    _emit("vplus", spec_path, as_json, [ideal])
-
-
-@main.command("weak-pairs", help="weak pairs among the model's generators")
-@_spec_options
-def cmd_weak_pairs(spec_path, as_json):
-    _emit("weak-pairs", spec_path, as_json)
-
-
-@main.command("separated", help="separatedness verdict for the model")
-@_spec_options
-def cmd_separated(spec_path, as_json):
-    _emit("separated", spec_path, as_json)
-
-
-@main.command("deps", help="classify the variable-degree relations")
-@_spec_options
-def cmd_deps(spec_path, as_json):
-    _emit("deps", spec_path, as_json)
-
-
-@main.command("submodels", help="maximal separated generator subsets")
-@_spec_options
-def cmd_submodels(spec_path, as_json):
-    _emit("submodels", spec_path, as_json)
-
-
-@main.command("sheaf", help="freeness and invertibility of the twist by D")
-@click.argument("degree")
-@_spec_options
-def cmd_sheaf(degree, spec_path, as_json):
-    _emit("sheaf", spec_path, as_json, [degree])
-
-
-@main.command("sections", help="monomial sections of the twist by D")
-@click.argument("degree")
-@click.option("--bound", type=int, default=6, show_default=True,
-              help="total-degree cutoff for the listing")
-@_spec_options
-def cmd_sections(degree, bound, spec_path, as_json):
-    _emit("sections", spec_path, as_json, [degree], bound=bound)
-
-
-@main.command("companion", help="least power of H reaching degree zero over F")
-@click.argument("h")
-@click.argument("f")
-@_spec_options
-def cmd_companion(h, f, spec_path, as_json):
-    _emit("companion", spec_path, as_json, [h, f])
 
 
 if __name__ == "__main__":

@@ -379,8 +379,8 @@ def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ..
     n = len(spec.variables)
     if d.is_zero():
         return ((0,) * n,)
-    rows, rhs, width = _degree_rows(spec, free_coords, d)
-    raw = minimal_nonneg_solutions(rows, width, rhs=rhs)
+    rows, width = _degree_rows(spec, free_coords)
+    raw = minimal_nonneg_solutions(rows, width, rhs=list(d.lift()))
     sg = degree_zero_semigroup(spec, free_coords)
     units = _unit_lattice(sg)
     reps = sorted({_coset_minimal(_assemble(spec, free_coords, sol), units) for sol in raw},
@@ -409,35 +409,26 @@ def degree_zero_semigroup(spec, free_coords) -> ConstrainedSemigroup:
 def kernel_lattice(spec) -> tuple[ExponentVector, ...]:
     """HNF basis of {a in Z^n : sum a_i deg(x_i) = 0}.
 
-    Torsion congruences are absorbed by auxiliary columns scaled by the
-    torsion orders; the auxiliary block is projected away afterwards.
-    A RingSpec computes it once, into its cache; any object with group,
-    variables and degrees is accepted.
+    The kernel of the degree equations, projected to the n exponent
+    columns (the torsion columns come after them).  A RingSpec computes
+    it once, into its cache; any object with group, variables and
+    degrees is accepted.
     """
     cache = getattr(spec, "cache", {})
     if "kernel" not in cache:
-        cache["kernel"] = _kernel_lattice(spec)
+        n = len(spec.variables)
+        rows, width = _degree_rows(spec, ())
+        cache["kernel"] = row_hnf([row[:n] for row in kernel_basis(rows, width)], n)
     return cache["kernel"]
 
 
-def _kernel_lattice(spec) -> tuple[ExponentVector, ...]:
-    group = spec.group
-    n = len(spec.variables)
-    t = len(group.torsion)
-    rows = []
-    for r in range(group.dim):
-        row = [spec.degrees[j].lift()[r] for j in range(n)]
-        row += [group.torsion[k] if r == group.rank + k else 0 for k in range(t)]
-        rows.append(row)
-    K = kernel_basis(rows, n + t)
-    return row_hnf([row[:n] for row in K], n)
+def _degree_rows(spec, free_coords):
+    """Equations deg(a) = d in split nonnegative unknowns: (rows, width).
 
-
-def _degree_rows(spec, free_coords, d):
-    """Equation system for {a : deg(a) = d} in split nonnegative unknowns.
-
-    Unknown layout: one column per constrained coordinate, a +/- pair per
-    free coordinate, then a +/- pair per torsion congruence.
+    The right-hand side is d.lift().  Unknown layout: one column per
+    constrained coordinate, a +/- pair per free coordinate, then a +/-
+    pair per torsion congruence.  This is the one place that knows the
+    torsion columns; read solutions back with _assemble.
     """
     group = spec.group
     n = len(spec.variables)
@@ -455,7 +446,7 @@ def _degree_rows(spec, free_coords, d):
             m = group.torsion[k] if r == group.rank + k else 0
             row += [m, -m]
         rows.append(row)
-    return rows, list(d.lift()), width
+    return rows, width
 
 
 def _assemble(spec, free_coords, sol) -> ExponentVector:

@@ -14,26 +14,29 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from projd.diophantine import minimal_nonneg_solutions, vector_key
+from projd.diophantine import _degree_rows, minimal_nonneg_solutions, vector_key
 from projd.fgab import (
     FgAbGroup,
     GroupElement,
     Subgroup,
-    row_hnf,
     subgroup_index,
     subgroup_member,
 )
 
 
-class NotEffective(ValueError):
+class InvalidInput(ValueError):
+    """Input the engine refuses; any other exception is a fault of the engine."""
+
+
+class NotEffective(InvalidInput):
     """The variable degrees fail to generate the whole grading group."""
 
 
-class NotRelevant(ValueError):
+class NotRelevant(InvalidInput):
     """The monomial's support degrees span a subgroup of infinite index."""
 
 
-class BadConicalIdeal(ValueError):
+class BadConicalIdeal(InvalidInput):
     """A chosen ideal generator is not a relevant monomial."""
 
 
@@ -60,7 +63,8 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def render(self, names: Sequence[str]) -> str:
+    def render(self, names: Sequence[str], sep: str = "") -> str:
+        """Text like "xz^2", or with sep="*" the unambiguous "x*z^2"; "1" for the unit."""
         if not any(self.exponents):
             return "1"
         parts = []
@@ -69,7 +73,7 @@ class Monomial:
                 parts.append(name)
             elif e > 1:
                 parts.append(f"{name}^{e}")
-        return "".join(parts)
+        return sep.join(parts)
 
 
 class RingSpec:
@@ -158,7 +162,10 @@ class RingSpec:
     def irrelevant_generators(self) -> tuple[Monomial, ...]:
         """Minimal square-free relevant monomials, graded-lex ordered.
 
-        A rank-zero grading makes every monomial relevant, so the single
+        Torsion never blocks finite index, so a support is relevant exactly
+        when its free degree parts have rank r = rank D: the minimal
+        relevant supports are the bases of the linear matroid of the free
+        parts, the relevant supports of size r.  For r = 0 the single
         generator is 1 and the model collapses to one affine chart.
         """
         if "generators" not in self.cache:
@@ -167,20 +174,10 @@ class RingSpec:
 
     def _irrelevant_generators(self) -> tuple[Monomial, ...]:
         n = len(self.variables)
-        if self.group.rank == 0:
-            return (Monomial((0,) * n),)
-        minimal_supports: list[frozenset[int]] = []
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                s = frozenset(combo)
-                if any(t <= s for t in minimal_supports):
-                    continue
-                mono = Monomial(tuple(1 if i in s else 0 for i in range(n)))
-                if self.is_relevant(mono):
-                    minimal_supports.append(s)
-        monos = [Monomial(tuple(1 if i in s else 0 for i in range(n)))
-                 for s in minimal_supports]
-        return tuple(sorted(monos, key=lambda m: vector_key(m.exponents)))
+        monos = [Monomial(tuple(1 if i in combo else 0 for i in range(n)))
+                 for combo in itertools.combinations(range(n), self.group.rank)]
+        return tuple(sorted((m for m in monos if self.is_relevant(m)),
+                            key=lambda m: vector_key(m.exponents)))
 
 
 def parse_monomial(text: str, names: Sequence[str]) -> Monomial:
@@ -192,17 +189,17 @@ def parse_monomial(text: str, names: Sequence[str]) -> Monomial:
     index = {name: i for i, name in enumerate(names)}
     for factor in text.replace(" ", "").split("*"):
         if not factor:
-            raise ValueError(f"empty factor in monomial {text!r}")
+            raise InvalidInput(f"empty factor in monomial {text!r}")
         if "^" in factor:
             base, _, power = factor.partition("^")
             try:
                 e = int(power)
             except ValueError:
-                raise ValueError(f"bad exponent in monomial factor {factor!r}")
+                raise InvalidInput(f"bad exponent in monomial factor {factor!r}")
         else:
             base, e = factor, 1
         if e < 0:
-            raise ValueError(f"negative exponent in monomial factor {factor!r}")
+            raise InvalidInput(f"negative exponent in monomial factor {factor!r}")
         if base in index:
             exps[index[base]] += e
             continue
@@ -212,7 +209,7 @@ def parse_monomial(text: str, names: Sequence[str]) -> Monomial:
                 exps[index[ch]] += 1
             exps[index[base[-1]]] += e
             continue
-        raise ValueError(f"unknown variable in monomial factor {factor!r}")
+        raise InvalidInput(f"unknown variable in monomial factor {factor!r}")
     return Monomial(tuple(exps))
 
 
@@ -229,19 +226,6 @@ def validate_effective(spec: RingSpec) -> None:
         if not ok:
             raise NotEffective(f"grading misses the group element {g}")
     raise NotEffective("variable degrees do not generate the grading group")
-
-
-def relevance_via_components(spec: RingSpec, mono: Monomial) -> bool:
-    """Relevance decided through the free rank of the support degrees.
-
-    Torsion never obstructs finite index, so f is relevant exactly when
-    the free parts of its support degrees have full rank.  Kept separate
-    from the index criterion so the two can be cross checked.
-    """
-    rows = [spec.degrees[i].lift() for i in sorted(mono.support)]
-    hnf = row_hnf(rows, spec.group.dim)
-    free_rank = sum(1 for row in hnf if any(row[: spec.group.rank]))
-    return free_rank == spec.group.rank
 
 
 def veronese_scaled_spec(spec: RingSpec, n: int) -> RingSpec:
@@ -269,31 +253,22 @@ def degree_zero_companion(spec: RingSpec, h: Monomial,
     if not spec.is_relevant(f):
         return None
     d_h = spec.degree_of(h)
-    d_f = spec.degree_of(f)
     n = len(spec.variables)
-    t = len(spec.group.torsion)
-    lifts = [d.lift() for d in spec.degrees]
-    # unknowns: g (n columns), k, then +/- pairs absorbing torsion congruences
-    rows = []
-    for r in range(spec.group.dim):
-        row = [lifts[i][r] for i in range(n)]
-        row.append(-d_f.lift()[r])
-        for j in range(t):
-            m = spec.group.torsion[j] if r == spec.group.rank + j else 0
-            row += [m, -m]
-        rows.append(row)
+    # unknowns: g (n columns), the torsion columns, then k under -deg(f)
+    rows, width = _degree_rows(spec, ())
+    for row, c in zip(rows, spec.degree_of(f).lift()):
+        row.append(-c)
     bound = subgroup_index(spec.group, spec.support_group(f))
     for N in range(1, bound + 1):
         target = (-N) * d_h
         if target.is_zero():
             return N, Monomial((0,) * n), 0
-        sols = minimal_nonneg_solutions(rows, n + 1 + 2 * t,
-                                        rhs=list(target.lift()))
+        sols = minimal_nonneg_solutions(rows, width + 1, rhs=list(target.lift()))
         if not sols:
             continue
         best = None
         for sol in sols:
-            g, k = sol[:n], sol[n]
+            g, k = sol[:n], sol[-1]
             key = (k, vector_key(g))
             if best is None or key < best[0]:
                 best = (key, g, k)

@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 from projd.charts import chart_algebra
 from projd.diophantine import (
     ExponentVector,
+    _assemble,
+    _degree_rows,
     minimal_nonneg_solutions,
     semigroup_member,
     vector_key,
@@ -145,22 +147,11 @@ def is_separated(spec: RingSpec, B=None) -> SeparationVerdict:
 
 def _graver_relations(spec: RingSpec) -> tuple[ExponentVector, ...]:
     """Minimal nonzero kernel vectors under the sign-split order."""
-    group = spec.group
-    n = len(spec.variables)
-    t = len(group.torsion)
-    lifts = [d.lift() for d in spec.degrees]
-    rows = []
-    for r in range(group.dim):
-        row = [lifts[i][r] for i in range(n)]
-        row += [-lifts[i][r] for i in range(n)]
-        for k in range(t):
-            m = group.torsion[k] if r == group.rank + k else 0
-            row += [m, -m]
-        rows.append(row)
-    sols = minimal_nonneg_solutions(rows, 2 * n + 2 * t)
+    every = range(len(spec.variables))
+    rows, width = _degree_rows(spec, every)
     seen = set()
-    for sol in sols:
-        a = tuple(sol[i] - sol[n + i] for i in range(n))
+    for sol in minimal_nonneg_solutions(rows, width):
+        a = _assemble(spec, every, sol)
         if not any(a):
             continue
         canon = a

@@ -25,7 +25,7 @@ from projd.diophantine import (
     vector_key,
 )
 from projd.fgab import GroupElement, subgroup_intersection, subgroup_member
-from projd.ringspec import Monomial, NotRelevant, RingSpec
+from projd.ringspec import InvalidInput, Monomial, NotRelevant, RingSpec
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def global_sections(spec: RingSpec, d: GroupElement,
     (['z', 'xy'], True)
     """
     if total_degree_bound < 0:
-        raise ValueError("bound must be nonnegative")
+        raise InvalidInput("bound must be nonnegative")
     n = len(spec.variables)
     if not _is_pointed(spec):
         found = [exps for exps in _bounded_exponents(n, total_degree_bound)

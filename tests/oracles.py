@@ -187,3 +187,40 @@ def bounded_degree_scan(spec, d, bound):
         if deg == d:
             found.append(vec)
     return sorted(found, key=lambda v: (sum(v), v))
+
+
+def relevance_via_components(spec, mono):
+    """Relevance decided through the free rank of the support degrees.
+
+    Torsion never obstructs finite index, so f is relevant exactly when
+    the free parts of its support degrees have full rank.  Kept separate
+    from the index criterion so the two can be cross checked.
+    """
+    from projd.fgab import row_hnf
+
+    rows = [spec.degrees[i].lift() for i in sorted(mono.support)]
+    hnf = row_hnf(rows, spec.group.dim)
+    free_rank = sum(1 for row in hnf if any(row[: spec.group.rank]))
+    return free_rank == spec.group.rank
+
+
+def irrelevant_generators_scan(spec):
+    """Minimal relevant square-free monomials by scanning every subset size."""
+    from projd.diophantine import vector_key
+    from projd.ringspec import Monomial
+
+    n = len(spec.variables)
+    if spec.group.rank == 0:
+        return (Monomial((0,) * n),)
+    minimal_supports = []
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            s = frozenset(combo)
+            if any(t <= s for t in minimal_supports):
+                continue
+            mono = Monomial(tuple(1 if i in s else 0 for i in range(n)))
+            if spec.is_relevant(mono):
+                minimal_supports.append(s)
+    monos = [Monomial(tuple(1 if i in s else 0 for i in range(n)))
+             for s in minimal_supports]
+    return tuple(sorted(monos, key=lambda m: vector_key(m.exponents)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from oracles import box, lattice_tester, rational_solve
+from oracles import box, lattice_tester, rational_solve, relevance_via_components
 from projd.charts import chart_algebra, psi_collision_scan
 from projd.diophantine import (
     ConstrainedSemigroup,
@@ -22,7 +22,6 @@ from projd.ringspec import (
     Monomial,
     NotEffective,
     RingSpec,
-    relevance_via_components,
     veronese_scaled_spec,
 )
 from projd.separation import (

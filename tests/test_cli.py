@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from projd.cli import (
+    COMMANDS,
     ParseError,
     execute,
     fixture_text,
@@ -14,7 +16,6 @@ from projd.cli import (
     laurent_text,
     load_corpus,
     main,
-    monomial_text,
     parse_degree,
     parse_prime,
     parse_ring_spec,
@@ -91,6 +92,13 @@ def test_semantic_errors_name_the_offending_element():
         assert fragment in str(err.value)
 
 
+def test_undecodable_or_unbuildable_yaml_is_a_parse_error():
+    for source in (b"group: {rank: 1}\n# \xff\n",
+                   "group: {rank: !!int x, torsion: []}\nvariables: []\n"):
+        with pytest.raises(ParseError):
+            parse_ring_spec(source)
+
+
 def test_duplicate_variable_name_rejected():
     with pytest.raises(ParseError) as err:
         parse_ring_spec("""
@@ -121,8 +129,8 @@ def test_rank_zero_spec_without_variables_is_fine():
 
 def test_monomial_text():
     names = ("x", "y", "z")
-    assert monomial_text(Monomial((0, 0, 0)), names) == "1"
-    assert monomial_text(Monomial((1, 0, 2)), names) == "x*z^2"
+    assert Monomial((0, 0, 0)).render(names, "*") == "1"
+    assert Monomial((1, 0, 2)).render(names, "*") == "x*z^2"
 
 
 def test_laurent_text():
@@ -317,6 +325,47 @@ def test_cli_internal_error_exits_4(tmp_path, monkeypatch):
     result = runner.invoke(main, ["gens", "--spec", write_spec(tmp_path, "plane")])
     assert result.exit_code == 4
     assert "internal error: invariant broken" in result.output
+
+
+def test_cli_library_value_error_exits_4(tmp_path, monkeypatch):
+    def shape_mismatch(spec, f):
+        raise ValueError("coordinate shape does not match the group")
+
+    monkeypatch.setattr("projd.cli.chart_algebra", shape_mismatch)
+    runner = CliRunner()
+    result = runner.invoke(main, ["chart", "xy", "--spec",
+                                  write_spec(tmp_path, "plane")])
+    assert result.exit_code == 4
+    assert "internal error: coordinate shape" in result.output
+
+
+def test_cli_bad_monomial_and_bound_exit_3(tmp_path):
+    runner = CliRunner()
+    path = write_spec(tmp_path, "plane")
+    result = runner.invoke(main, ["chart", "xq", "--spec", path])
+    assert result.exit_code == 3
+    assert "error: unknown variable" in result.output
+    result = runner.invoke(main, ["sections", "(1, 1)", "--bound", "-1",
+                                  "--spec", path])
+    assert result.exit_code == 3
+    assert "error: bound must be nonnegative" in result.output
+
+
+def test_cli_help_screens_are_unchanged():
+    # recorded from the hand-written click commands the table replaced
+    golden = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+    assert set(golden) == {"projd", *COMMANDS} == {"projd", *main.commands}
+    runner = CliRunner()
+    for name, text in golden.items():
+        argv = [] if name == "projd" else [name]
+        result = runner.invoke(main, argv + ["--help"], prog_name="projd",
+                               terminal_width=80)
+        assert result.exit_code == 0
+        assert result.output == text, name
+
+
+def test_command_table_matches_the_corpus():
+    assert set(COMMANDS) == {entry["command"] for entry in load_corpus()}
 
 
 def test_cli_fixture_corpus_passes():

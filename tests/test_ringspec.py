@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from oracles import irrelevant_generators_scan, relevance_via_components
 from projd.fgab import FgAbGroup, subgroup_index, subgroup_member
 from projd.ringspec import (
     BadConicalIdeal,
@@ -13,7 +14,6 @@ from projd.ringspec import (
     RingSpec,
     degree_zero_companion,
     parse_monomial,
-    relevance_via_components,
     validate_effective,
     veronese_scaled_spec,
 )
@@ -205,6 +205,28 @@ def test_relevance_via_components_matches_index_criterion():
         for bits in itertools.product((0, 1), repeat=n):
             m = Monomial(bits)
             assert relevance_via_components(R, m) == R.is_relevant(m), bits
+
+
+def test_irrelevant_generators_are_the_free_part_bases():
+    # the size-rank relevant supports against the scan over every size
+    rng = random.Random(149)
+    specs = [plane_spec(), torsion_spec(), quad_spec(), five_spec()]
+    while len(specs) < 64:
+        r = rng.randint(0, 3)
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2]]))
+        degrees = [G.element(tuple(rng.randint(-2, 2) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(rng.randint(max(r, 1), r + 3))]
+        try:
+            specs.append(RingSpec(G, [f"v{i}" for i in range(len(degrees))],
+                                  degrees))
+        except NotEffective:
+            continue
+    assert {R.group.rank for R in specs} == {0, 1, 2, 3}
+    assert {bool(R.group.torsion) for R in specs} == {False, True}
+    for R in specs:
+        expected = irrelevant_generators_scan(R)
+        assert R.irrelevant_generators() == expected, (R.group, R.degrees)
 
 
 def test_relevance_monotone_under_multiplication():
