@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from projd.diophantine import (
-    ConstrainedSemigroup,
     ExponentVector,
     degree_zero_semigroup,
     hilbert_basis,

@@ -31,6 +31,7 @@ from projd.charts import (
     psi_image,
     v_plus,
 )
+from projd.diophantine import InvariantError
 from projd.fgab import FgAbGroup, GroupElement
 from projd.ringspec import (
     InvalidInput,
@@ -455,8 +456,7 @@ def _payload_sheaf(spec: RingSpec, degree_text: str) -> dict:
     d = parse_degree(spec.group, degree_text)
     report = is_invertible(spec, d)
     if report.free != report.invertible:
-        raise AssertionError(
-            f"freeness and invertibility disagree on {d}")
+        raise InvariantError(f"freeness and invertibility disagree on {d}")
     return {
         "degree": str(d),
         "free": report.free,

@@ -16,6 +16,7 @@ auxiliary columns scaled by the torsion orders.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -236,46 +237,37 @@ def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> Expone
     return best[0][1]
 
 
-def _member_with_units(gens, units, constrained, target):
-    """Decompose target as nonneg generators plus a unit-lattice vector.
+def _irreducible(candidates, units, conn) -> tuple[ExponentVector, ...]:
+    """Coset-minimal forms of candidates that dominate no other on conn.
 
-    Requires every generator nonnegative with positive mass on the
-    constrained coordinates and units vanishing there, so coefficients are
-    bounded by exact matching on those coordinates.  Returns
-    (gen_coeffs, unit_coords) or None.
+    The one reduction rule for chart generators and twist generators.  The
+    candidates lie in one coset of the degree-zero lattice L (L itself for
+    a Hilbert basis, the degree-d coset for a twist module) and include a
+    representative of every irreducible element.  The semigroup is the part
+    of L that is >= 0 on the constrained coordinates conn, so the
+    difference of two candidates lies in L, and it lies in the semigroup
+    exactly when it is >= 0 on conn.  Distinct coset-minimal
+    representatives never agree on conn: their difference would be a unit,
+    and each unit coset has one representative.  So when c dominates
+    another representative c' on conn, c - c' is a nonunit of the
+    semigroup and c is redundant; and a redundant c is an irreducible plus
+    a nonunit, so it dominates that irreducible's representative.  Hence c
+    is redundant iff it dominates another representative on conn.  Two
+    representatives that agree on conn mean the unit lattice is wrong:
+    InvariantError.  Returns the survivors in graded-lex order.
     """
-    gens = [tuple(g) for g in gens]
-    conn = list(constrained)
-    target = tuple(target)
-    for g in gens:
-        if not any(g[i] > 0 for i in conn):
-            raise InvariantError(f"generator {g} has no constrained mass")
-    if any(target[i] < 0 for i in conn):
-        return None
-
-    def close_with_units(current):
-        z = [t - c for t, c in zip(target, current)]
-        if units:
-            return lattice_coords(units, z)
-        return () if not any(z) else None
-
-    def descend(idx, current):
-        if idx == len(gens):
-            if any(current[i] != target[i] for i in conn):
-                return None
-            coords = close_with_units(current)
-            return None if coords is None else ([], coords)
-        g = gens[idx]
-        cap = min((target[i] - current[i]) // g[i] for i in conn if g[i] > 0)
-        for c in range(cap + 1):
-            nxt = tuple(a + c * b for a, b in zip(current, g))
-            found = descend(idx + 1, nxt)
-            if found is not None:
-                coeffs, coords = found
-                return [c] + coeffs, coords
-        return None
-
-    return descend(0, (0,) * len(target))
+    reps = sorted({_coset_minimal(c, units) for c in candidates}, key=vector_key)
+    heads: dict[ExponentVector, ExponentVector] = {}
+    for rep in reps:
+        if not any(rep):
+            continue
+        head = tuple(rep[i] for i in conn)
+        if head in heads:
+            raise InvariantError(f"generators {heads[head]} and {rep} differ by a unit")
+        heads[head] = rep
+    return tuple(rep for head, rep in heads.items()
+                 if not any(other != head and all(map(operator.ge, head, other))
+                            for other in heads))
 
 
 def hilbert_basis(sg: ConstrainedSemigroup):
@@ -305,32 +297,22 @@ def hilbert_basis(sg: ConstrainedSemigroup):
         row = [K[j][i] for j in range(k)] + [-K[j][i] for j in range(k)]
         row += [-1 if s == idx else 0 for s in range(len(conn))]
         rows.append(row)
-    raw = minimal_nonneg_solutions(rows, 2 * k + len(conn))
-    candidates = set()
-    for sol in raw:
+    candidates = []
+    for sol in minimal_nonneg_solutions(rows, 2 * k + len(conn)):
         coeff = [sol[j] - sol[k + j] for j in range(k)]
-        vec = tuple(sum(coeff[j] * K[j][i] for j in range(k)) for i in range(sg.nvars))
-        if any(vec):
-            rep = _coset_minimal(vec, units)
-            if any(rep):
-                candidates.add(rep)
-    candidates = sorted(candidates, key=vector_key)
-    gens = []
-    for idx, cand in enumerate(candidates):
-        others = [c for j, c in enumerate(candidates) if j != idx]
-        if _member_with_units(others, units, conn, cand) is None:
-            gens.append(cand)
-    return units, tuple(gens)
+        candidates.append(tuple(sum(coeff[j] * K[j][i] for j in range(k))
+                                for i in range(sg.nvars)))
+    return units, _irreducible(candidates, units, conn)
 
 
 def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Nonnegative integer decomposition of target over gens, or None.
+    """Nonnegative integer decomposition of target over the vectors gens.
 
-    gens may be a ConstrainedSemigroup (decomposition runs over its Hilbert
-    generators followed by +units and -units) or an explicit vector list;
-    coefficients are returned in the order of the list used.  Over a list
-    the answer is the graded-lex least minimal decomposition, found without
-    enumerating the others.  The decision is exact, never heuristic.
+    Coefficients are returned in the order of gens, None if there is no
+    decomposition.  The answer is the graded-lex least minimal
+    decomposition, found without enumerating the others.  Over a chart,
+    pass its pool: the generators and both signs of the units.  The
+    decision is exact, never heuristic.
 
     >>> semigroup_member([(1, 1, -1)], (2, 2, -2))
     (2,)
@@ -338,32 +320,15 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     True
     """
     target = tuple(target)
-    if isinstance(gens, ConstrainedSemigroup):
-        sg = gens
-        units, pointed = hilbert_basis(sg)
-        width = len(pointed) + 2 * len(units)
-        if not any(target):
-            return (0,) * width
-        if not sg.contains(target):
-            return None
-        found = _member_with_units(pointed, units, sg.constrained_coords(), target)
-        if found is None:
-            raise InvariantError(f"Hilbert generators fail to reach the member {target}")
-        coeffs, coords = found
-        return (tuple(coeffs) + tuple(max(z, 0) for z in coords)
-                + tuple(max(-z, 0) for z in coords))
     gens = [tuple(g) for g in gens]
     if not any(target):
         return (0,) * len(gens)
     if not gens:
         return None
-    n = len(target)
-    rows = [[g[i] for g in gens] for i in range(n)]
+    rows = [[g[i] for g in gens] for i in range(len(target))]
     sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
                                     least_only=True)
-    if not sols:
-        return None
-    return sols[0]
+    return sols[0] if sols else None
 
 
 def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ...]:
@@ -382,22 +347,8 @@ def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ..
     rows, width = _degree_rows(spec, free_coords)
     raw = minimal_nonneg_solutions(rows, width, rhs=list(d.lift()))
     sg = degree_zero_semigroup(spec, free_coords)
-    units = _unit_lattice(sg)
-    reps = sorted({_coset_minimal(_assemble(spec, free_coords, sol), units) for sol in raw},
-                  key=vector_key)
-    out = []
-    for cand in reps:
-        reducible = False
-        for other in reps:
-            if other == cand:
-                continue
-            diff = tuple(a - b for a, b in zip(cand, other))
-            if any(diff) and sg.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            out.append(cand)
-    return tuple(out)
+    return _irreducible([_assemble(spec, free_coords, sol) for sol in raw],
+                        _unit_lattice(sg), sg.constrained_coords())
 
 
 def degree_zero_semigroup(spec, free_coords) -> ConstrainedSemigroup:

@@ -224,3 +224,85 @@ def irrelevant_generators_scan(spec):
     monos = [Monomial(tuple(1 if i in s else 0 for i in range(n)))
              for s in minimal_supports]
     return tuple(sorted(monos, key=lambda m: vector_key(m.exponents)))
+
+
+def decomposes(gens, units, constrained, target):
+    """target is a nonnegative combination of gens plus a vector of the
+    integer span of units.
+
+    Every generator must be nonnegative with positive mass on the
+    constrained coordinates and units must vanish there, so matching
+    those coordinates exactly bounds each coefficient.
+    """
+    gens = [tuple(g) for g in gens]
+    conn = list(constrained)
+    if any(target[i] < 0 for i in conn):
+        return False
+    if any(not any(g[i] > 0 for i in conn) for g in gens):
+        raise ValueError("a generator has no constrained mass")
+
+    def descend(idx, current):
+        if idx == len(gens):
+            if any(current[i] != target[i] for i in conn):
+                return False
+            return in_lattice(units, [t - c for t, c in zip(target, current)])
+        g = gens[idx]
+        cap = min((target[i] - current[i]) // g[i] for i in conn if g[i] > 0)
+        return any(descend(idx + 1, tuple(a + c * b for a, b in zip(current, g)))
+                   for c in range(cap + 1))
+
+    return descend(0, (0,) * len(target))
+
+
+def hilbert_basis_by_decomposition(sg):
+    """hilbert_basis with its earlier reduction: a coset-minimal candidate
+    is kept unless the other candidates and the units decompose it."""
+    from projd.diophantine import (_coset_minimal, _unit_lattice,
+                                   minimal_nonneg_solutions, vector_key)
+
+    K = sg.kernel_basis
+    units = _unit_lattice(sg)
+    if not K:
+        return (), ()
+    k = len(K)
+    conn = sg.constrained_coords()
+    rows = []
+    for idx, i in enumerate(conn):
+        row = [K[j][i] for j in range(k)] + [-K[j][i] for j in range(k)]
+        rows.append(row + [-1 if s == idx else 0 for s in range(len(conn))])
+    candidates = set()
+    for sol in minimal_nonneg_solutions(rows, 2 * k + len(conn)):
+        vec = [sum((sol[j] - sol[k + j]) * K[j][i] for j in range(k))
+               for i in range(sg.nvars)]
+        rep = _coset_minimal(vec, units)
+        if any(rep):
+            candidates.add(rep)
+    candidates = sorted(candidates, key=vector_key)
+    return units, tuple(
+        c for c in candidates
+        if not decomposes([o for o in candidates if o != c], units, conn, c))
+
+
+def shifted_generators_by_membership(spec, free_coords, d):
+    """shifted_minimal_generators with its earlier reduction: a candidate is
+    dropped when its difference with another is a nonzero member of the
+    degree-zero semigroup, decided by a lattice solve."""
+    from projd.diophantine import (_assemble, _coset_minimal, _degree_rows,
+                                   _unit_lattice, degree_zero_semigroup,
+                                   minimal_nonneg_solutions, vector_key)
+
+    free_coords = frozenset(free_coords)
+    if d.is_zero():
+        return ((0,) * len(spec.variables),)
+    rows, width = _degree_rows(spec, free_coords)
+    sg = degree_zero_semigroup(spec, free_coords)
+    units = _unit_lattice(sg)
+    reps = sorted({_coset_minimal(_assemble(spec, free_coords, sol), units)
+                   for sol in minimal_nonneg_solutions(rows, width, rhs=list(d.lift()))},
+                  key=vector_key)
+    out = []
+    for cand in reps:
+        diffs = [tuple(a - b for a, b in zip(cand, o)) for o in reps if o != cand]
+        if not any(any(diff) and sg.contains(diff) for diff in diffs):
+            out.append(cand)
+    return tuple(out)

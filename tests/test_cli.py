@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import projd
 import pytest
 from click.testing import CliRunner
 from projd.cli import (
@@ -23,6 +28,7 @@ from projd.cli import (
     run_fixture_corpus,
     serialize_ring_spec,
 )
+from projd.diophantine import InvariantError
 from projd.fgab import FgAbGroup
 from projd.ringspec import BadConicalIdeal, Monomial, NotEffective
 
@@ -337,6 +343,35 @@ def test_cli_library_value_error_exits_4(tmp_path, monkeypatch):
                                   write_spec(tmp_path, "plane")])
     assert result.exit_code == 4
     assert "internal error: coordinate shape" in result.output
+
+
+def test_cli_sheaf_disagreement_is_an_invariant_error(tmp_path, monkeypatch):
+    import projd.cli
+
+    real = projd.cli.is_invertible
+
+    def disagree(spec, d):
+        report = real(spec, d)
+        return dataclasses.replace(report, invertible=not report.free)
+
+    monkeypatch.setattr("projd.cli.is_invertible", disagree)
+    with pytest.raises(InvariantError, match="freeness and invertibility disagree"):
+        execute(parse_ring_spec(fixture_text("torsion")), "sheaf", ["(2 | 0 mod 2)"])
+    runner = CliRunner()
+    result = runner.invoke(main, ["sheaf", "(2 | 0 mod 2)", "--spec",
+                                  write_spec(tmp_path, "torsion")])
+    assert result.exit_code == 4
+    assert "internal error: freeness and invertibility disagree" in result.output
+
+
+def test_fixture_corpus_passes_in_optimized_mode():
+    # no corpus result may depend on an assert statement
+    src = str(Path(projd.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-m", "projd.cli", "--fixtures"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "all entries match" in done.stdout
 
 
 def test_cli_bad_monomial_and_bound_exit_3(tmp_path):

@@ -100,10 +100,11 @@ def test_semigroup_member_examples():
 
 def test_semigroup_member_over_constrained_semigroup():
     K = kernel_lattice(_plane_spec())
-    sg = ConstrainedSemigroup(3, K, frozenset({0, 1}))
-    got = semigroup_member(sg, (-2, -2, 2))
+    units, gens = hilbert_basis(ConstrainedSemigroup(3, K, frozenset({0, 1})))
+    pool = list(gens) + list(units) + [tuple(-a for a in u) for u in units]
+    got = semigroup_member(pool, (-2, -2, 2))
     assert got == (2,)
-    assert semigroup_member(sg, (1, 1, -1)) is None
+    assert semigroup_member(pool, (1, 1, -1)) is None
 
 
 def _random_semigroup(rng, n):
@@ -180,6 +181,61 @@ def test_shifted_minimal_generators_empty_when_unreachable():
     spec = _grading(G, [(2,), (2,)])
     d = G.element((1,))
     assert shifted_minimal_generators(spec, {0}, d) == ()
+
+
+def _random_gradings(rng, count):
+    """Gradings of rank 1-2 with mixed-sign degrees, every other one with torsion."""
+    specs = []
+    while len(specs) < count:
+        r = rng.randint(1, 2)
+        G = FgAbGroup(r, [rng.choice([2, 3])] if len(specs) % 2 else [])
+        lifts = [tuple(rng.randint(-1, 2) for _ in range(r))
+                 + tuple(rng.randrange(m) for m in G.torsion)
+                 for _ in range(rng.randint(r + 1, 4))]
+        specs.append(_grading(G, lifts))
+    return specs
+
+
+def _small_degrees(spec):
+    """The variable degrees and their pairwise sums, without repeats."""
+    found = {}
+    for a, b in itertools.combinations_with_replacement(spec.degrees, 2):
+        for d in (a, a + b):
+            found[d.lift()] = d
+    return list(found.values())
+
+
+def test_one_reduction_rule_matches_the_former_reductions():
+    from projd.cli import fixture_text, parse_ring_spec
+    from projd.ringspec import Monomial
+
+    rng = random.Random(223)
+    cases = []  # (spec, free coordinates, degrees to query)
+    for name in FIXTURE_NAMES:
+        spec = parse_ring_spec(fixture_text(name))
+        n = len(spec.variables)
+        for bits in itertools.product((0, 1), repeat=n):
+            if spec.is_relevant(Monomial(bits)):
+                free = frozenset(i for i in range(n) if bits[i])
+                cases.append((spec, free, _small_degrees(spec)))
+    for spec in _random_gradings(rng, 24):
+        n = len(spec.variables)
+        degrees = _small_degrees(spec)
+        for _ in range(3):
+            free = frozenset(i for i in range(n) if rng.random() < 0.5)
+            cases.append((spec, free, rng.sample(degrees, min(3, len(degrees)))))
+    queries = 0
+    for spec, free, degrees in cases:
+        sg = ConstrainedSemigroup(len(spec.variables), kernel_lattice(spec), free)
+        assert hilbert_basis(sg) == oracles.hilbert_basis_by_decomposition(sg), (spec, free)
+        for d in degrees:
+            assert shifted_minimal_generators(spec, free, d) == \
+                oracles.shifted_generators_by_membership(spec, free, d), (spec, free, d)
+            queries += 1
+    for _ in range(80):
+        sg = _random_semigroup(rng, rng.randint(2, 3))
+        assert hilbert_basis(sg) == oracles.hilbert_basis_by_decomposition(sg), sg
+    assert len(cases) > 100 and queries > 500
 
 
 def test_minimal_nonneg_solutions_small_systems():
@@ -281,21 +337,28 @@ def _run_optimized(script: str) -> subprocess.CompletedProcess:
 
 
 def test_invariant_checks_survive_optimized_mode():
+    # without the unit lattice, x and z/y are distinct representatives of
+    # degree (1, 0) on the chart of xyz, and so are the two signs of the unit
     done = _run_optimized(
         "import projd.diophantine as d\n"
         "from projd.diophantine import ConstrainedSemigroup, InvariantError\n"
+        "from projd.fgab import FgAbGroup\n"
+        "from projd.ringspec import RingSpec\n"
         "assert False, 'asserts must be off in this check'\n"
-        "for call in (lambda: d._member_with_units([(1, 0)], (), [1], (0, 1)),\n"
-        "             lambda: (setattr(d, 'hilbert_basis', lambda sg: ((), ())),\n"
-        "                      d.semigroup_member(ConstrainedSemigroup(\n"
-        "                          3, ((1, 1, -1),), frozenset({0, 1})),\n"
-        "                          (-1, -1, 1)))):\n"
+        "G = FgAbGroup(2)\n"
+        "spec = RingSpec(G, ['x', 'y', 'z'], [G.element((1, 0)),\n"
+        "                G.element((0, 1)), G.element((1, 1))])\n"
+        "d._unit_lattice = lambda sg: ()\n"
+        "for call in (lambda: d.hilbert_basis(ConstrainedSemigroup(\n"
+        "                 3, ((1, 1, -1),), frozenset({0, 1, 2}))),\n"
+        "             lambda: d.shifted_minimal_generators(\n"
+        "                 spec, {0, 1, 2}, G.element((1, 0)))):\n"
         "    try:\n"
         "        call()\n"
         "    except InvariantError as exc:\n"
         "        print('raised', exc)\n")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count("raised") == 2, done.stdout
+    assert done.stdout.count("raised generators") == 2, done.stdout
 
 
 def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):

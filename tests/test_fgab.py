@@ -4,6 +4,7 @@ import math
 import random
 
 import oracles
+import pytest
 from projd.fgab import (
     FgAbGroup,
     Subgroup,
@@ -58,6 +59,23 @@ def test_smith_contract_on_random_matrices():
         _assert_snf_contract(mat)
     _assert_snf_contract([[0, 0], [0, 0]])
     _assert_snf_contract([[1]])
+
+
+def test_smith_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(13)
+    mats = [[[0, 0], [0, 0]], [[2, 4], [6, 8]], [[0, 0, 0], [0, 0, 2]]]
+    for _ in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        # a small entry range leaves many singular and repeated-factor cases
+        mats.append(_random_matrix(rng, m, n, *rng.choice([(-2, 2), (-9, 9)])))
+    for mat in mats:
+        _, S, _ = smith_normal_form(mat)
+        ours = tuple(S[i][i] for i in range(min(len(mat), len(mat[0]))))
+        theirs = invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
+        assert ours == tuple(abs(int(a)) for a in theirs), mat
 
 
 def test_smith_is_deterministic():
