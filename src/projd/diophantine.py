@@ -10,17 +10,18 @@ the Contejean-Devie completion: grow candidate vectors one unit step at a
 time, extending t by e_j only while <A t, A e_j> < 0, and prune anything
 that dominates a known minimal solution.  The procedure is exact and
 complete; inhomogeneous problems are homogenized with an extra counter
-coordinate, and congruence conditions (torsion gradings) enter through
-auxiliary columns scaled by the torsion orders.
+coordinate.  Chart and twist generators are the minimal points of a lattice
+coset on the constrained coordinates, cut out by congruences read off a
+Smith form, one auxiliary column per modulus.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from projd.fgab import hnf_reduce, kernel_basis, lattice_coords, row_hnf
+from projd.fgab import (hnf_reduce, kernel_basis, lattice_coords, row_hnf,
+                        smith_normal_form, subgroup_member)
 
 ExponentVector = tuple[int, ...]
 
@@ -237,37 +238,52 @@ def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> Expone
     return best[0][1]
 
 
-def _irreducible(candidates, units, conn) -> tuple[ExponentVector, ...]:
-    """Coset-minimal forms of candidates that dominate no other on conn.
+def _minimal_lifts(sg: ConstrainedSemigroup, units, a0) -> tuple[ExponentVector, ...]:
+    """Minimal members of the coset a0 + L that are >= 0 on conn.
 
-    The one reduction rule for chart generators and twist generators.  The
-    candidates lie in one coset of the degree-zero lattice L (L itself for
-    a Hilbert basis, the degree-d coset for a twist module) and include a
-    representative of every irreducible element.  The semigroup is the part
-    of L that is >= 0 on the constrained coordinates conn, so the
-    difference of two candidates lies in L, and it lies in the semigroup
-    exactly when it is >= 0 on conn.  Distinct coset-minimal
-    representatives never agree on conn: their difference would be a unit,
-    and each unit coset has one representative.  So when c dominates
-    another representative c' on conn, c - c' is a nonunit of the
-    semigroup and c is redundant; and a redundant c is an irreducible plus
-    a nonunit, so it dominates that irreducible's representative.  Hence c
-    is redundant iff it dominates another representative on conn.  Two
-    representatives that agree on conn mean the unit lattice is wrong:
-    InvariantError.  Returns the survivors in graded-lex order.
+    The one search for chart generators (a0 = 0: the semigroup's
+    irreducibles) and twist generators (a0 of degree d: the generators of
+    its coset as a module).  The kernel of the projection pi to conn on L
+    is the unit lattice, so modulo units the answer is the minimal points
+    of (pi(a0) + P) in N^conn, P = pi(L).  With U P^T V = S in Smith form,
+    b is in pi(a0) + P iff (U b)_j = (U pi(a0))_j mod s_j: rows with
+    s_j = 1 drop, rows with s_j = 0 are equations, and the others reduce
+    into [0, s_j) and take one -s_j column, which is then >= 0 and
+    increasing in b.  So the minimal solutions are the minimal points;
+    they are lifted through V, made coset-minimal and sorted graded-lex.
     """
-    reps = sorted({_coset_minimal(c, units) for c in candidates}, key=vector_key)
-    heads: dict[ExponentVector, ExponentVector] = {}
-    for rep in reps:
-        if not any(rep):
-            continue
-        head = tuple(rep[i] for i in conn)
-        if head in heads:
-            raise InvariantError(f"generators {heads[head]} and {rep} differ by a unit")
-        heads[head] = rep
-    return tuple(rep for head, rep in heads.items()
-                 if not any(other != head and all(map(operator.ge, head, other))
-                            for other in heads))
+    K = sg.kernel_basis
+    conn = sg.constrained_coords()
+    U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
+    moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
+    rank = sum(1 for s in moduli if s)
+    if len(units) != len(K) - rank:
+        raise InvariantError(f"generators need a unit lattice of rank "
+                             f"{len(K) - rank}, got {len(units)}")
+    shift = [sum(u * a0[i] for u, i in zip(row, conn)) for row in U]
+    mods = [j for j, s in enumerate(moduli) if s > 1]
+    rows, rhs = [], []
+    for j, s in enumerate(moduli):
+        if s != 1:
+            rows.append([a % s if s else a for a in U[j]] + [-s if t == j else 0 for t in mods])
+            rhs.append(shift[j] % s if s else shift[j])
+    width = len(conn) + len(mods)
+    if any(a0) and not any(rhs):
+        sols = [(0,) * width]  # 0 lies in the coset: it is the one minimal point
+    else:
+        sols = minimal_nonneg_solutions(rows, width, rhs)
+    basis = [[sum(V[r][j] * K[r][i] for r in range(len(K))) for i in range(sg.nvars)]
+             for j in range(rank)]
+    lifts = []
+    for sol in sols:
+        vec = list(a0)
+        for j in range(rank):
+            q, rem = divmod(sum(u * b for u, b in zip(U[j], sol)) - shift[j], moduli[j])
+            if rem:
+                raise InvariantError(f"generator {sol[:len(conn)]} leaves the lattice")
+            vec = [a + q * w for a, w in zip(vec, basis[j])]
+        lifts.append(_coset_minimal(vec, units))
+    return tuple(sorted(lifts, key=vector_key))
 
 
 def hilbert_basis(sg: ConstrainedSemigroup):
@@ -285,24 +301,8 @@ def hilbert_basis(sg: ConstrainedSemigroup):
     >>> hilbert_basis(ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1, 2})))
     (((1, 1, -1),), ())
     """
-    K = sg.kernel_basis
     units = _unit_lattice(sg)
-    if not K:
-        return (), ()
-    k = len(K)
-    conn = sg.constrained_coords()
-    # unknowns: c+ (k), c- (k), slack (len(conn)); rows force K(c+ - c-) = slack
-    rows = []
-    for idx, i in enumerate(conn):
-        row = [K[j][i] for j in range(k)] + [-K[j][i] for j in range(k)]
-        row += [-1 if s == idx else 0 for s in range(len(conn))]
-        rows.append(row)
-    candidates = []
-    for sol in minimal_nonneg_solutions(rows, 2 * k + len(conn)):
-        coeff = [sol[j] - sol[k + j] for j in range(k)]
-        candidates.append(tuple(sum(coeff[j] * K[j][i] for j in range(k))
-                                for i in range(sg.nvars)))
-    return units, _irreducible(candidates, units, conn)
+    return units, _minimal_lifts(sg, units, (0,) * sg.nvars)
 
 
 def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -341,14 +341,13 @@ def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ..
     solution set is empty; for d = 0 the answer is the zero vector alone.
     """
     free_coords = frozenset(free_coords)
-    n = len(spec.variables)
     if d.is_zero():
-        return ((0,) * n,)
-    rows, width = _degree_rows(spec, free_coords)
-    raw = minimal_nonneg_solutions(rows, width, rhs=list(d.lift()))
+        return ((0,) * len(spec.variables),)
+    ok, a0 = subgroup_member(spec.group.subgroup(spec.degrees), d)
+    if not ok:
+        return ()
     sg = degree_zero_semigroup(spec, free_coords)
-    return _irreducible([_assemble(spec, free_coords, sol) for sol in raw],
-                        _unit_lattice(sg), sg.constrained_coords())
+    return _minimal_lifts(sg, _unit_lattice(sg), a0)
 
 
 def degree_zero_semigroup(spec, free_coords) -> ConstrainedSemigroup:

@@ -283,26 +283,70 @@ def hilbert_basis_by_decomposition(sg):
         if not decomposes([o for o in candidates if o != c], units, conn, c))
 
 
-def shifted_generators_by_membership(spec, free_coords, d):
-    """shifted_minimal_generators with its earlier reduction: a candidate is
-    dropped when its difference with another is a nonzero member of the
-    degree-zero semigroup, decided by a lattice solve."""
-    from projd.diophantine import (_assemble, _coset_minimal, _degree_rows,
-                                   _unit_lattice, degree_zero_semigroup,
-                                   minimal_nonneg_solutions, vector_key)
+def _drop_by_membership(candidates, sg, units):
+    """Coset-minimal forms of candidates, zero left out, graded-lex; a
+    candidate is dropped when its difference with another is a nonzero
+    member of sg, decided by a lattice solve."""
+    from projd.diophantine import _coset_minimal, vector_key
 
-    free_coords = frozenset(free_coords)
-    if d.is_zero():
-        return ((0,) * len(spec.variables),)
-    rows, width = _degree_rows(spec, free_coords)
-    sg = degree_zero_semigroup(spec, free_coords)
-    units = _unit_lattice(sg)
-    reps = sorted({_coset_minimal(_assemble(spec, free_coords, sol), units)
-                   for sol in minimal_nonneg_solutions(rows, width, rhs=list(d.lift()))},
-                  key=vector_key)
+    reps = sorted({_coset_minimal(c, units) for c in candidates}, key=vector_key)
+    reps = [r for r in reps if any(r)]
     out = []
     for cand in reps:
         diffs = [tuple(a - b for a, b in zip(cand, o)) for o in reps if o != cand]
         if not any(any(diff) and sg.contains(diff) for diff in diffs):
             out.append(cand)
     return tuple(out)
+
+
+def _degree_row_candidates(spec, free_coords, rhs=None):
+    """Minimal solutions of the degree equations in the split exponent
+    layout, read back as exponent vectors."""
+    from projd.diophantine import _assemble, _degree_rows, minimal_nonneg_solutions
+
+    rows, width = _degree_rows(spec, free_coords)
+    return [_assemble(spec, free_coords, sol)
+            for sol in minimal_nonneg_solutions(rows, width, rhs=rhs)]
+
+
+def shifted_generators_by_membership(spec, free_coords, d):
+    """shifted_minimal_generators by the inhomogeneous search over the
+    split exponent layout: a candidate is dropped when its difference with
+    another is a nonzero member of the degree-zero semigroup."""
+    from projd.diophantine import _unit_lattice, degree_zero_semigroup
+
+    free_coords = frozenset(free_coords)
+    if d.is_zero():
+        return ((0,) * len(spec.variables),)
+    sg = degree_zero_semigroup(spec, free_coords)
+    candidates = _degree_row_candidates(spec, free_coords, list(d.lift()))
+    return _drop_by_membership(candidates, sg, _unit_lattice(sg))
+
+
+def hilbert_basis_by_degree_rows(spec, free_coords):
+    """hilbert_basis of the degree-zero semigroup by the homogeneous search
+    over the split exponent layout, reduced like the twist generators."""
+    from projd.diophantine import _unit_lattice, degree_zero_semigroup
+
+    free_coords = frozenset(free_coords)
+    sg = degree_zero_semigroup(spec, free_coords)
+    units = _unit_lattice(sg)
+    return units, _drop_by_membership(_degree_row_candidates(spec, free_coords), sg, units)
+
+
+def grading_of_lattice(basis, n):
+    """The grading of Z^n by Z^n / L, L the row span of basis (nonempty,
+    rows independent): a RingSpec whose degree-zero lattice is L.
+
+    With U * basis * V = S in Smith form, a lies in L exactly when (aV)_j
+    is 0 mod s_j for the first rank columns and 0 beyond, so deg x_j is
+    row j of V, torsion of the diagonal orders first.
+    """
+    from projd.fgab import FgAbGroup, smith_normal_form
+    from projd.ringspec import RingSpec
+
+    _, S, V = smith_normal_form(basis)
+    k = len(basis)
+    G = FgAbGroup(n - k, [S[j][j] for j in range(k)])
+    degrees = [G.element(V[i][k:], V[i][:k]) for i in range(n)]
+    return RingSpec(G, [f"x{i}" for i in range(n)], degrees, check_effective=False)

@@ -238,6 +238,27 @@ def test_one_reduction_rule_matches_the_former_reductions():
     assert len(cases) > 100 and queries > 500
 
 
+def test_hilbert_basis_matches_the_degree_row_search_on_wider_lattices():
+    rng = random.Random(227)
+    for _ in range(40):
+        n = rng.randint(4, 5)
+        sg = _random_semigroup(rng, n)
+        spec = oracles.grading_of_lattice(sg.kernel_basis, n)
+        assert kernel_lattice(spec) == sg.kernel_basis
+        assert hilbert_basis(sg) == \
+            oracles.hilbert_basis_by_degree_rows(spec, sg.free_coords), sg
+
+
+def test_hilbert_basis_of_a_four_coordinate_lattice():
+    # the kernel-coefficient search took about a minute on this lattice
+    sg = ConstrainedSemigroup(4, ((1, 0, 0, -2), (0, 1, 2, 7), (0, 0, 3, 11)),
+                              frozenset({0}))
+    assert hilbert_basis(sg) == ((), (
+        (-1, 0, 0, 2), (-1, 3, 0, 1), (1, 2, 1, 1), (-1, 6, 0, 0), (1, 5, 1, 0),
+        (3, 1, 2, 1), (3, 4, 2, 0), (5, 0, 3, 1), (5, 3, 3, 0), (7, 2, 4, 0),
+        (9, 1, 5, 0), (11, 0, 6, 0)))
+
+
 def test_minimal_nonneg_solutions_small_systems():
     # x - y = 0 over N^2
     sols = minimal_nonneg_solutions([[1, -1]], 2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import oracles
 import pytest
@@ -53,6 +54,13 @@ def line_spec():
     G = FgAbGroup(2)
     return RingSpec(G, ["x", "y", "z"],
                     [G.element((1, 0)), G.element((1, 0)), G.element((0, 1))])
+
+
+def l6_spec():
+    """The L6 rung of the bench ladder: six rank-2 degrees, 15 charts."""
+    G = FgAbGroup(2)
+    return RingSpec(G, [f"x{i}" for i in range(6)],
+                    [G.element(d) for d in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3))])
 
 
 def renders(spec, monos):
@@ -299,6 +307,23 @@ def test_submodels_five():
     families = {frozenset(renders(R, s)) for s in subs}
     assert families == {frozenset(isolated | {"zw", "zv"}),
                         frozenset(isolated | {"yz", "xz"})}
+
+
+def test_l6_charts_match_the_degree_row_search():
+    R = l6_spec()
+    charts = R.irrelevant_generators()
+    assert len(charts) == 15
+    for f in charts:
+        chart = chart_algebra(R, f)
+        assert (chart.units, chart.generators) == \
+            oracles.hilbert_basis_by_degree_rows(R, f.support), f
+
+
+def test_l6_gluing_answers_within_a_minute():
+    start = time.perf_counter()
+    assert len(weak_pairs(l6_spec())) == 35
+    assert len(separated_submodels(l6_spec())) == 5
+    assert time.perf_counter() - start < 60
 
 
 def test_submodels_are_maximal_and_weak_free():
