@@ -21,7 +21,7 @@ from projd.diophantine import (
     semigroup_member,
     vector_key,
 )
-from projd.ringspec import InvalidInput, Monomial, NotRelevant, RingSpec
+from projd.ringspec import InvalidInput, Monomial, RingSpec
 
 
 class PrimeMeetsF(InvalidInput):
@@ -96,9 +96,7 @@ def chart_algebra(spec: RingSpec, f) -> ChartAlgebra:
     >>> chart_algebra(R, "x*y*z^2").units
     ((1, 1, -1),)
     """
-    f = spec.monomial(f)
-    if not spec.is_relevant(f):
-        raise NotRelevant(f.render(spec.variables))
+    f = spec.relevant_monomial(f)
     units, gens = _chart_data(spec, f)
     return ChartAlgebra(f, units, gens, f.support)
 
@@ -123,10 +121,8 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
     over the f-chart pool extended by the inverses of those elements.  The
     returned decompositions are coefficient vectors over that pool.
     """
-    f, g = spec.monomial(f), spec.monomial(g)
-    for m in (f, g):
-        if not spec.is_relevant(m):
-            raise NotRelevant(m.render(spec.variables))
+    f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
+    f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
     fg = f * g
     chart_f = chart_algebra(spec, f)
     chart_fg = chart_algebra(spec, fg)
@@ -162,7 +158,7 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
     f = spec.monomial(f)
     p = _prime(spec, p)
     if set(p.variables) & f.support:
-        raise PrimeMeetsF(p.render(spec.variables))
+        raise PrimeMeetsF(f"prime {p.render(spec.variables)} meets the chart monomial")
     units, gens = _chart_data(spec, f)
     pool = ChartAlgebra(f, units, gens, f.support).pool()
     hit = {v for v in pool

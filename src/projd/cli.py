@@ -24,7 +24,6 @@ import yaml
 
 from projd.charts import (
     MonomialPrime,
-    PrimeMeetsF,
     chart_algebra,
     chart_intersection_check,
     cover_decomposition,
@@ -36,7 +35,6 @@ from projd.fgab import FgAbGroup, GroupElement
 from projd.ringspec import (
     InvalidInput,
     Monomial,
-    NotRelevant,
     RingSpec,
     degree_zero_companion,
 )
@@ -643,12 +641,6 @@ def _emit(command: str, spec_path: str, as_json: bool,
         raw = Path(spec_path).read_bytes()
         spec = parse_ring_spec(raw)
         payload = execute(spec, command, list(args), bound)
-    except NotRelevant as exc:
-        click.echo(f"error: {exc} is not relevant", err=True)
-        sys.exit(3)
-    except PrimeMeetsF as exc:
-        click.echo(f"error: prime {exc} meets the chart monomial", err=True)
-        sys.exit(3)
     except InvalidInput as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)

@@ -73,10 +73,10 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
                              least_only: bool = False) -> list[ExponentVector]:
     """Minimal solutions of rows @ x = rhs with x >= 0 integral.
 
-    With rhs omitted (or zero) this is the Hilbert basis of the solution
-    monoid, excluding zero.  With rhs given, the system is homogenized with
-    a counter coordinate forced to 1, and the returned vectors are exactly
-    the minimal inhomogeneous solutions.
+    With rhs omitted this is the Hilbert basis of the solution monoid,
+    excluding zero.  With rhs given, the system is homogenized with a
+    counter coordinate forced to 1, and the returned vectors are exactly
+    the minimal inhomogeneous solutions: for a zero rhs, zero alone.
 
     least_only stops the search after the first level that records a
     returned solution and returns only the solutions of that level.  Level
@@ -118,11 +118,12 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
     """The search behind minimal_nonneg_solutions: (solutions, cut).
 
     With a bound, vectors whose first ncols entries sum past it are left
-    unexplored, and cut says whether any was.
+    unexplored, and cut says whether any was.  Only rhs None is
+    homogeneous: a given zero rhs has the one minimal solution 0.
     """
-    homogeneous = rhs is None or not any(rhs)
-    if rhs is None:
-        rhs = [0] * len(rows)
+    if rhs is not None and not any(rhs):
+        return [(0,) * ncols], False
+    homogeneous = rhs is None
     cols = ncols if homogeneous else ncols + 1
     columns = []
     for j in range(ncols):
@@ -268,10 +269,7 @@ def _minimal_lifts(sg: ConstrainedSemigroup, units, a0) -> tuple[ExponentVector,
             rows.append([a % s if s else a for a in U[j]] + [-s if t == j else 0 for t in mods])
             rhs.append(shift[j] % s if s else shift[j])
     width = len(conn) + len(mods)
-    if any(a0) and not any(rhs):
-        sols = [(0,) * width]  # 0 lies in the coset: it is the one minimal point
-    else:
-        sols = minimal_nonneg_solutions(rows, width, rhs)
+    sols = minimal_nonneg_solutions(rows, width, rhs if any(a0) else None)
     basis = [[sum(V[r][j] * K[r][i] for r in range(len(K))) for i in range(sg.nvars)]
              for j in range(rank)]
     lifts = []
@@ -319,12 +317,7 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     >>> semigroup_member([(1, 1, -1)], (-1, -1, 1)) is None
     True
     """
-    target = tuple(target)
     gens = [tuple(g) for g in gens]
-    if not any(target):
-        return (0,) * len(gens)
-    if not gens:
-        return None
     rows = [[g[i] for g in gens] for i in range(len(target))]
     sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
                                     least_only=True)

@@ -142,6 +142,13 @@ class RingSpec:
             raise ValueError("wrong number of exponents")
         return Monomial(exps)
 
+    def relevant_monomial(self, source) -> Monomial:
+        """The monomial of source; raises NotRelevant unless it is relevant."""
+        mono = self.monomial(source)
+        if not self.is_relevant(mono):
+            raise NotRelevant(f"{mono.render(self.variables)} is not relevant")
+        return mono
+
     def degree_of(self, mono: Monomial) -> GroupElement:
         deg = self.group.zero()
         for e, d in zip(mono.exponents, self.degrees):
@@ -246,31 +253,21 @@ def degree_zero_companion(spec: RingSpec, h: Monomial,
                           f: Monomial) -> Optional[tuple[int, Monomial, int]]:
     """Least (N, g, k) with deg(h^N * g) = deg(f^k), or None if f irrelevant.
 
-    N is minimized first, then k, then g in graded-lex order.  Existence
-    for relevant f is guaranteed within N <= [D : D^f]: that multiple of
-    deg(h) falls into the support group of f.
+    N is minimized first, then k, then g in graded-lex order.  N = 1
+    always works, so one search over (g, k) answers: with F = supp(f)
+    relevant, the degree-zero lattice L (rank n - r) meets Z^F in rank
+    |F| - r, so it projects onto a full-rank lattice off F, and some c in
+    -h + L is >= 0 off F.  Then g = c + k*f >= 0 for k = max over i in F
+    of ceil(max(0, -c_i) / f_i), and deg(h * g) = deg(f^k).
     """
     if not spec.is_relevant(f):
         return None
-    d_h = spec.degree_of(h)
     n = len(spec.variables)
     # unknowns: g (n columns), the torsion columns, then k under -deg(f)
     rows, width = _degree_rows(spec, ())
     for row, c in zip(rows, spec.degree_of(f).lift()):
         row.append(-c)
-    bound = subgroup_index(spec.group, spec.support_group(f))
-    for N in range(1, bound + 1):
-        target = (-N) * d_h
-        if target.is_zero():
-            return N, Monomial((0,) * n), 0
-        sols = minimal_nonneg_solutions(rows, width + 1, rhs=list(target.lift()))
-        if not sols:
-            continue
-        best = None
-        for sol in sols:
-            g, k = sol[:n], sol[-1]
-            key = (k, vector_key(g))
-            if best is None or key < best[0]:
-                best = (key, g, k)
-        return N, Monomial(best[1]), best[2]
-    return None
+    sols = minimal_nonneg_solutions(rows, width + 1,
+                                    rhs=list((-spec.degree_of(h)).lift()))
+    best = min(sols, key=lambda sol: (sol[-1], vector_key(sol[:n])))
+    return 1, Monomial(best[:n]), best[-1]

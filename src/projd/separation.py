@@ -26,7 +26,7 @@ from projd.diophantine import (
     vector_key,
 )
 from projd.fgab import FgAbGroup, subgroup_member
-from projd.ringspec import Monomial, NotRelevant, RingSpec
+from projd.ringspec import Monomial, RingSpec
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
 
     Every generator and unit of the product chart must decompose over the
     union of the two factor pools; the first element with no decomposition
-    is the weakness witness.
+    is the weakness witness.  The audit stops there, so the decompositions
+    of a weak pair end before its witness.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -79,10 +80,7 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     >>> mu_surjective(R, "xy", "xz").weak
     False
     """
-    f, g = spec.monomial(f), spec.monomial(g)
-    for m in (f, g):
-        if not spec.is_relevant(m):
-            raise NotRelevant(m.render(spec.variables))
+    f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
     pool = chart_algebra(spec, f).pool() + chart_algebra(spec, g).pool()
     targets = chart_algebra(spec, f * g).pool()
     witness = None
@@ -90,10 +88,9 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     for target in sorted(set(targets), key=vector_key):
         coeffs = semigroup_member(pool, target)
         if coeffs is None:
-            if witness is None:
-                witness = target
-        else:
-            decompositions.append((target, coeffs))
+            witness = target
+            break
+        decompositions.append((target, coeffs))
     return WeakPairReport((f, g), witness is not None, witness,
                           tuple(decompositions))
 

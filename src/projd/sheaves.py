@@ -25,7 +25,7 @@ from projd.diophantine import (
     vector_key,
 )
 from projd.fgab import GroupElement, subgroup_intersection, subgroup_member
-from projd.ringspec import InvalidInput, Monomial, NotRelevant, RingSpec
+from projd.ringspec import InvalidInput, Monomial, RingSpec
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ def unit_of_degree(spec: RingSpec, f, d: GroupElement) -> Optional[ExponentVecto
     >>> unit_of_degree(R, "x", G.element((1,), (1,))) is None
     True
     """
-    f = spec.monomial(f)
-    if not spec.is_relevant(f):
-        raise NotRelevant(f.render(spec.variables))
+    f = spec.relevant_monomial(f)
     ok, coeffs = subgroup_member(spec.support_group(f), d)
     if not ok:
         return None
@@ -115,9 +113,7 @@ def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:
 
 def twist_module_generators(spec: RingSpec, f, d: GroupElement) -> tuple[ExponentVector, ...]:
     """Minimal generators of the degree-d chart module over the chart algebra."""
-    f = spec.monomial(f)
-    if not spec.is_relevant(f):
-        raise NotRelevant(f.render(spec.variables))
+    f = spec.relevant_monomial(f)
     return shifted_minimal_generators(spec, f.support, d)
 
 
@@ -129,9 +125,7 @@ def twist_product_surjective(spec: RingSpec, f, d: GroupElement,
     e-generator plus a degree-zero chart element; the witness quadruples
     are (target, d-part, e-part, chart remainder).
     """
-    f = spec.monomial(f)
-    if not spec.is_relevant(f):
-        raise NotRelevant(f.render(spec.variables))
+    f = spec.relevant_monomial(f)
     gens_d = twist_module_generators(spec, f, d)
     gens_e = twist_module_generators(spec, f, e)
     targets = twist_module_generators(spec, f, d + e)
@@ -207,10 +201,6 @@ def global_sections(spec: RingSpec, d: GroupElement,
         found = [exps for exps in _bounded_exponents(n, total_degree_bound)
                  if spec.degree_of(Monomial(exps)) == d]
         complete = False
-    elif not any(d.free):
-        # on a pointed grading only the monomial 1 has free degree zero
-        found = [(0,) * n] if d.is_zero() else []
-        complete = True
     else:
         # no two monomials of one free degree divide each other, so those
         # of free degree d.free are exactly the minimal solutions of the

@@ -226,6 +226,32 @@ def irrelevant_generators_scan(spec):
     return tuple(sorted(monos, key=lambda m: vector_key(m.exponents)))
 
 
+def companion_by_power_scan(spec, h, f):
+    """degree_zero_companion by trying each power N up to [D : D^f] in
+    turn, every minimal solution of one power before the next."""
+    from projd.diophantine import _degree_rows, minimal_nonneg_solutions, vector_key
+    from projd.fgab import subgroup_index
+    from projd.ringspec import Monomial
+
+    if not spec.is_relevant(f):
+        return None
+    d_h = spec.degree_of(h)
+    n = len(spec.variables)
+    rows, width = _degree_rows(spec, ())
+    for row, c in zip(rows, spec.degree_of(f).lift()):
+        row.append(-c)
+    bound = subgroup_index(spec.group, spec.support_group(f))
+    for N in range(1, bound + 1):
+        target = (-N) * d_h
+        if target.is_zero():
+            return N, Monomial((0,) * n), 0
+        sols = minimal_nonneg_solutions(rows, width + 1, rhs=list(target.lift()))
+        if sols:
+            k, g = min((sol[-1], vector_key(sol[:n])) for sol in sols)
+            return N, Monomial(g[1]), k
+    return None
+
+
 def decomposes(gens, units, constrained, target):
     """target is a nonnegative combination of gens plus a vector of the
     integer span of units.

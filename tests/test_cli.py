@@ -322,6 +322,20 @@ def test_cli_prime_meeting_chart_exits_3(tmp_path):
     assert "meets the chart monomial" in result.output
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["chart", "x"], "error: x is not relevant"),
+    (["chart", "x", "--json"], "error: x is not relevant"),
+    (["intersect", "x", "xy"], "error: x is not relevant"),
+    (["intersect", "xy", "y"], "error: y is not relevant"),
+    (["intersect", "x", "qq"], "error: unknown variable in monomial factor 'qq'"),
+    (["psi", "x*y", "(x)"], "error: prime (x) meets the chart monomial"),
+    (["psi", "xy", "(x,z)", "--json"], "error: prime (x, z) meets the chart monomial"),
+])
+def test_cli_relevance_error_lines(tmp_path, argv, line):
+    result = CliRunner().invoke(main, [*argv, "--spec", write_spec(tmp_path, "plane")])
+    assert (result.exit_code, result.stderr, result.stdout) == (3, line + "\n", "")
+
+
 def test_cli_internal_error_exits_4(tmp_path, monkeypatch):
     def boom(spec, command, args, bound=None):
         raise RuntimeError("invariant broken")

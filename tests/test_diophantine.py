@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.diophantine import (
     ConstrainedSemigroup,
+    bounded_minimal_solutions,
     hilbert_basis,
     kernel_lattice,
     minimal_nonneg_solutions,
@@ -270,6 +271,12 @@ def test_minimal_nonneg_solutions_small_systems():
     assert minimal_nonneg_solutions([[2]], 1, rhs=[3]) == []
     # no equations: unit vectors
     assert minimal_nonneg_solutions([], 2) == [(0, 1), (1, 0)]
+    # a given zero right-hand side has zero alone, not the Hilbert basis
+    for rows in ([[1, -1]], [[1, -1], [2, -2]]):
+        zeros = [0] * len(rows)
+        assert minimal_nonneg_solutions(rows, 2, rhs=zeros) == [(0, 0)]
+        assert minimal_nonneg_solutions(rows, 2, rhs=zeros, least_only=True) == [(0, 0)]
+        assert bounded_minimal_solutions(rows, 2, zeros, 0) == ([(0, 0)], True)
 
 
 def test_minimal_nonneg_solutions_against_box():

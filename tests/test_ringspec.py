@@ -5,7 +5,8 @@ import math
 import random
 
 import pytest
-from oracles import irrelevant_generators_scan, relevance_via_components
+from oracles import (companion_by_power_scan, irrelevant_generators_scan,
+                     relevance_via_components)
 from projd.fgab import FgAbGroup, subgroup_index, subgroup_member
 from projd.ringspec import (
     BadConicalIdeal,
@@ -197,6 +198,35 @@ def test_degree_zero_companion_certificates_random():
                 d = d + (N2 * e) * dg
             ok, _ = subgroup_member(R.support_group(f), d)
             assert not ok
+
+
+def test_degree_zero_companion_needs_one_power():
+    # the former scan over N = 1, 2, ... agrees, and stops at N = 1.  The
+    # gradings are small (rank 3 without torsion, degree entries up to
+    # 4 - rank) because the search lists every minimal (g, k): with entries
+    # up to 3, one three-variable rank-3 grading takes seconds
+    rng = random.Random(157)
+    kinds = set()
+    cases = 0
+    while cases < 300:
+        r = 1 + cases % 3
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2]] if r < 3 else [[]]))
+        n = rng.randint(r, 3 + (r == 1))
+        degrees = [G.element(tuple(rng.randint(0, 4 - r) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(n)]
+        try:
+            R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+        h = Monomial(tuple(rng.randint(0, 2) for _ in range(n)))
+        f = rng.choice(R.irrelevant_generators())
+        got = degree_zero_companion(R, h, f)
+        assert got == companion_by_power_scan(R, h, f), (G, degrees, h, f)
+        assert got[0] == 1
+        kinds.add((r, bool(G.torsion)))
+        cases += 1
+    assert kinds == {(1, False), (1, True), (2, False), (2, True), (3, False)}
 
 
 def test_relevance_via_components_matches_index_criterion():

@@ -360,6 +360,16 @@ def test_global_sections_unreachable_degree():
     assert report.monomials == () and report.complete
 
 
+def test_global_sections_of_zero_free_degree():
+    # pointed, with torsion: only 1 has free degree zero, at any bound
+    G = FgAbGroup(1, [2])
+    R = RingSpec(G, ["x", "y"], [G.element((1,), (0,)), G.element((1,), (1,))])
+    one = global_sections(R, G.zero(), 0)
+    assert [m.render(R.variables) for m in one.monomials] == ["1"] and one.complete
+    odd = global_sections(R, G.element((0,), (1,)), 0)
+    assert odd.monomials == () and odd.complete
+
+
 def test_global_sections_rejects_negative_bound():
     R = plane_spec()
     with pytest.raises(ValueError):
