@@ -307,21 +307,67 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Nonnegative integer decomposition of target over the vectors gens.
 
     Coefficients are returned in the order of gens, None if there is no
-    decomposition.  The answer is the graded-lex least minimal
-    decomposition, found without enumerating the others.  Over a chart,
-    pass its pool: the generators and both signs of the units.  The
+    decomposition.  The answer is the graded-lex least decomposition, so
+    it is minimal; it is found without enumerating the others.  Over a
+    chart, pass its pool: the generators and both signs of the units.  The
     decision is exact, never heuristic.
+
+    Three rules shrink the search first, none of which changes the answer:
+
+    * lookup: a nonzero target equal to some gens[j] is decomposed as e_j
+      for the last such j.  Norm one is least, and among the e_j the one
+      whose 1 lies furthest right is lex-least.
+    * duplicates: only the last copy of a repeated vector keeps a column.
+      Moving a coefficient from an earlier copy to a later one keeps the
+      norm and lowers the tuple, so the least answer is 0 on earlier copies.
+    * sign caps: on a coordinate where every kept vector is >= 0, one whose
+      entry exceeds the target's there has coefficient 0 in every
+      decomposition; mirrored where every kept vector is <= 0.  The caps
+      are applied again to the kept vectors until none is dropped.
+
+    Zeros inserted at fixed positions keep both the norm and the lex
+    order, so the least answer of the shrunken search, scattered back, is
+    the least answer over all of gens.
 
     >>> semigroup_member([(1, 1, -1)], (2, 2, -2))
     (2,)
     >>> semigroup_member([(1, 1, -1)], (-1, -1, 1)) is None
     True
+
+    Below, (1, 0) is repeated, so only its second copy is used, and (3, 0)
+    is capped: every vector is >= 0 on the first coordinate, where 3 > 2.
+
+    >>> semigroup_member([(1, 0), (0, 1), (1, 0), (3, 0)], (2, 1))
+    (0, 1, 2, 0)
+    >>> semigroup_member([(1, 0), (0, 1), (1, 0)], (1, 0))
+    (0, 0, 1)
     """
     gens = [tuple(g) for g in gens]
-    rows = [[g[i] for g in gens] for i in range(len(target))]
-    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
+    target = tuple(target)
+    if any(target) and target in gens:
+        last = len(gens) - 1 - gens[::-1].index(target)
+        return tuple(int(j == last) for j in range(len(gens)))
+    keep = sorted({g: j for j, g in enumerate(gens)}.values())
+    while True:
+        capped = set()
+        for i, t in enumerate(target):
+            entries = [gens[j][i] for j in keep]
+            if min(entries, default=0) >= 0:
+                capped.update(j for j in keep if gens[j][i] > t)
+            if max(entries, default=0) <= 0:
+                capped.update(j for j in keep if gens[j][i] < t)
+        if not capped:
+            break
+        keep = [j for j in keep if j not in capped]
+    rows = [[gens[j][i] for j in keep] for i in range(len(target))]
+    sols = minimal_nonneg_solutions(rows, len(keep), rhs=list(target),
                                     least_only=True)
-    return sols[0] if sols else None
+    if not sols:
+        return None
+    coeffs = [0] * len(gens)
+    for j, c in zip(keep, sols[0]):
+        coeffs[j] = c
+    return tuple(coeffs)
 
 
 def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ...]:

@@ -143,7 +143,13 @@ def is_separated(spec: RingSpec, B=None) -> SeparationVerdict:
 
 
 def _graver_relations(spec: RingSpec) -> tuple[ExponentVector, ...]:
-    """Minimal nonzero kernel vectors under the sign-split order."""
+    """Minimal nonzero kernel vectors under the sign-split order.
+
+    The split search finds every one of them, but its +/- torsion columns
+    also let through kernel vectors a above another one b in the
+    conformal order (b_i * a_i >= 0 and |b_i| <= |a_i| for every i);
+    those are dropped.
+    """
     every = range(len(spec.variables))
     rows, width = _degree_rows(spec, every)
     seen = set()
@@ -158,7 +164,14 @@ def _graver_relations(spec: RingSpec) -> tuple[ExponentVector, ...]:
                     canon = tuple(-b for b in a)
                 break
         seen.add(canon)
-    return tuple(sorted(seen, key=vector_key))
+    found = sorted(seen, key=vector_key)
+
+    def below(b, a):
+        return b != a and all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(b, a))
+
+    return tuple(a for a in found
+                 if not any(below(b, a) or below(tuple(-x for x in b), a)
+                            for b in found))
 
 
 def classify_dependencies(spec: RingSpec) -> DependencyReport:

@@ -150,6 +150,18 @@ def full_enumeration_member(gens, target):
     return sols[0] if sols else None
 
 
+def semigroup_member_by_search(gens, target):
+    """semigroup_member without shrinking the pool: one least-norm search
+    over every column."""
+    from projd.diophantine import minimal_nonneg_solutions
+
+    gens = [tuple(g) for g in gens]
+    rows = [[g[i] for g in gens] for i in range(len(target))]
+    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
+                                    least_only=True)
+    return sols[0] if sols else None
+
+
 def maximal_independent_sets_scan(count, edges):
     """Maximal independent sets by scanning all subsets, largest first."""
     edges = [frozenset(e) for e in edges]
@@ -250,6 +262,36 @@ def companion_by_power_scan(spec, h, f):
             k, g = min((sol[-1], vector_key(sol[:n])) for sol in sols)
             return N, Monomial(g[1]), k
     return None
+
+
+def graver_basis_in_box(spec, bound):
+    """Conformally minimal nonzero degree-zero exponent vectors with every
+    entry in [-bound, bound], first nonzero entry positive, graded-lex.
+
+    b is conformally below a when it has the sign of a wherever it is
+    nonzero and |b_i| <= |a_i|; such b lie in the box with a.  Degrees are
+    summed on their lifts, the torsion coordinates reduced by their orders.
+    """
+    group = spec.group
+    lifts = [d.lift() for d in spec.degrees]
+    orders = [0] * group.rank + list(group.torsion)
+
+    def degree_zero(a):
+        for r, m in enumerate(orders):
+            total = sum(e * lift[r] for e, lift in zip(a, lifts))
+            if total % m if m else total:
+                return False
+        return True
+
+    kernel = {a for a in box(len(lifts), -bound, bound) if any(a) and degree_zero(a)}
+
+    def dominated(a):
+        ranges = [range(v + 1) if v >= 0 else range(v, 1) for v in a]
+        return any(b != a and b in kernel for b in itertools.product(*ranges))
+
+    return tuple(sorted((a for a in kernel
+                         if next(v for v in a if v) > 0 and not dominated(a)),
+                        key=lambda v: (sum(abs(x) for x in v), v)))
 
 
 def decomposes(gens, units, constrained, target):

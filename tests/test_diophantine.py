@@ -344,6 +344,38 @@ def test_early_exit_member_matches_full_enumeration_on_random_pools(case):
         oracles.full_enumeration_member(pool, target)
 
 
+def test_pruned_member_matches_the_unpruned_search():
+    # lookup, duplicate columns and sign caps give the same tuple as one
+    # search over the whole pool; sign-constant coordinates are planted so
+    # that the caps fire, and copies so that duplicates do
+    rng = random.Random(233)
+    kinds = {"member": 0, "none": 0, "pool vector": 0, "zero": 0, "duplicate": 0}
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 10))]
+        for i in range(n):
+            sign = rng.choice([-1, 0, 0, 1])
+            if sign:
+                pool = [g[:i] + (sign * abs(g[i]),) + g[i + 1:] for g in pool]
+        pool += [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(pool)
+        draw = rng.random()
+        if draw < 0.25:
+            target = rng.choice(pool)
+        elif draw < 0.35:
+            target = (0,) * n
+        else:
+            target = tuple(rng.randint(-4, 4) for _ in range(n))
+        got = semigroup_member(pool, target)
+        assert got == oracles.semigroup_member_by_search(pool, target), (pool, target)
+        kinds["member" if got is not None else "none"] += 1
+        kinds["pool vector"] += any(target) and target in pool
+        kinds["zero"] += not any(target)
+        kinds["duplicate"] += len(set(pool)) < len(pool)
+    assert min(kinds.values()) >= 50, kinds
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_pool_cases, st.booleans())
 def test_least_only_is_the_least_norm_part(case, homogeneous):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from projd.charts import chart_algebra
 from projd.diophantine import minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
-from projd.ringspec import NotRelevant, RingSpec
+from projd.ringspec import NotEffective, NotRelevant, RingSpec
 from projd.separation import (
     _graver_relations,
     _maximal_independent_sets,
@@ -271,6 +273,53 @@ def test_graver_relations_sign_canonical_and_sorted():
                 != spec.degree_of(spec.monomial([max(-v, 0) for v in a]))
 
 
+def test_graver_relations_drop_conformally_dominated_vectors():
+    # the +/- torsion columns admit (2, -2, 0), which dominates (2, 0, 0)
+    G = FgAbGroup(1, [2, 2])
+    R = RingSpec(G, ["x", "y", "z"], [G.element((0,), (1, 1)), G.element((0,), (0, 1)),
+                                      G.element((1,), (0, 1))])
+    assert _graver_relations(R) == ((0, 2, 0), (2, 0, 0))
+    # here the extras hid the irreducible relation xz^4 = y^2
+    G = FgAbGroup(2, [4])
+    R = RingSpec(G, ["x", "y", "z", "w"],
+                 [G.element((2, 0), (0,)), G.element((1, 2), (2,)),
+                  G.element((0, 1), (2,)), G.element((0, 0), (3,))])
+    assert _graver_relations(R) == ((0, 0, 0, 4), (1, -2, 4, 0))
+    assert classify_dependencies(R).klass == "nontrivial-irreducible"
+    assert not is_separated(R).separated
+
+
+def test_graver_relations_match_the_box_search():
+    # the box search over the box of the largest returned entry gives
+    # back exactly the same list; the classes that decide separatedness
+    # agree with the weak pairs
+    rng = random.Random(239)
+    classes = set()
+    cases = 0
+    while cases < 120:
+        r = 1 + cases % 2
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2], [4]]))
+        n = rng.randint(r + 1, 4)
+        degrees = [G.element(tuple(rng.randint(0, 3 - r) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(n)]
+        try:
+            R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+        relations = _graver_relations(R)
+        bound = max((abs(v) for a in relations for v in a), default=1)
+        assert relations == oracles.graver_basis_in_box(R, bound), (G, degrees)
+        klass = classify_dependencies(R).klass
+        if klass == "length-one-only":
+            assert is_separated(R).separated, (G, degrees)
+        if klass == "nontrivial-irreducible":
+            assert weak_pairs(R), (G, degrees)
+        classes.add(klass)
+        cases += 1
+    assert classes == {"length-one-only", "nontrivial-irreducible", "undetermined"}
+
+
 def test_theorem_consistency_on_fixtures():
     line = line_spec()
     assert classify_dependencies(line).klass == "length-one-only"
@@ -324,6 +373,25 @@ def test_l6_gluing_answers_within_a_minute():
     assert len(weak_pairs(l6_spec())) == 35
     assert len(separated_submodels(l6_spec())) == 5
     assert time.perf_counter() - start < 60
+
+
+def test_l7_gluing_answers_within_a_minute():
+    # L6 plus the degree (3, 1); the digest is that of the payload as the
+    # unpruned membership search gave it, in about 40 s
+    from projd.cli import execute
+
+    G = FgAbGroup(2)
+    R = RingSpec(G, [f"x{i}" for i in range(7)],
+                 [G.element(d) for d in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1),
+                                         (1, 3), (3, 1))])
+    start = time.perf_counter()
+    payload = execute(R, "separated", [])
+    assert len(payload["pairs"]) == 70
+    assert len(separated_submodels(R)) == 6
+    assert time.perf_counter() - start < 60
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(raw).hexdigest() == \
+        "8f37b77dbffc92112865e7baf84ff8c91ed06bbb8ec6927733237af94dcc17a5"
 
 
 def test_submodels_are_maximal_and_weak_free():
