@@ -196,30 +196,37 @@ def parse_degree(group: FgAbGroup, text: str) -> GroupElement:
     """Degree from text like "(2, 0 | 1 mod 2)", "2,0|1" or "2,0".
 
     Coordinates are read in the canonical presentation (as printed);
-    an omitted torsion part defaults to zero.
+    an omitted torsion part defaults to zero.  A torsion coordinate is
+    c or c mod m, m its order; a free coordinate takes no mod.
     """
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     free_part, _, torsion_part = body.partition("|")
 
-    def ints(chunk, count, what):
+    def ints(chunk, orders, what):
         pieces = [p.strip() for p in chunk.split(",")] if chunk.strip() else []
-        pieces = [p.split("mod")[0].strip() for p in pieces]
         if not pieces:
-            return [0] * count
-        if len(pieces) != count:
+            return [0] * len(orders)
+        if len(pieces) != len(orders):
             raise ParseError(
-                f"degree {text!r}: expected {count} {what} coordinates")
-        try:
-            return [int(p) for p in pieces]
-        except ValueError:
-            raise ParseError(f"degree {text!r}: bad {what} coordinate")
+                f"degree {text!r}: expected {len(orders)} {what} coordinates")
+        coords = []
+        for piece, order in zip(pieces, orders):
+            value, mod, modulus = piece.partition("mod")
+            try:
+                coords.append(int(value))
+                ok = not mod or int(modulus) == order
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ParseError(f"degree {text!r}: bad {what} coordinate {piece!r}")
+        return coords
 
     if group.rank == 0 and "|" not in body:
         torsion_part, free_part = free_part, ""
-    free = ints(free_part, group.rank, "free")
-    tors = ints(torsion_part, len(group.torsion), "torsion")
+    free = ints(free_part, [None] * group.rank, "free")
+    tors = ints(torsion_part, group.torsion, "torsion")
     return group.from_lift(free + tors)
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from projd.fgab import (hnf_reduce, kernel_basis, lattice_coords, row_hnf,
-                        smith_normal_form, subgroup_member)
+from projd.fgab import (hnf_reduce, kernel_basis, row_hnf, smith_normal_form,
+                        subgroup_member)
 
 ExponentVector = tuple[int, ...]
 
@@ -40,8 +40,9 @@ def vector_key(vec: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class ConstrainedSemigroup:
     """Vectors of a lattice with signs constrained off the free coordinates.
 
-    kernel_basis spans the lattice L inside Z^nvars; coordinates listed in
-    free_coords may go negative, all others must stay >= 0.
+    kernel_basis spans the lattice L inside Z^nvars and is stored as its
+    row HNF; coordinates listed in free_coords may go negative, all others
+    must stay >= 0.
     """
 
     nvars: int
@@ -54,6 +55,7 @@ class ConstrainedSemigroup:
                 raise ValueError("kernel basis vector of wrong length")
         if any(i < 0 or i >= self.nvars for i in self.free_coords):
             raise ValueError("free coordinate out of range")
+        object.__setattr__(self, "kernel_basis", row_hnf(self.kernel_basis, self.nvars))
 
     def constrained_coords(self) -> list[int]:
         return [i for i in range(self.nvars) if i not in self.free_coords]
@@ -62,7 +64,7 @@ class ConstrainedSemigroup:
         """Exact membership: lattice equations plus sign constraints."""
         if any(vec[i] < 0 for i in self.constrained_coords()):
             return False
-        return lattice_coords(self.kernel_basis, vec) is not None
+        return not any(hnf_reduce(self.kernel_basis, vec))
 
 
 # ---------------------------------------------------------------------------

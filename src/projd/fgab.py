@@ -2,10 +2,12 @@
 
 Groups are presented as Z^rank x Z/m_1 x ... x Z/m_t with the torsion orders
 normalized to a divisor chain m_1 | m_2 | ... | m_t.  Every subgroup question
-(index, membership with witness, intersection) is translated into an integer
-lattice problem in the free presentation Z^(rank+t), where torsion coordinate
-j contributes the relation m_j * e_j.  All arithmetic uses plain Python
-integers, so nothing overflows.
+(index, membership, intersection) is translated into an integer lattice
+problem in the free presentation Z^(rank+t), where torsion coordinate j
+contributes the relation m_j * e_j.  Yes/no questions reduce against a row
+Hermite basis; the Smith form is used only where its transforms are read
+(witnesses, kernels).  All arithmetic uses plain Python integers, so
+nothing overflows.
 """
 
 from __future__ import annotations
@@ -211,16 +213,6 @@ def kernel_basis(mat: Sequence[Sequence[int]], ncols: Optional[int] = None):
     return row_hnf(cols, n)
 
 
-def lattice_coords(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer coefficients writing vec over the given rows, or None."""
-    if not basis:
-        return () if all(a == 0 for a in vec) else None
-    n = len(vec)
-    A = [[basis[k][i] for k in range(len(basis))] for i in range(n)]
-    x = solve_linear(A, list(vec))
-    return None if x is None else tuple(x)
-
-
 def lattice_intersection(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]], width: int):
     """HNF basis of the intersection of the two row spans inside Z^width."""
     if not rows1 or not rows2:
@@ -392,7 +384,7 @@ class Subgroup:
     equal iff each one's generators lie in the other.
     """
 
-    __slots__ = ("group", "generators", "_rows", "_hnf")
+    __slots__ = ("group", "generators", "_hnf")
 
     def __init__(self, group: FgAbGroup, generators: Iterable[GroupElement]):
         self.group = group
@@ -401,11 +393,21 @@ class Subgroup:
             if g.group != group:
                 raise ValueError("generator outside the ambient group")
         self.generators = gens
-        self._rows = [list(g.lift()) for g in gens] + group.torsion_relation_rows()
-        self._hnf = row_hnf(self._rows, group.dim)
+        self._hnf = row_hnf([g.lift() for g in gens] + group.torsion_relation_rows(),
+                            group.dim)
 
     def contains(self, d: GroupElement) -> bool:
-        return subgroup_member(self, d)[0]
+        """Whether d lies in the subgroup: its lift reduces to zero modulo
+        the Hermite basis.
+
+        >>> G = FgAbGroup(1, [2])
+        >>> H = G.subgroup([G.element((1,), (1,))])
+        >>> H.contains(G.element((2,), (0,))), H.contains(G.element((1,), (0,)))
+        (True, False)
+        """
+        if d.group != self.group:
+            raise ValueError("element of a different group")
+        return not any(hnf_reduce(self._hnf, d.lift()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup) or self.group != other.group:
@@ -419,24 +421,22 @@ class Subgroup:
 
 
 def subgroup_index(group: FgAbGroup, sub: Subgroup) -> float | int:
-    """Index [group : sub]; math.inf when the free rank of sub is too small."""
+    """Index [group : sub]; math.inf when the free rank of sub is too small.
+
+    A full-rank Hermite basis is square and upper triangular, so the index
+    is the product of its pivots.
+
+    >>> G = FgAbGroup(1, [2])
+    >>> subgroup_index(G, G.subgroup([G.element((2,), (0,))]))
+    4
+    >>> subgroup_index(G, G.subgroup([G.element((0,), (1,))]))
+    inf
+    """
     if sub.group != group:
         raise ValueError("subgroup of a different group")
-    dim = group.dim
-    if dim == 0:
-        return 1
-    rows = sub._rows
-    if not rows:
+    if len(sub._hnf) < group.dim:
         return math.inf
-    _, S, _ = smith_normal_form(rows)
-    diag = [S[i][i] for i in range(min(len(rows), dim))]
-    rank = sum(1 for d in diag if d)
-    if rank < dim:
-        return math.inf
-    index = 1
-    for d in diag:
-        index *= d
-    return index
+    return math.prod(row[i] for i, row in enumerate(sub._hnf))
 
 
 def subgroup_member(sub: Subgroup, d: GroupElement):
@@ -458,7 +458,7 @@ def subgroup_intersection(h1: Subgroup, h2: Subgroup) -> Subgroup:
     if h1.group != h2.group:
         raise ValueError("subgroups of different groups")
     group = h1.group
-    rows = lattice_intersection(h1._rows, h2._rows, group.dim)
+    rows = lattice_intersection(h1._hnf, h2._hnf, group.dim)
     elems = []
     for row in rows:
         e = group.from_lift(row)

@@ -20,7 +20,6 @@ from projd.fgab import (
     GroupElement,
     Subgroup,
     subgroup_index,
-    subgroup_member,
 )
 
 
@@ -226,13 +225,9 @@ def validate_effective(spec: RingSpec) -> None:
     Raises NotEffective naming a group generator that is not reached.
     """
     sub = spec.group.subgroup(list(spec.degrees))
-    if subgroup_index(spec.group, sub) == 1:
-        return
     for g in spec.group.standard_generators():
-        ok, _ = subgroup_member(sub, g)
-        if not ok:
+        if not sub.contains(g):
             raise NotEffective(f"grading misses the group element {g}")
-    raise NotEffective("variable degrees do not generate the grading group")
 
 
 def veronese_scaled_spec(spec: RingSpec, n: int) -> RingSpec:

@@ -25,7 +25,7 @@ from projd.diophantine import (
     semigroup_member,
     vector_key,
 )
-from projd.fgab import FgAbGroup, subgroup_member
+from projd.fgab import hnf_reduce, row_hnf
 from projd.ringspec import Monomial, RingSpec
 
 
@@ -195,15 +195,12 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
         return DependencyReport("length-one-only", None, relations)
     exponent = lcm(*spec.group.torsion) if spec.group.torsion else 1
     # nonneg combinations over {r, -r} are exactly the integer span
-    ambient = FgAbGroup(len(spec.variables))
     for a in relations:
         if max(sides(a)) < 2:
             continue
-        others = [r for r in relations if r != a]
-        span = ambient.subgroup([ambient.element(r) for r in others])
-        reducible = any(
-            subgroup_member(span, ambient.element(tuple(e * v for v in a)))[0]
-            for e in range(1, exponent + 1))
+        span = row_hnf([r for r in relations if r != a], len(a))
+        reducible = any(not any(hnf_reduce(span, [e * v for v in a]))
+                        for e in range(1, exponent + 1))
         if not reducible:
             return DependencyReport("nontrivial-irreducible", a, relations)
     return DependencyReport("undetermined", None, relations)

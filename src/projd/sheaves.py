@@ -88,9 +88,7 @@ def is_free(spec: RingSpec, d: GroupElement) -> bool:
     """Whether d lies in the intersection of all chart support groups."""
     gens = spec.irrelevant_generators()
     groups = [spec.support_group(g) for g in gens]
-    inter = reduce(subgroup_intersection, groups)
-    ok, _ = subgroup_member(inter, d)
-    return ok
+    return reduce(subgroup_intersection, groups).contains(d)
 
 
 def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:

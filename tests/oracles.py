@@ -8,6 +8,7 @@ the library's own lattice machinery.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -160,6 +161,34 @@ def semigroup_member_by_search(gens, target):
     sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
                                     least_only=True)
     return sols[0] if sols else None
+
+
+def subgroup_index_by_smith(group, sub):
+    """[group : sub] from the Smith diagonal of the lifted generators plus
+    torsion relations; math.inf below full rank."""
+    from projd.fgab import smith_normal_form
+
+    if group.dim == 0:
+        return 1
+    rows = [list(g.lift()) for g in sub.generators] + group.torsion_relation_rows()
+    if not rows:
+        return math.inf
+    _, S, _ = smith_normal_form(rows)
+    diag = [S[i][i] for i in range(min(len(rows), group.dim))]
+    if sum(1 for d in diag if d) < group.dim:
+        return math.inf
+    return math.prod(diag)
+
+
+def reducible_by_smith(relations, a, exponent):
+    """Some e * a, 1 <= e <= exponent, lies in the integer span of the
+    other relations: decided by a Smith-form witness search in Z^n."""
+    from projd.fgab import FgAbGroup, subgroup_member
+
+    ambient = FgAbGroup(len(a))
+    span = ambient.subgroup([ambient.element(r) for r in relations if r != a])
+    return any(subgroup_member(span, ambient.element(tuple(e * v for v in a)))[0]
+               for e in range(1, exponent + 1))
 
 
 def maximal_independent_sets_scan(count, edges):

@@ -159,18 +159,29 @@ def test_parse_degree_forms():
     assert parse_degree(G, "(2 | 1 mod 2)") == want
     assert parse_degree(G, "2|1") == want
     assert parse_degree(G, "2") == G.element((2,), (0,))
+    assert parse_degree(G, "(2 | 3 mod 2)") == want
     Z2 = FgAbGroup(2)
     assert parse_degree(Z2, "(1, 1)") == Z2.element((1, 1))
     P = FgAbGroup(0, [2])
     assert parse_degree(P, "(1 mod 2)") == P.element((), (1,))
 
 
-def test_parse_degree_errors():
+def test_parse_degree_errors(tmp_path):
     G = FgAbGroup(2)
     with pytest.raises(ParseError):
         parse_degree(G, "(1)")
     with pytest.raises(ParseError):
         parse_degree(G, "(a, b)")
+    # a torsion piece is c or c mod m with m its order; free pieces take no mod
+    T = FgAbGroup(1, [2])
+    for text in ["(2 | 1 mod 3)", "(2 | 1 mod)", "(2 | 1 modulo 2)",
+                 "(2|1 mod 2 mod 5)", "2 mod 7 | 1"]:
+        with pytest.raises(ParseError):
+            parse_degree(T, text)
+    result = CliRunner().invoke(main, ["sheaf", "(2 | 1 mod 3)", "--spec",
+                                       write_spec(tmp_path, "torsion")])
+    line = "error: degree '(2 | 1 mod 3)': bad torsion coordinate '1 mod 3'\n"
+    assert (result.exit_code, result.stderr, result.stdout) == (3, line, "")
 
 
 def test_parse_prime_forms():

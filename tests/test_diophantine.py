@@ -122,6 +122,32 @@ def _random_semigroup(rng, n):
     return ConstrainedSemigroup(n, tuple(basis), free)
 
 
+def test_constrained_semigroup_contains_on_unreduced_bases():
+    # the given basis is shuffled, mixed by row operations and padded with
+    # a dependent row; membership must still be that of its lattice
+    rng = random.Random(29)
+    answers = set()
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        lattice = _random_semigroup(rng, n)
+        rows = [list(r) for r in lattice.kernel_basis]
+        rng.shuffle(rows)
+        for _ in range(3):
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            if i != j:
+                c = rng.randint(-2, 2)
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+        sg = ConstrainedSemigroup(n, tuple(map(tuple, rows)), lattice.free_coords)
+        assert sg.kernel_basis == lattice.kernel_basis
+        for vec in oracles.box(n, -2, 2):
+            signs = all(vec[i] >= 0 for i in sg.constrained_coords())
+            want = signs and oracles.in_lattice(lattice.kernel_basis, list(vec))
+            assert sg.contains(vec) == want, (rows, vec)
+            answers.add((signs, want))
+    assert answers == {(True, True), (True, False), (False, False)}
+
+
 def test_hilbert_and_member_agree_with_box_enumeration():
     rng = random.Random(101)
     done = 0

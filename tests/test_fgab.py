@@ -10,7 +10,6 @@ from projd.fgab import (
     Subgroup,
     hnf_reduce,
     kernel_basis,
-    lattice_coords,
     lattice_intersection,
     row_hnf,
     smith_normal_form,
@@ -162,20 +161,6 @@ def test_kernel_basis_matches_box_enumeration():
     assert kernel_basis([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def test_lattice_coords_roundtrip():
-    rng = random.Random(29)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        basis = row_hnf(_random_matrix(rng, rng.randint(1, n), n, -4, 4), n)
-        if not basis:
-            continue
-        coeffs = [rng.randint(-4, 4) for _ in basis]
-        vec = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n)]
-        got = lattice_coords(basis, vec)
-        assert got is not None
-        assert [sum(g * row[i] for g, row in zip(got, basis)) for i in range(n)] == vec
-
-
 def test_group_torsion_normalizes_to_divisor_chain():
     assert FgAbGroup(1, [2, 3]).torsion == (6,)
     assert FgAbGroup(0, [4, 6]).torsion == (2, 12)
@@ -221,7 +206,7 @@ def test_subgroup_index_examples():
     assert subgroup_index(FgAbGroup(0), FgAbGroup(0).subgroup([])) == 1
 
 
-def test_subgroup_index_agrees_with_hnf_pivot_product():
+def test_subgroup_index_agrees_with_smith_oracle():
     rng = random.Random(31)
     for _ in range(40):
         rank = rng.randint(0, 2)
@@ -232,15 +217,23 @@ def test_subgroup_index_agrees_with_hnf_pivot_product():
         gens = [G.from_lift([rng.randint(-3, 3) for _ in range(G.dim)])
                 for _ in range(rng.randint(0, 3))]
         H = G.subgroup(gens)
-        idx = subgroup_index(G, H)
-        hnf = H._hnf
-        if len(hnf) < G.dim:
-            assert idx == math.inf
-        else:
-            prod = 1
-            for i, row in enumerate(hnf):
-                prod *= row[next(j for j, a in enumerate(row) if a)]
-            assert idx == prod
+        assert subgroup_index(G, H) == oracles.subgroup_index_by_smith(G, H)
+
+
+def test_subgroup_contains_agrees_with_smith_witness():
+    rng = random.Random(47)
+    answers = set()
+    for _ in range(60):
+        G = FgAbGroup(rng.randint(0, 2), rng.choice([(), (2,), (2, 4), (6,)]))
+        gens = [G.from_lift([rng.randint(-3, 3) for _ in range(G.dim)])
+                for _ in range(rng.randint(0, 3))]
+        H = G.subgroup(gens)
+        for _ in range(12):
+            d = G.from_lift([rng.randint(-4, 4) for _ in range(G.dim)])
+            got = H.contains(d)
+            assert got == subgroup_member(H, d)[0], (G, gens, d)
+            answers.add(got)
+    assert answers == {True, False}
 
 
 def test_subgroup_member_examples():

@@ -320,6 +320,68 @@ def test_graver_relations_match_the_box_search():
     assert classes == {"length-one-only", "nontrivial-irreducible", "undetermined"}
 
 
+def _long_side(a):
+    return max(sum(1 for v in a if v > 0), sum(1 for v in a if v < 0)) >= 2
+
+
+def _first_irreducible_by_smith(relations, exponent):
+    return next((a for a in relations if _long_side(a)
+                 and not oracles.reducible_by_smith(relations, a, exponent)), None)
+
+
+def test_classify_dependencies_matches_the_smith_reducibility_test():
+    # the witness is the first relation with a long side that no power up
+    # to the torsion exponent brings into the span of the others
+    rng = random.Random(241)
+    classes = set()
+    cases = 0
+    while cases < 100:
+        r = 1 + cases % 2
+        G = FgAbGroup(r, rng.choice([[2], [3], [4], [2, 2]]))
+        n = rng.randint(r + 1, 4)
+        degrees = [G.element(tuple(rng.randint(0, 3 - r) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(n)]
+        try:
+            R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+        report = classify_dependencies(R)
+        witness = _first_irreducible_by_smith(report.relations, G.torsion[-1])
+        assert report.witness == witness, (G, degrees)
+        assert (report.klass == "nontrivial-irreducible") == (witness is not None)
+        classes.add(report.klass)
+        cases += 1
+    assert {"nontrivial-irreducible", "undetermined"} <= classes
+
+
+def test_classify_dependencies_reduces_every_power_up_to_the_exponent(monkeypatch):
+    # On a Graver basis a power above one never decides: if a is outside
+    # the span of the others, each other element vanishes on supp(a).  So
+    # the powers are checked on arbitrary relation lists, some built with
+    # 2a but not a in the span of the others.
+    rng = random.Random(251)
+    powers_matter = 0
+    for _ in range(150):
+        G = FgAbGroup(1, rng.choice([[2], [3], [4], [2, 2]]))
+        n = rng.randint(3, 4)
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
+        c = tuple(rng.randint(-2, 2) for _ in range(n))
+        pool = [a, c, tuple(2 * x + y for x, y in zip(a, c))]
+        pool += [tuple(rng.randint(-2, 2) for _ in range(n))
+                 for _ in range(rng.randint(0, 2))]
+        relations = tuple(dict.fromkeys(v for v in pool if any(v)))
+        R = RingSpec(G, [f"v{i}" for i in range(n)],
+                     [G.element((1,), (0,) * len(G.torsion))] * n,
+                     check_effective=False)
+        monkeypatch.setattr("projd.separation._graver_relations",
+                            lambda spec: relations)
+        witness = _first_irreducible_by_smith(relations, G.torsion[-1])
+        assert classify_dependencies(R).witness == witness, relations
+        powers_matter += witness != _first_irreducible_by_smith(relations, 1)
+    assert powers_matter
+
+
 def test_theorem_consistency_on_fixtures():
     line = line_spec()
     assert classify_dependencies(line).klass == "length-one-only"
