@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -68,6 +69,31 @@ def _int_list(value, where, length=None) -> list[int]:
     return out
 
 
+# Newline and printable ASCII other than "!" and "?".  Outside this set
+# libyaml accepts texts that PyYAML rejects (a tab between tokens, "?" in a
+# flow collection, a "!," tag); inside it, whenever libyaml accepts a text,
+# PyYAML reads the same value (test_libyaml_route_matches_pyyaml).
+_LIBYAML_AGREES = re.compile(r'[\n "->@-~]*')
+
+
+def _load_yaml(text: str):
+    """PyYAML's safe reading of `text`, its value or its error, sped up by libyaml.
+
+    The C scanner reads only texts that pass the screen above; any text
+    it refuses, or whose value fails to construct, is read again by
+    PyYAML, so errors keep PyYAML's marks and wording.  Both routes use
+    PyYAML's constructor and resolver.  PyYAML built without libyaml
+    takes the PyYAML route alone.
+    """
+    loader = getattr(yaml, "CSafeLoader", None)
+    if loader is not None and _LIBYAML_AGREES.fullmatch(text):
+        try:
+            return yaml.load(text, Loader=loader)
+        except (yaml.YAMLError, ValueError):
+            pass
+    return yaml.safe_load(text)
+
+
 def parse_ring_spec(source) -> RingSpec:
     """Build a validated RingSpec from a file path or YAML text.
 
@@ -90,7 +116,7 @@ def parse_ring_spec(source) -> RingSpec:
             text = Path(source).read_text(encoding="utf-8")
         else:
             text = source
-        data = yaml.safe_load(text)
+        data = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (f"line {mark.line + 1}, column {mark.column + 1}"

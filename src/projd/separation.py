@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 from projd.charts import chart_algebra
@@ -178,11 +177,20 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
     """Classify the variable-degree relations of the grading.
 
     length-one-only: every relation matches a single variable against a
-    single variable.  nontrivial-irreducible: some relation with a side of
-    two or more variables stays undecomposable over the other relations
-    for every power up to the torsion exponent.  none: no relations at
-    all.  Anything else is undetermined and the separation verdict rests
-    on the multiplication maps alone.
+    single variable.  nontrivial-irreducible: some relation a with a side
+    of two or more variables lies outside the integer span M of the other
+    relations.  none: no relations at all.  Anything else is undetermined
+    and the separation verdict rests on the multiplication maps alone.
+
+    No power e * a with e > 1 can lie in M when a does not, because the
+    relations are a Graver basis: every kernel vector is a sum of them
+    that is conformal (agrees in sign, coordinate by coordinate).  Take
+    a homomorphism phi with phi(M) = 0 and phi(a) != 0.  For another
+    relation b, phi(a + b) != 0, so a conformal decomposition of a + b
+    uses a or -a; -a would also be conformal to b, and b is minimal, so
+    it uses a, and b agrees in sign with a on supp(a).  The same for
+    a - b gives the opposite sign, so b vanishes on supp(a).  Then a is
+    not even in the rational span of M.
     """
     relations = _graver_relations(spec)
     if not relations:
@@ -193,15 +201,12 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
         return pos, neg
     if all(sides(a) == (1, 1) for a in relations):
         return DependencyReport("length-one-only", None, relations)
-    exponent = lcm(*spec.group.torsion) if spec.group.torsion else 1
     # nonneg combinations over {r, -r} are exactly the integer span
     for a in relations:
         if max(sides(a)) < 2:
             continue
         span = row_hnf([r for r in relations if r != a], len(a))
-        reducible = any(not any(hnf_reduce(span, [e * v for v in a]))
-                        for e in range(1, exponent + 1))
-        if not reducible:
+        if any(hnf_reduce(span, a)):
             return DependencyReport("nontrivial-irreducible", a, relations)
     return DependencyReport("undetermined", None, relations)
 

@@ -447,3 +447,22 @@ def grading_of_lattice(basis, n):
     G = FgAbGroup(n - k, [S[j][j] for j in range(k)])
     degrees = [G.element(V[i][k:], V[i][:k]) for i in range(n)]
     return RingSpec(G, [f"x{i}" for i in range(n)], degrees, check_effective=False)
+
+
+def parse_ring_spec_by_pyyaml(text):
+    """`cli.parse_ring_spec` on YAML text with PyYAML's pure-Python loader
+    alone: `yaml.safe_load` and the same mapping of its errors to ParseError."""
+    import yaml
+    from projd.cli import ParseError, ring_spec_from_dict
+
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = (f"line {mark.line + 1}, column {mark.column + 1}"
+                 if mark else "document")
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise ParseError(f"{where}: {problem}") from exc
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return ring_spec_from_dict(data)

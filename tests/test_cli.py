@@ -4,12 +4,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import projd
 import pytest
+import yaml
 from click.testing import CliRunner
 from projd.cli import (
     COMMANDS,
@@ -78,7 +81,7 @@ def test_parse_accepts_path(tmp_path):
 def test_yaml_syntax_error_is_located():
     with pytest.raises(ParseError) as err:
         parse_ring_spec("group: {rank: 2\nvariables: []\n")
-    assert "line" in str(err.value) and "column" in str(err.value)
+    assert str(err.value) == "line 2, column 10: expected ',' or '}', but got ':'"
 
 
 def test_semantic_errors_name_the_offending_element():
@@ -103,6 +106,112 @@ def test_undecodable_or_unbuildable_yaml_is_a_parse_error():
                    "group: {rank: !!int x, torsion: []}\nvariables: []\n"):
         with pytest.raises(ParseError):
             parse_ring_spec(source)
+
+
+# Specs as the benchmark writes them: one flow mapping per variable.
+BENCH_STYLE_SPECS = [
+    "group: {rank: 2, torsion: [2]}\nvariables:\n"
+    "  - {name: x0, degree: {free: [1, 0], torsion: [1]}}\n"
+    "  - {name: x1, degree: {free: [0, 1], torsion: [0]}}\n"
+    "  - {name: x2, degree: {free: [2, 1], torsion: [1]}}\n"
+    "B: [x0*x1, x1*x2]\n",
+    "group: {rank: 3, torsion: []}\nvariables:\n"
+    "  - {name: x0, degree: {free: [1, 0, 0], torsion: []}}\n"
+    "  - {name: x1, degree: {free: [0, 1, 0], torsion: []}}\n"
+    "  - {name: x2, degree: {free: [0, 0, 1], torsion: []}}\n"
+    "  - {name: x3, degree: {free: [1, 1, 1], torsion: []}}\n",
+]
+
+# YAML syntax, plus what libyaml and PyYAML read differently: tab, "?",
+# "!", carriage return, non-ASCII, and characters that cannot start a token
+EDIT_ALPHABET = " \t\n\r?!%@`:,-#&*|>'\"{}[]01xé"
+
+
+def _edited(rng, text):
+    """`text` with one to three characters inserted, replaced or deleted.
+
+    Half the edits fall right after a flow indicator, where the two
+    scanners differ most (libyaml rejects "key:{", PyYAML accepts it).
+    """
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            pos = rng.choice([i for i, c in enumerate(chars[:-1], 1) if c in ":,[{"])
+        else:
+            pos = rng.randrange(len(chars))
+        kind = rng.randrange(3)
+        if kind == 0:
+            chars.insert(pos, rng.choice(EDIT_ALPHABET))
+        elif kind == 1:
+            chars[pos] = rng.choice(EDIT_ALPHABET)
+        else:
+            del chars[pos]
+    return "".join(chars)
+
+
+def _outcome(parse, text):
+    """The RingSpec read from `text`, or the kind and wording of the error."""
+    try:
+        return parse(text)
+    except Exception as exc:  # any error, as the CLI reports it
+        return type(exc), str(exc)
+
+
+def test_libyaml_route_matches_pyyaml(monkeypatch):
+    # every edited text must read as PyYAML alone reads it: the same
+    # RingSpec, or the same error with the same line, column and problem
+    verdicts = []  # libyaml's verdict on each text it was given
+
+    class RecordingLoader(yaml.CSafeLoader):
+        def get_single_data(self):
+            try:
+                data = super().get_single_data()
+            except (yaml.YAMLError, ValueError):
+                verdicts.append(False)
+                raise
+            verdicts.append(True)
+            return data
+
+    readings = {}  # PyYAML reads each text once, for both sides
+    safe_load = yaml.safe_load
+
+    def read_once(text):
+        if text not in readings:
+            try:
+                readings[text] = safe_load(text), None
+            except (yaml.YAMLError, ValueError) as exc:
+                readings[text] = None, exc
+        value, error = readings[text]
+        if error is not None:
+            raise error
+        return value
+
+    monkeypatch.setattr(yaml, "CSafeLoader", RecordingLoader)
+    monkeypatch.setattr(yaml, "safe_load", read_once)
+    rng = random.Random(5)
+    bases = [fixture_text(name) for name in FIXTURES] + BENCH_STYLE_SPECS
+    texts = 3000
+    libyaml_read = only_libyaml_rejects = 0
+    for _ in range(texts):
+        text = _edited(rng, rng.choice(bases))
+        asked = len(verdicts)
+        assert (_outcome(parse_ring_spec, text)
+                == _outcome(oracles.parse_ring_spec_by_pyyaml, text)), text
+        if len(verdicts) > asked and verdicts[-1]:
+            libyaml_read += 1
+        elif len(verdicts) > asked:  # libyaml refused; did PyYAML accept?
+            only_libyaml_rejects += readings[text][1] is None
+    assert libyaml_read >= 200 and texts - libyaml_read >= 200
+    assert only_libyaml_rejects >= 50
+
+
+def test_spec_loading_without_libyaml(monkeypatch):
+    # PyYAML built without its C extension has no CSafeLoader
+    texts = [fixture_text(name) for name in FIXTURES] + BENCH_STYLE_SPECS
+    texts.append("group: {rank: 1, torsion:[]}\nvariables: [{name: x\n")
+    expected = [_outcome(parse_ring_spec, text) for text in texts]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert [_outcome(parse_ring_spec, text) for text in texts] == expected
 
 
 def test_duplicate_variable_name_rejected():
@@ -345,6 +454,34 @@ def test_cli_prime_meeting_chart_exits_3(tmp_path):
 def test_cli_relevance_error_lines(tmp_path, argv, line):
     result = CliRunner().invoke(main, [*argv, "--spec", write_spec(tmp_path, "plane")])
     assert (result.exit_code, result.stderr, result.stdout) == (3, line + "\n", "")
+
+
+# Each text reaches PyYAML: a tab, "?" or a "!," tag that libyaml would
+# accept, an unclosed flow mapping, CRLF line ends, and a text ("key:{")
+# that libyaml rejects and PyYAML accepts.
+@pytest.mark.parametrize("text, code, stdout, stderr", [
+    ("group: {rank: 1, torsion: []}\nvariables:\n"
+     "  - {name: x, degree: {free: [\t1], torsion: []}}\n", 3, "",
+     "error: line 3, column 31: found character '\\t' that cannot start any token\n"),
+    ("group: {rank: 1, torsion: []}\nvariables:\n"
+     "  - {name: x, deg?ree: {free: [1], torsion: []}}\n", 3, "",
+     "error: line 3, column 18: expected ',' or '}', but got '?'\n"),
+    ("group: {rank: 2\nvariables: []\n", 3, "",
+     "error: line 2, column 10: expected ',' or '}', but got ':'\n"),
+    ("group: {rank: 1, torsion: [!, 2]}\nvariables: []\n", 3, "",
+     "error: line 1, column 28: could not determine a constructor for the tag '!,'\n"),
+    ("group: {rank: 1, torsion: []}\r\nvariables:\r\n"
+     "  - {name: x, degree: {free: [1], torsion: []}}\r\n", 0,
+     "OK: 1 variable graded by Z\n  deg(x) = (1)\n", ""),
+    ("group: {rank: 1, torsion:[]}\nvariables:\n"
+     "  - {name: x, degree:{free: [1], torsion: []}}\n", 0,
+     "OK: 1 variable graded by Z\n  deg(x) = (1)\n", ""),
+])
+def test_cli_bad_yaml_lines(tmp_path, text, code, stdout, stderr):
+    path = tmp_path / "spec.yaml"
+    path.write_bytes(text.encode("utf-8"))
+    result = CliRunner().invoke(main, ["check", "--spec", str(path)])
+    assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
 
 
 def test_cli_internal_error_exits_4(tmp_path, monkeypatch):

@@ -355,33 +355,6 @@ def test_classify_dependencies_matches_the_smith_reducibility_test():
     assert {"nontrivial-irreducible", "undetermined"} <= classes
 
 
-def test_classify_dependencies_reduces_every_power_up_to_the_exponent(monkeypatch):
-    # On a Graver basis a power above one never decides: if a is outside
-    # the span of the others, each other element vanishes on supp(a).  So
-    # the powers are checked on arbitrary relation lists, some built with
-    # 2a but not a in the span of the others.
-    rng = random.Random(251)
-    powers_matter = 0
-    for _ in range(150):
-        G = FgAbGroup(1, rng.choice([[2], [3], [4], [2, 2]]))
-        n = rng.randint(3, 4)
-        a = tuple(rng.randint(-2, 2) for _ in range(n))
-        c = tuple(rng.randint(-2, 2) for _ in range(n))
-        pool = [a, c, tuple(2 * x + y for x, y in zip(a, c))]
-        pool += [tuple(rng.randint(-2, 2) for _ in range(n))
-                 for _ in range(rng.randint(0, 2))]
-        relations = tuple(dict.fromkeys(v for v in pool if any(v)))
-        R = RingSpec(G, [f"v{i}" for i in range(n)],
-                     [G.element((1,), (0,) * len(G.torsion))] * n,
-                     check_effective=False)
-        monkeypatch.setattr("projd.separation._graver_relations",
-                            lambda spec: relations)
-        witness = _first_irreducible_by_smith(relations, G.torsion[-1])
-        assert classify_dependencies(R).witness == witness, relations
-        powers_matter += witness != _first_irreducible_by_smith(relations, 1)
-    assert powers_matter
-
-
 def test_theorem_consistency_on_fixtures():
     line = line_spec()
     assert classify_dependencies(line).klass == "length-one-only"
