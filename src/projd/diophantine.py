@@ -249,11 +249,10 @@ def _minimal_lifts(sg: ConstrainedSemigroup, units, a0) -> tuple[ExponentVector,
     its coset as a module).  The kernel of the projection pi to conn on L
     is the unit lattice, so modulo units the answer is the minimal points
     of (pi(a0) + P) in N^conn, P = pi(L).  With U P^T V = S in Smith form,
-    b is in pi(a0) + P iff (U b)_j = (U pi(a0))_j mod s_j: rows with
-    s_j = 1 drop, rows with s_j = 0 are equations, and the others reduce
-    into [0, s_j) and take one -s_j column, which is then >= 0 and
-    increasing in b.  So the minimal solutions are the minimal points;
-    they are lifted through V, made coset-minimal and sorted graded-lex.
+    b is in pi(a0) + P iff (U b)_j = (U pi(a0))_j mod s_j, which
+    _congruences turns into equations whose minimal solutions are the
+    minimal points; they are lifted through V, made coset-minimal and
+    sorted graded-lex.
     """
     K = sg.kernel_basis
     conn = sg.constrained_coords()
@@ -264,13 +263,7 @@ def _minimal_lifts(sg: ConstrainedSemigroup, units, a0) -> tuple[ExponentVector,
         raise InvariantError(f"generators need a unit lattice of rank "
                              f"{len(K) - rank}, got {len(units)}")
     shift = [sum(u * a0[i] for u, i in zip(row, conn)) for row in U]
-    mods = [j for j, s in enumerate(moduli) if s > 1]
-    rows, rhs = [], []
-    for j, s in enumerate(moduli):
-        if s != 1:
-            rows.append([a % s if s else a for a in U[j]] + [-s if t == j else 0 for t in mods])
-            rhs.append(shift[j] % s if s else shift[j])
-    width = len(conn) + len(mods)
+    rows, rhs, width = _congruences(U, moduli, shift, len(conn))
     sols = minimal_nonneg_solutions(rows, width, rhs if any(a0) else None)
     basis = [[sum(V[r][j] * K[r][i] for r in range(len(K))) for i in range(sg.nvars)]
              for j in range(rank)]
@@ -400,55 +393,51 @@ def degree_zero_semigroup(spec, free_coords) -> ConstrainedSemigroup:
 def kernel_lattice(spec) -> tuple[ExponentVector, ...]:
     """HNF basis of {a in Z^n : sum a_i deg(x_i) = 0}.
 
-    The kernel of the degree equations, projected to the n exponent
-    columns (the torsion columns come after them).  A RingSpec computes
-    it once, into its cache; any object with group, variables and
-    degrees is accepted.
+    The kernel of the degree congruences, projected to the n exponent
+    columns: each torsion column is fixed by the exponents.  A RingSpec
+    computes it once, into its cache; any object with group, variables
+    and degrees is accepted.
     """
     cache = getattr(spec, "cache", {})
     if "kernel" not in cache:
         n = len(spec.variables)
-        rows, width = _degree_rows(spec, ())
+        rows, _, width = _degree_rows(spec, spec.group.zero())
         cache["kernel"] = row_hnf([row[:n] for row in kernel_basis(rows, width)], n)
     return cache["kernel"]
 
 
-def _degree_rows(spec, free_coords):
-    """Equations deg(a) = d in split nonnegative unknowns: (rows, width).
+def _degree_rows(spec, d, extra=()):
+    """The degree equations deg(a) + sum c_j e_j = d as (rows, rhs, width).
 
-    The right-hand side is d.lift().  Unknown layout: one column per
-    constrained coordinate, a +/- pair per free coordinate, then a +/-
-    pair per torsion congruence.  This is the one place that knows the
-    torsion columns; read solutions back with _assemble.
+    Columns: the n exponents a, one multiplier c_j per degree e_j of
+    extra, then the torsion columns that _congruences adds, one per
+    torsion order.  This is the one place that knows the torsion columns.
     """
     group = spec.group
-    n = len(spec.variables)
-    t = len(group.torsion)
-    conn = [i for i in range(n) if i not in free_coords]
-    free = [i for i in range(n) if i in free_coords]
-    lifts = [spec.degrees[j].lift() for j in range(n)]
-    width = len(conn) + 2 * len(free) + 2 * t
-    rows = []
-    for r in range(group.dim):
-        row = [lifts[i][r] for i in conn]
-        for i in free:
-            row += [lifts[i][r], -lifts[i][r]]
-        for k in range(t):
-            m = group.torsion[k] if r == group.rank + k else 0
-            row += [m, -m]
-        rows.append(row)
-    return rows, width
+    lifts = [e.lift() for e in (*spec.degrees, *extra)]
+    rows = [[lift[r] for lift in lifts] for r in range(group.dim)]
+    moduli = [0] * group.rank + list(group.torsion)
+    return _congruences(rows, moduli, d.lift(), len(lifts))
 
 
-def _assemble(spec, free_coords, sol) -> ExponentVector:
-    """Rebuild an exponent vector from the split unknown layout."""
-    n = len(spec.variables)
-    conn = [i for i in range(n) if i not in free_coords]
-    free = [i for i in range(n) if i in free_coords]
-    vec = [0] * n
-    for idx, i in enumerate(conn):
-        vec[i] = sol[idx]
-    base = len(conn)
-    for idx, i in enumerate(free):
-        vec[i] = sol[base + 2 * idx] - sol[base + 2 * idx + 1]
-    return tuple(vec)
+def _congruences(rows, moduli, rhs, ncols):
+    """Plain equations for row_j . x = rhs_j mod s_j, x >= 0: (rows, rhs, width).
+
+    The one encoding of a congruence for the solver.  A row with s = 1 is
+    dropped, a row with s = 0 stays an exact equation, and a row with
+    s > 1 is reduced into [0, s), right-hand side included, and gets one
+    -s column of its own.  On a reduced row that unknown is
+    (row . x - rhs) / s, so it is >= 0, fixed by x and nondecreasing in
+    x: the minimal solutions are minimal in x, and no filter is needed.
+
+    >>> _congruences([[1, 1], [5, 7], [4, -1]], [0, 1, 3], [2, 9, 5], 2)
+    ([[1, 1, 0], [1, 2, -3]], [2, 2], 3)
+    """
+    reduced = [j for j, s in enumerate(moduli) if s > 1]
+    out, out_rhs = [], []
+    for j, s in enumerate(moduli):
+        if s != 1:
+            out.append([a % s if s else a for a in rows[j]]
+                       + [-s if t == j else 0 for t in reduced])
+            out_rhs.append(rhs[j] % s if s else rhs[j])
+    return out, out_rhs, ncols + len(reduced)

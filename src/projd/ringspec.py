@@ -258,11 +258,7 @@ def degree_zero_companion(spec: RingSpec, h: Monomial,
     if not spec.is_relevant(f):
         return None
     n = len(spec.variables)
-    # unknowns: g (n columns), the torsion columns, then k under -deg(f)
-    rows, width = _degree_rows(spec, ())
-    for row, c in zip(rows, spec.degree_of(f).lift()):
-        row.append(-c)
-    sols = minimal_nonneg_solutions(rows, width + 1,
-                                    rhs=list((-spec.degree_of(h)).lift()))
-    best = min(sols, key=lambda sol: (sol[-1], vector_key(sol[:n])))
-    return 1, Monomial(best[:n]), best[-1]
+    rows, rhs, width = _degree_rows(spec, -spec.degree_of(h), (-spec.degree_of(f),))
+    sols = minimal_nonneg_solutions(rows, width, rhs=rhs)
+    best = min(sols, key=lambda sol: (sol[n], vector_key(sol[:n])))
+    return 1, Monomial(best[:n]), best[n]

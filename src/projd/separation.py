@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from projd.charts import chart_algebra
 from projd.diophantine import (
     ExponentVector,
-    _assemble,
     _degree_rows,
     minimal_nonneg_solutions,
     semigroup_member,
@@ -144,33 +143,22 @@ def is_separated(spec: RingSpec, B=None) -> SeparationVerdict:
 def _graver_relations(spec: RingSpec) -> tuple[ExponentVector, ...]:
     """Minimal nonzero kernel vectors under the sign-split order.
 
-    The split search finds every one of them, but its +/- torsion columns
-    also let through kernel vectors a above another one b in the
-    conformal order (b_i * a_i >= 0 and |b_i| <= |a_i| for every i);
-    those are dropped.
+    One search over pairs (p, q) >= 0 with deg(p) = deg(q), read back as
+    a = p - q; its torsion columns are fixed by (p, q) and nondecreasing
+    in it, so its minimal solutions are the minimal pairs.  A pair whose
+    supports meet at i lies above the solution (e_i, e_i), read back as
+    0.  Between pairs with disjoint supports, (p', q') <= (p, q) says
+    exactly that b = p' - q' is conformally below a = p - q (b_i a_i >= 0
+    and |b_i| <= |a_i| for every i).  So the nonzero a read back are the
+    conformally minimal ones, each once with either sign; the one whose
+    first nonzero entry is positive is kept.
     """
-    every = range(len(spec.variables))
-    rows, width = _degree_rows(spec, every)
-    seen = set()
-    for sol in minimal_nonneg_solutions(rows, width):
-        a = _assemble(spec, every, sol)
-        if not any(a):
-            continue
-        canon = a
-        for v in a:
-            if v:
-                if v < 0:
-                    canon = tuple(-b for b in a)
-                break
-        seen.add(canon)
-    found = sorted(seen, key=vector_key)
-
-    def below(b, a):
-        return b != a and all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(b, a))
-
-    return tuple(a for a in found
-                 if not any(below(b, a) or below(tuple(-x for x in b), a)
-                            for b in found))
+    n = len(spec.variables)
+    rows, _, width = _degree_rows(spec, spec.group.zero(), [-d for d in spec.degrees])
+    found = (tuple(p - q for p, q in zip(sol[:n], sol[n:]))
+             for sol in minimal_nonneg_solutions(rows, width))
+    return tuple(sorted((a for a in found if any(a) and next(v for v in a if v) > 0),
+                        key=vector_key))
 
 
 def classify_dependencies(spec: RingSpec) -> DependencyReport:

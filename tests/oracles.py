@@ -267,10 +267,47 @@ def irrelevant_generators_scan(spec):
     return tuple(sorted(monos, key=lambda m: vector_key(m.exponents)))
 
 
+def degree_rows_with_pairs(spec, free_coords):
+    """The degree equations deg(a) = d in split nonnegative unknowns, in
+    the earlier layout: (rows, width, assemble).
+
+    One column per constrained coordinate, a +/- pair per free coordinate,
+    then a (m, -m) pair per torsion order m; assemble reads a solution
+    back as an exponent vector.  Unlike the library's single reduced -m
+    column, the pair leaves the torsion unknowns free, so extra columns
+    with raw (unreduced) entries keep every solution, and minimal
+    solutions need not be minimal in the exponents.
+    """
+    group = spec.group
+    n = len(spec.variables)
+    conn = [i for i in range(n) if i not in free_coords]
+    free = [i for i in range(n) if i in free_coords]
+    lifts = [d.lift() for d in spec.degrees]
+    rows = []
+    for r in range(group.dim):
+        row = [lifts[i][r] for i in conn]
+        for i in free:
+            row += [lifts[i][r], -lifts[i][r]]
+        for k, m in enumerate(group.torsion):
+            m = m if r == group.rank + k else 0
+            row += [m, -m]
+        rows.append(row)
+
+    def assemble(sol):
+        vec = [0] * n
+        for idx, i in enumerate(conn):
+            vec[i] = sol[idx]
+        for idx, i in enumerate(free):
+            vec[i] = sol[len(conn) + 2 * idx] - sol[len(conn) + 2 * idx + 1]
+        return tuple(vec)
+
+    return rows, len(conn) + 2 * len(free) + 2 * len(group.torsion), assemble
+
+
 def companion_by_power_scan(spec, h, f):
     """degree_zero_companion by trying each power N up to [D : D^f] in
     turn, every minimal solution of one power before the next."""
-    from projd.diophantine import _degree_rows, minimal_nonneg_solutions, vector_key
+    from projd.diophantine import minimal_nonneg_solutions, vector_key
     from projd.fgab import subgroup_index
     from projd.ringspec import Monomial
 
@@ -278,7 +315,7 @@ def companion_by_power_scan(spec, h, f):
         return None
     d_h = spec.degree_of(h)
     n = len(spec.variables)
-    rows, width = _degree_rows(spec, ())
+    rows, width, _ = degree_rows_with_pairs(spec, ())
     for row, c in zip(rows, spec.degree_of(f).lift()):
         row.append(-c)
     bound = subgroup_index(spec.group, spec.support_group(f))
@@ -291,6 +328,30 @@ def companion_by_power_scan(spec, h, f):
             k, g = min((sol[-1], vector_key(sol[:n])) for sol in sols)
             return N, Monomial(g[1]), k
     return None
+
+
+def graver_relations_by_pairs(spec):
+    """_graver_relations by the split search with every coordinate free:
+    its (m, -m) torsion pairs also let through kernel vectors a above
+    another one b in the conformal order (b_i * a_i >= 0 and
+    |b_i| <= |a_i| for every i), and those are dropped afterwards."""
+    from projd.diophantine import minimal_nonneg_solutions, vector_key
+
+    every = range(len(spec.variables))
+    rows, width, assemble = degree_rows_with_pairs(spec, every)
+    seen = set()
+    for sol in minimal_nonneg_solutions(rows, width):
+        a = assemble(sol)
+        if any(a):
+            seen.add(a if next(v for v in a if v) > 0 else tuple(-v for v in a))
+    found = sorted(seen, key=vector_key)
+
+    def below(b, a):
+        return b != a and all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(b, a))
+
+    return tuple(a for a in found
+                 if not any(below(b, a) or below(tuple(-x for x in b), a)
+                            for b in found))
 
 
 def graver_basis_in_box(spec, bound):
@@ -399,11 +460,10 @@ def _drop_by_membership(candidates, sg, units):
 def _degree_row_candidates(spec, free_coords, rhs=None):
     """Minimal solutions of the degree equations in the split exponent
     layout, read back as exponent vectors."""
-    from projd.diophantine import _assemble, _degree_rows, minimal_nonneg_solutions
+    from projd.diophantine import minimal_nonneg_solutions
 
-    rows, width = _degree_rows(spec, free_coords)
-    return [_assemble(spec, free_coords, sol)
-            for sol in minimal_nonneg_solutions(rows, width, rhs=rhs)]
+    rows, width, assemble = degree_rows_with_pairs(spec, free_coords)
+    return [assemble(sol) for sol in minimal_nonneg_solutions(rows, width, rhs=rhs)]
 
 
 def shifted_generators_by_membership(spec, free_coords, d):

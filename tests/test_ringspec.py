@@ -210,7 +210,7 @@ def test_degree_zero_companion_needs_one_power():
     cases = 0
     while cases < 300:
         r = 1 + cases % 3
-        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2]] if r < 3 else [[]]))
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2], [4], [6]] if r < 3 else [[]]))
         n = rng.randint(r, 3 + (r == 1))
         degrees = [G.element(tuple(rng.randint(0, 4 - r) for _ in range(r)),
                              tuple(rng.randrange(m) for m in G.torsion))

@@ -274,12 +274,14 @@ def test_graver_relations_sign_canonical_and_sorted():
 
 
 def test_graver_relations_drop_conformally_dominated_vectors():
-    # the +/- torsion columns admit (2, -2, 0), which dominates (2, 0, 0)
+    # (2, -2, 0) has degree zero but lies conformally above (2, 0, 0), so
+    # it is no relation
     G = FgAbGroup(1, [2, 2])
     R = RingSpec(G, ["x", "y", "z"], [G.element((0,), (1, 1)), G.element((0,), (0, 1)),
                                       G.element((1,), (0, 1))])
     assert _graver_relations(R) == ((0, 2, 0), (2, 0, 0))
-    # here the extras hid the irreducible relation xz^4 = y^2
+    # no dominated vector joins the span of the others, so the relation
+    # xz^4 = y^2 stays irreducible and decides the class
     G = FgAbGroup(2, [4])
     R = RingSpec(G, ["x", "y", "z", "w"],
                  [G.element((2, 0), (0,)), G.element((1, 2), (2,)),
@@ -298,7 +300,7 @@ def test_graver_relations_match_the_box_search():
     cases = 0
     while cases < 120:
         r = 1 + cases % 2
-        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2], [4]]))
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [2, 2], [4], [6]]))
         n = rng.randint(r + 1, 4)
         degrees = [G.element(tuple(rng.randint(0, 3 - r) for _ in range(r)),
                              tuple(rng.randrange(m) for m in G.torsion))
@@ -318,6 +320,32 @@ def test_graver_relations_match_the_box_search():
         classes.add(klass)
         cases += 1
     assert classes == {"length-one-only", "nontrivial-irreducible", "undetermined"}
+
+
+def test_graver_relations_match_the_pair_search():
+    # the former search, with an (m, -m) pair of columns per torsion order
+    # and the conformally dominated vectors dropped afterwards, gives the
+    # same list.  Mod 2, -c = c, so only orders 3 and up reduce an entry;
+    # degree entries are 0 to 3 - rank to keep the Z/6 cases fast
+    rng = random.Random(242)
+    drawn = set()
+    cases = 0
+    while cases < 150:
+        r = cases % 3
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [4], [6], [2, 2]]))
+        n = rng.randint(max(r, 1), 4)
+        degrees = [G.element(tuple(rng.randint(0, 3 - r) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(n)]
+        try:
+            R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+        assert _graver_relations(R) == oracles.graver_relations_by_pairs(R), (G, degrees)
+        drawn.add((r, G.torsion))
+        cases += 1
+    assert {t for _, t in drawn} == {(), (2,), (3,), (4,), (6,), (2, 2)}
+    assert {r for r, _ in drawn} == {0, 1, 2}
 
 
 def _long_side(a):
