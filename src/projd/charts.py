@@ -14,14 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from projd.diophantine import (
-    ExponentVector,
-    degree_zero_semigroup,
-    hilbert_basis,
-    semigroup_member,
-    vector_key,
-)
-from projd.ringspec import InvalidInput, Monomial, RingSpec
+from projd.diophantine import (ConstrainedSemigroup, ExponentVector, semigroup_member,
+                               vector_key)
+from projd.ringspec import InvalidInput, Monomial, ParseError, RingSpec
 
 
 class PrimeMeetsF(InvalidInput):
@@ -43,49 +38,30 @@ class MonomialPrime:
         return "(" + ", ".join(names[i] for i in self.variables) + ")"
 
 
-@dataclass(frozen=True)
-class ChartAlgebra:
-    """Generators and units of the degree-zero algebra of a chart.
-
-    The semigroup of all degree-zero exponent vectors that are nonnegative
-    off supp(f) is generated by `generators` together with both signs of
-    `units`; the generators are minimal and canonically chosen.
-    """
-
-    f: Monomial
-    units: tuple[ExponentVector, ...]
-    generators: tuple[ExponentVector, ...]
-    free_coords: frozenset[int]
-
-    def pool(self) -> list[ExponentVector]:
-        """Generators plus both signs of the unit basis."""
-        return (list(self.generators)
-                + [tuple(u) for u in self.units]
-                + [tuple(-a for a in u) for u in self.units])
-
-
-def _prime(spec: RingSpec, p) -> MonomialPrime:
+def parse_prime(spec: RingSpec, p) -> MonomialPrime:
+    """The monomial prime of p: a MonomialPrime, text like "(x, z)" or
+    "(0)", or a list of variable names and indices (negative ones count
+    from the end).  Anything else is refused with a ParseError."""
     if isinstance(p, MonomialPrime):
         return p
-    idx = []
-    for item in p:
-        if isinstance(item, str):
-            idx.append(spec.variables.index(item))
-        else:
-            idx.append(int(item))
-    return MonomialPrime(tuple(idx))
+    items = p
+    if isinstance(p, str):
+        body = p.strip()
+        if body.startswith("(") and body.endswith(")"):
+            body = body[1:-1].strip()
+        items = [] if body in ("", "0") else [piece.strip() for piece in body.split(",")]
+    n = len(spec.variables)
+    index = {}
+    for i, name in enumerate(spec.variables):
+        index[name] = index[i] = index[i - n] = i
+    for item in items:
+        if item not in index:
+            raise ParseError(f"prime {p!r}: unknown variable {item!r}")
+    return MonomialPrime(tuple(index[item] for item in items))
 
 
-def _chart_data(spec: RingSpec, f: Monomial):
-    """Units and generators of the chart of f; they depend on supp(f) only."""
-    key = ("chart", f.support)
-    if key not in spec.cache:
-        spec.cache[key] = hilbert_basis(degree_zero_semigroup(spec, f.support))
-    return spec.cache[key]
-
-
-def chart_algebra(spec: RingSpec, f) -> ChartAlgebra:
-    """Chart of a relevant monomial: units and minimal generators.
+def chart_algebra(spec: RingSpec, f) -> ConstrainedSemigroup:
+    """Chart of a relevant monomial: the degree-zero semigroup of supp(f).
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -96,9 +72,7 @@ def chart_algebra(spec: RingSpec, f) -> ChartAlgebra:
     >>> chart_algebra(R, "x*y*z^2").units
     ((1, 1, -1),)
     """
-    f = spec.relevant_monomial(f)
-    units, gens = _chart_data(spec, f)
-    return ChartAlgebra(f, units, gens, f.support)
+    return spec.semigroup(spec.relevant_monomial(f).support)
 
 
 @dataclass(frozen=True)
@@ -107,7 +81,7 @@ class ChartIntersectionReport:
 
     f: Monomial
     g: Monomial
-    chart: ChartAlgebra
+    chart: ConstrainedSemigroup
     inverted: tuple[ExponentVector, ...]
     decompositions: tuple[tuple[ExponentVector, tuple[int, ...]], ...]
     ok: bool
@@ -140,10 +114,7 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
         decompositions.append((target, coeffs))
     # the reverse inclusion holds coordinatewise: anything allowed negative
     # exponents only on supp(f) is allowed them on supp(fg) as well
-    sg_fg = degree_zero_semigroup(spec, fg.support)
-    for v in chart_f.pool():
-        if not sg_fg.contains(v):
-            ok = False
+    ok = ok and all(chart_fg.contains(v) for v in chart_f.pool())
     return ChartIntersectionReport(f, g, chart_fg, inverted,
                                    tuple(decompositions), ok)
 
@@ -156,12 +127,10 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
     PrimeMeetsF when the prime contains a variable of f.
     """
     f = spec.monomial(f)
-    p = _prime(spec, p)
+    p = parse_prime(spec, p)
     if set(p.variables) & f.support:
         raise PrimeMeetsF(f"prime {p.render(spec.variables)} meets the chart monomial")
-    units, gens = _chart_data(spec, f)
-    pool = ChartAlgebra(f, units, gens, f.support).pool()
-    hit = {v for v in pool
+    hit = {v for v in spec.semigroup(f.support).pool()
            if any(v[i] > 0 for i in p.variables)}
     return tuple(sorted(hit, key=vector_key))
 

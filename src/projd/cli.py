@@ -24,10 +24,10 @@ import click
 import yaml
 
 from projd.charts import (
-    MonomialPrime,
     chart_algebra,
     chart_intersection_check,
     cover_decomposition,
+    parse_prime,
     psi_image,
     v_plus,
 )
@@ -36,16 +36,13 @@ from projd.fgab import FgAbGroup, GroupElement
 from projd.ringspec import (
     InvalidInput,
     Monomial,
+    ParseError,
     RingSpec,
     degree_zero_companion,
 )
 from projd.separation import is_separated, classify_dependencies, weak_pairs, \
     separated_submodels
 from projd.sheaves import global_sections, is_invertible
-
-
-class ParseError(InvalidInput):
-    """Malformed ring-spec input; the message names the offending part."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +253,6 @@ def parse_degree(group: FgAbGroup, text: str) -> GroupElement:
     return group.from_lift(free + tors)
 
 
-def parse_prime(spec: RingSpec, text: str) -> MonomialPrime:
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    body = body.strip()
-    if body in ("", "0"):
-        return MonomialPrime(())
-    indices = []
-    lookup = {name: i for i, name in enumerate(spec.variables)}
-    for piece in body.split(","):
-        name = piece.strip()
-        if name not in lookup:
-            raise ParseError(f"prime {text!r}: unknown variable {name!r}")
-        indices.append(lookup[name])
-    return MonomialPrime(tuple(indices))
-
-
 # ---------------------------------------------------------------------------
 # commands: each one's payload (spec + args -> JSON-ready dict, pure) next
 # to its human rendering (payload -> lines)
@@ -317,9 +297,10 @@ def _render_gens(payload: dict) -> list[str]:
 
 
 def _payload_chart(spec: RingSpec, f: str) -> dict:
+    f = spec.monomial(f)
     chart = chart_algebra(spec, f)
     return {
-        "f": chart.f.render(spec.variables, "*"),
+        "f": f.render(spec.variables, "*"),
         "inverted": [spec.variables[i] for i in sorted(chart.free_coords)],
         "units": [list(u) for u in chart.units],
         "unit_renders": [laurent_text(u, spec.variables) for u in chart.units],

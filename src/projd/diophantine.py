@@ -18,6 +18,7 @@ Smith form, one auxiliary column per modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from projd.fgab import (hnf_reduce, kernel_basis, row_hnf, smith_normal_form,
@@ -42,7 +43,9 @@ class ConstrainedSemigroup:
 
     kernel_basis spans the lattice L inside Z^nvars and is stored as its
     row HNF; coordinates listed in free_coords may go negative, all others
-    must stay >= 0.
+    must stay >= 0.  The units and generators are computed once, on first
+    use; the semigroup is generated by the generators and both signs of
+    the units.
     """
 
     nvars: int
@@ -65,6 +68,27 @@ class ConstrainedSemigroup:
         if any(vec[i] < 0 for i in self.constrained_coords()):
             return False
         return not any(hnf_reduce(self.kernel_basis, vec))
+
+    @cached_property
+    def units(self) -> tuple[ExponentVector, ...]:
+        """HNF basis of the invertible part: lattice vectors supported on F."""
+        K = self.kernel_basis
+        if not K:
+            return ()
+        rows = [[v[i] for v in K] for i in self.constrained_coords()]
+        vecs = [[sum(c * v[i] for c, v in zip(coeffs, K)) for i in range(self.nvars)]
+                for coeffs in kernel_basis(rows, len(K))]
+        return row_hnf(vecs, self.nvars)
+
+    @cached_property
+    def generators(self) -> tuple[ExponentVector, ...]:
+        """Minimal generators of the pointed quotient; see hilbert_basis."""
+        return hilbert_basis(self)[1]
+
+    def pool(self) -> list[ExponentVector]:
+        """Generators plus both signs of the unit basis."""
+        return (list(self.generators) + list(self.units)
+                + [tuple(-a for a in u) for u in self.units])
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +217,6 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
 # ---------------------------------------------------------------------------
 # Hilbert bases of constrained semigroups
 
-def _unit_lattice(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
-    """HNF basis of the invertible part: lattice vectors supported on F."""
-    K = sg.kernel_basis
-    if not K:
-        return ()
-    conn = sg.constrained_coords()
-    rows = [[K[k][i] for k in range(len(K))] for i in conn]
-    coeffs = kernel_basis(rows, len(K))
-    vecs = [[sum(c[k] * K[k][i] for k in range(len(K))) for i in range(sg.nvars)]
-            for c in coeffs]
-    return row_hnf(vecs, sg.nvars)
-
-
 def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> ExponentVector:
     """Graded-lex least representative of vec modulo the unit lattice.
 
@@ -241,7 +252,7 @@ def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> Expone
     return best[0][1]
 
 
-def _minimal_lifts(sg: ConstrainedSemigroup, units, a0) -> tuple[ExponentVector, ...]:
+def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     """Minimal members of the coset a0 + L that are >= 0 on conn.
 
     The one search for chart generators (a0 = 0: the semigroup's
@@ -254,7 +265,7 @@ def _minimal_lifts(sg: ConstrainedSemigroup, units, a0) -> tuple[ExponentVector,
     minimal points; they are lifted through V, made coset-minimal and
     sorted graded-lex.
     """
-    K = sg.kernel_basis
+    K, units = sg.kernel_basis, sg.units
     conn = sg.constrained_coords()
     U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
     moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
@@ -294,8 +305,7 @@ def hilbert_basis(sg: ConstrainedSemigroup):
     >>> hilbert_basis(ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1, 2})))
     (((1, 1, -1),), ())
     """
-    units = _unit_lattice(sg)
-    return units, _minimal_lifts(sg, units, (0,) * sg.nvars)
+    return sg.units, _minimal_lifts(sg, (0,) * sg.nvars)
 
 
 def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -374,36 +384,25 @@ def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ..
     representative per unit coset, graded-lex ordered.  Empty iff the
     solution set is empty; for d = 0 the answer is the zero vector alone.
     """
-    free_coords = frozenset(free_coords)
     if d.is_zero():
         return ((0,) * len(spec.variables),)
     ok, a0 = subgroup_member(spec.group.subgroup(spec.degrees), d)
     if not ok:
         return ()
-    sg = degree_zero_semigroup(spec, free_coords)
-    return _minimal_lifts(sg, _unit_lattice(sg), a0)
-
-
-def degree_zero_semigroup(spec, free_coords) -> ConstrainedSemigroup:
-    """The degree-zero constrained semigroup of a grading."""
-    return ConstrainedSemigroup(len(spec.variables), kernel_lattice(spec),
-                                frozenset(free_coords))
+    return _minimal_lifts(spec.semigroup(free_coords), a0)
 
 
 def kernel_lattice(spec) -> tuple[ExponentVector, ...]:
     """HNF basis of {a in Z^n : sum a_i deg(x_i) = 0}.
 
     The kernel of the degree congruences, projected to the n exponent
-    columns: each torsion column is fixed by the exponents.  A RingSpec
-    computes it once, into its cache; any object with group, variables
-    and degrees is accepted.
+    columns: each torsion column is fixed by the exponents.  Computed anew
+    on every call; RingSpec.kernel keeps it.  Any object with group,
+    variables and degrees is accepted.
     """
-    cache = getattr(spec, "cache", {})
-    if "kernel" not in cache:
-        n = len(spec.variables)
-        rows, _, width = _degree_rows(spec, spec.group.zero())
-        cache["kernel"] = row_hnf([row[:n] for row in kernel_basis(rows, width)], n)
-    return cache["kernel"]
+    n = len(spec.variables)
+    rows, _, width = _degree_rows(spec, spec.group.zero())
+    return row_hnf([row[:n] for row in kernel_basis(rows, width)], n)
 
 
 def _degree_rows(spec, d, extra=()):

@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from projd.diophantine import _degree_rows, minimal_nonneg_solutions, vector_key
+from projd.diophantine import (ConstrainedSemigroup, ExponentVector, _degree_rows,
+                               kernel_lattice, minimal_nonneg_solutions, vector_key)
 from projd.fgab import (
     FgAbGroup,
     GroupElement,
@@ -25,6 +27,10 @@ from projd.fgab import (
 
 class InvalidInput(ValueError):
     """Input the engine refuses; any other exception is a fault of the engine."""
+
+
+class ParseError(InvalidInput):
+    """Malformed input text; the message names the offending part."""
 
 
 class NotEffective(InvalidInput):
@@ -81,6 +87,11 @@ class RingSpec:
     conical_ideal optionally restricts the model to a chosen set B of
     relevant monomials; every entry is checked for relevance.
 
+    The spec is the one owner of what its grading determines: relevance
+    per support, the irrelevant-ideal generators, the degree-zero kernel
+    and one degree-zero semigroup per set of inverted variables, each
+    computed once, on first use.
+
     >>> G = FgAbGroup(2)
     >>> R = RingSpec(G, ["x", "y", "z"],
     ...              [G.element((1, 0)), G.element((0, 1)), G.element((1, 1))])
@@ -96,10 +107,10 @@ class RingSpec:
                  degrees: Sequence[GroupElement],
                  conical_ideal: Optional[Sequence[Monomial]] = None,
                  check_effective: bool = True):
-        # Results fixed by the grading, computed once: ("relevant", support),
-        # ("chart", support), "generators" and "kernel".  Set first, because
-        # the relevance checks below already fill it.
-        self.cache: dict = {}
+        # Set first: the relevance checks below already fill them.
+        self._relevant: dict[frozenset[int], bool] = {}
+        self._semigroups: dict[frozenset[int], ConstrainedSemigroup] = {}
+        self._generators: Optional[tuple[Monomial, ...]] = None
         if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
         if len(set(variables)) != len(variables):
@@ -160,10 +171,29 @@ class RingSpec:
         return self.group.subgroup(gens)
 
     def is_relevant(self, mono: Monomial) -> bool:
-        key = ("relevant", mono.support)
-        if key not in self.cache:
-            self.cache[key] = subgroup_index(self.group, self.support_group(mono)) != math.inf
-        return self.cache[key]
+        support = mono.support
+        if support not in self._relevant:
+            self._relevant[support] = (
+                subgroup_index(self.group, self.support_group(mono)) != math.inf)
+        return self._relevant[support]
+
+    @cached_property
+    def kernel(self) -> tuple[ExponentVector, ...]:
+        """HNF basis of the degree-zero exponent lattice; see kernel_lattice."""
+        return kernel_lattice(self)
+
+    def semigroup(self, free_coords) -> ConstrainedSemigroup:
+        """Degree-zero exponent vectors, nonnegative off free_coords.
+
+        One object per set of free coordinates, so its units and
+        generators are computed once.  For a relevant f and free_coords =
+        supp(f) this is the chart of f.
+        """
+        free = frozenset(free_coords)
+        if free not in self._semigroups:
+            self._semigroups[free] = ConstrainedSemigroup(
+                len(self.variables), self.kernel, free)
+        return self._semigroups[free]
 
     def irrelevant_generators(self) -> tuple[Monomial, ...]:
         """Minimal square-free relevant monomials, graded-lex ordered.
@@ -174,9 +204,9 @@ class RingSpec:
         parts, the relevant supports of size r.  For r = 0 the single
         generator is 1 and the model collapses to one affine chart.
         """
-        if "generators" not in self.cache:
-            self.cache["generators"] = self._irrelevant_generators()
-        return self.cache["generators"]
+        if self._generators is None:
+            self._generators = self._irrelevant_generators()
+        return self._generators
 
     def _irrelevant_generators(self) -> tuple[Monomial, ...]:
         n = len(self.variables)

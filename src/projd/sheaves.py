@@ -17,9 +17,7 @@ from typing import Optional
 from projd.diophantine import (
     ExponentVector,
     _coset_minimal,
-    _unit_lattice,
     bounded_minimal_solutions,
-    degree_zero_semigroup,
     minimal_nonneg_solutions,
     shifted_minimal_generators,
     vector_key,
@@ -80,8 +78,7 @@ def unit_of_degree(spec: RingSpec, f, d: GroupElement) -> Optional[ExponentVecto
     particular = [0] * len(spec.variables)
     for idx, c in zip(sorted(f.support), coeffs):
         particular[idx] = c
-    units = _unit_lattice(degree_zero_semigroup(spec, f.support))
-    return _coset_minimal(particular, units)
+    return _coset_minimal(particular, spec.semigroup(f.support).units)
 
 
 def is_free(spec: RingSpec, d: GroupElement) -> bool:
@@ -127,7 +124,7 @@ def twist_product_surjective(spec: RingSpec, f, d: GroupElement,
     gens_d = twist_module_generators(spec, f, d)
     gens_e = twist_module_generators(spec, f, e)
     targets = twist_module_generators(spec, f, d + e)
-    sg = degree_zero_semigroup(spec, f.support)
+    sg = spec.semigroup(f.support)
     decompositions = []
     surjective = True
     for b in targets:

@@ -415,11 +415,10 @@ def decomposes(gens, units, constrained, target):
 def hilbert_basis_by_decomposition(sg):
     """hilbert_basis with its earlier reduction: a coset-minimal candidate
     is kept unless the other candidates and the units decompose it."""
-    from projd.diophantine import (_coset_minimal, _unit_lattice,
-                                   minimal_nonneg_solutions, vector_key)
+    from projd.diophantine import _coset_minimal, minimal_nonneg_solutions, vector_key
 
     K = sg.kernel_basis
-    units = _unit_lattice(sg)
+    units = sg.units
     if not K:
         return (), ()
     k = len(K)
@@ -457,6 +456,13 @@ def _drop_by_membership(candidates, sg, units):
     return tuple(out)
 
 
+def _fresh_semigroup(spec, free_coords):
+    """The degree-zero semigroup of spec built anew, apart from its memo."""
+    from projd.diophantine import ConstrainedSemigroup, kernel_lattice
+
+    return ConstrainedSemigroup(len(spec.variables), kernel_lattice(spec), free_coords)
+
+
 def _degree_row_candidates(spec, free_coords, rhs=None):
     """Minimal solutions of the degree equations in the split exponent
     layout, read back as exponent vectors."""
@@ -470,25 +476,21 @@ def shifted_generators_by_membership(spec, free_coords, d):
     """shifted_minimal_generators by the inhomogeneous search over the
     split exponent layout: a candidate is dropped when its difference with
     another is a nonzero member of the degree-zero semigroup."""
-    from projd.diophantine import _unit_lattice, degree_zero_semigroup
-
     free_coords = frozenset(free_coords)
     if d.is_zero():
         return ((0,) * len(spec.variables),)
-    sg = degree_zero_semigroup(spec, free_coords)
+    sg = _fresh_semigroup(spec, free_coords)
     candidates = _degree_row_candidates(spec, free_coords, list(d.lift()))
-    return _drop_by_membership(candidates, sg, _unit_lattice(sg))
+    return _drop_by_membership(candidates, sg, sg.units)
 
 
 def hilbert_basis_by_degree_rows(spec, free_coords):
     """hilbert_basis of the degree-zero semigroup by the homogeneous search
     over the split exponent layout, reduced like the twist generators."""
-    from projd.diophantine import _unit_lattice, degree_zero_semigroup
-
     free_coords = frozenset(free_coords)
-    sg = degree_zero_semigroup(spec, free_coords)
-    units = _unit_lattice(sg)
-    return units, _drop_by_membership(_degree_row_candidates(spec, free_coords), sg, units)
+    sg = _fresh_semigroup(spec, free_coords)
+    return sg.units, _drop_by_membership(_degree_row_candidates(spec, free_coords),
+                                         sg, sg.units)
 
 
 def grading_of_lattice(basis, n):

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import oracles
 import pytest
 from projd.charts import (
-    ChartAlgebra,
     MonomialPrime,
     PrimeMeetsF,
     chart_algebra,
@@ -20,7 +19,8 @@ from projd.charts import (
 )
 from projd.diophantine import ConstrainedSemigroup, hilbert_basis, kernel_lattice
 from projd.fgab import FgAbGroup, subgroup_index
-from projd.ringspec import Monomial, NotRelevant, RingSpec
+from projd.ringspec import InvalidInput, Monomial, NotRelevant, RingSpec
+from projd.sheaves import unit_of_degree
 
 
 def plane_spec():
@@ -144,6 +144,12 @@ def test_psi_image_examples():
     assert psi_image(R, "z", ["y"]) == ((1, 1, -1),)
     with pytest.raises(PrimeMeetsF):
         psi_image(R, "xz", ["x"])
+    # a bad prime is refused as input; a negative index counts from the end
+    for bad in (["q"], [5]):
+        with pytest.raises(InvalidInput, match="unknown variable"):
+            psi_image(R, "xz", bad)
+    with pytest.raises(PrimeMeetsF):
+        psi_image(R, "xz", [-1])
 
 
 def test_psi_collision_scan_examples():
@@ -278,8 +284,19 @@ def test_chart_algebra_deterministic():
     assert a == b
 
 
-def test_cached_charts_equal_fresh_ones():
+def test_cached_charts_equal_fresh_ones(monkeypatch):
     from projd.cli import fixture_text, parse_ring_spec
+
+    # every semigroup whose units are read, so that each caller can be
+    # checked to use the spec's own semigroup and to build none of its own
+    read = []
+    units = ConstrainedSemigroup.units
+
+    def recorded(sg):
+        read.append(sg)
+        return units.__get__(sg, ConstrainedSemigroup)
+
+    monkeypatch.setattr(ConstrainedSemigroup, "units", property(recorded))
 
     specs = [parse_ring_spec(fixture_text(name))
              for name in ("plane", "plane-b", "torsion", "quad", "five", "parity")]
@@ -293,15 +310,23 @@ def test_cached_charts_equal_fresh_ones():
                                degrees=spec.degrees)
         n = len(spec.variables)
         supports = [Monomial(bits) for bits in itertools.product((0, 1), repeat=n)]
+        g0 = spec.irrelevant_generators()[0]
         # visit supports twice, in two orders, so later calls are cache hits
         for m in supports + supports[::-1]:
-            fresh = subgroup_index(spec.group, spec.support_group(m)) != math.inf
-            assert spec.is_relevant(m) == fresh
-            if not fresh:
-                continue
-            units, gens = hilbert_basis(ConstrainedSemigroup(
-                n, kernel_lattice(bare), m.support))
-            assert chart_algebra(spec, m) == ChartAlgebra(m, units, gens, m.support)
+            sg = spec.semigroup(m.support)
+            fresh = ConstrainedSemigroup(n, kernel_lattice(bare), m.support)
+            assert (sg.units, sg.generators) == hilbert_basis(fresh)
+            del read[:]
+            psi_image(spec, m, MonomialPrime(()))
+            relevant = subgroup_index(spec.group, spec.support_group(m)) != math.inf
+            assert spec.is_relevant(m) == relevant
+            if relevant:
+                assert chart_algebra(spec, m) is sg
+                unit_of_degree(spec, m, spec.degree_of(m))
+                report = chart_intersection_check(spec, m, g0)
+                assert report.chart is spec.semigroup(m.support | g0.support)
+            assert any(r is sg for r in read)
+            assert all(r is spec.semigroup(r.free_coords) for r in read)
         assert spec.irrelevant_generators() == spec._irrelevant_generators()
 
 

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import oracles
 import projd
@@ -22,12 +21,13 @@ from projd.diophantine import (
     shifted_minimal_generators,
 )
 from projd.fgab import FgAbGroup, row_hnf
+from projd.ringspec import RingSpec
 
 
 def _grading(group, lifts, names=None):
     degrees = tuple(group.from_lift(list(v)) for v in lifts)
     names = names or [f"v{i}" for i in range(len(lifts))]
-    return SimpleNamespace(group=group, degrees=degrees, variables=tuple(names))
+    return RingSpec(group, names, degrees, check_effective=False)
 
 
 def _plane_spec():
@@ -434,7 +434,7 @@ def test_invariant_checks_survive_optimized_mode():
         "G = FgAbGroup(2)\n"
         "spec = RingSpec(G, ['x', 'y', 'z'], [G.element((1, 0)),\n"
         "                G.element((0, 1)), G.element((1, 1))])\n"
-        "d._unit_lattice = lambda sg: ()\n"
+        "d.ConstrainedSemigroup.units = ()\n"
         "for call in (lambda: d.hilbert_basis(ConstrainedSemigroup(\n"
         "                 3, ((1, 1, -1),), frozenset({0, 1, 2}))),\n"
         "             lambda: d.shifted_minimal_generators(\n"
@@ -457,7 +457,7 @@ def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):
     done = _run_optimized(
         "import sys\n"
         "import projd.diophantine as d\n"
-        "d._unit_lattice = lambda sg: ()\n"
+        "d.ConstrainedSemigroup.units = ()\n"
         "from projd.cli import main\n"
         f"sys.argv = ['projd', 'chart', 'x*y*z^2', '--spec', {str(spec)!r}]\n"
         "main()\n")

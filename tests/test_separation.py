@@ -431,6 +431,31 @@ def test_l6_charts_match_the_degree_row_search():
             oracles.hilbert_basis_by_degree_rows(R, f.support), f
 
 
+def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
+    # the benchmark's trace counts these calls on L5 `separated` and reads
+    # free_coords from each result
+    import sys
+
+    from projd.cli import execute
+
+    calls = []
+
+    def counted(spec, f):
+        chart = chart_algebra(spec, f)
+        calls.append((spec.monomial(f).support, chart.free_coords))
+        return chart
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("projd") and getattr(module, "chart_algebra", None) is chart_algebra:
+            monkeypatch.setattr(module, "chart_algebra", counted)
+    G = FgAbGroup(2)
+    R = RingSpec(G, [f"x{i}" for i in range(5)],
+                 [G.element(d) for d in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))])
+    execute(R, "separated", [])
+    assert len(calls) == 135
+    assert all(support == free for support, free in calls)
+
+
 def test_l6_gluing_answers_within_a_minute():
     start = time.perf_counter()
     assert len(weak_pairs(l6_spec())) == 35

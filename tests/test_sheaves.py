@@ -7,7 +7,6 @@ import time
 import oracles
 import pytest
 from projd.diophantine import (
-    degree_zero_semigroup,
     hilbert_basis,
     semigroup_member,
     shifted_minimal_generators,
@@ -105,7 +104,7 @@ def test_unit_translation_bijection():
     T = torsion_spec()
     d = T.group.element((2,), (0,))
     u = unit_of_degree(T, "x", d)
-    sg = degree_zero_semigroup(T, {0})
+    sg = T.semigroup({0})
     for vec in itertools.product(range(-3, 4), repeat=3):
         if vec[1] < 0 or vec[2] < 0:
             continue
@@ -249,7 +248,7 @@ def test_twist_product_decompositions_verify():
             d, e = rng.sample(small_elements(spec.group, 2), 2)
             report = twist_product_surjective(spec, f, d, e)
             if f not in sg_cache:
-                sg_cache[f] = degree_zero_semigroup(spec, f.support)
+                sg_cache[f] = spec.semigroup(f.support)
             for target, gd, ge, rest in report.decompositions:
                 assert tuple(p + q + r for p, q, r in zip(gd, ge, rest)) == target
                 assert sg_cache[f].contains(rest)
@@ -348,7 +347,7 @@ def test_pointedness_matches_degree_zero_hilbert_basis():
             continue
     kinds = set()
     for spec in specs:
-        reference = hilbert_basis(degree_zero_semigroup(spec, ())) == ((), ())
+        reference = hilbert_basis(spec.semigroup(())) == ((), ())
         assert _is_pointed(spec) == reference
         kinds.add(reference)
     assert kinds == {True, False}
@@ -393,7 +392,7 @@ def test_global_sections_are_chart_module_numerators():
     assert {m.exponents for m in report.monomials} == expected
     for f in R.irrelevant_generators():
         gens = twist_module_generators(R, f, d)
-        sg = degree_zero_semigroup(R, f.support)
+        sg = R.semigroup(f.support)
         units, pointed = hilbert_basis(sg)
         pool = list(pointed) + [list(u) for u in units] + \
             [[-a for a in u] for u in units]
