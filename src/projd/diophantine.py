@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, le, mul
 from typing import Optional, Sequence
 
 from projd.fgab import (hnf_reduce, kernel_basis, row_hnf, smith_normal_form,
@@ -85,10 +86,14 @@ class ConstrainedSemigroup:
         """Minimal generators of the pointed quotient; see hilbert_basis."""
         return hilbert_basis(self)[1]
 
+    @cached_property
+    def _pool(self) -> tuple[ExponentVector, ...]:
+        return (*self.generators, *self.units, *(tuple(-a for a in u) for u in self.units))
+
     def pool(self) -> list[ExponentVector]:
-        """Generators plus both signs of the unit basis."""
-        return (list(self.generators) + list(self.units)
-                + [tuple(-a for a in u) for u in self.units])
+        """Generators plus both signs of the unit basis, built once; a new list
+        on every call, so that callers may extend it."""
+        return list(self._pool)
 
 
 # ---------------------------------------------------------------------------
@@ -150,63 +155,60 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
     if rhs is not None and not any(rhs):
         return [(0,) * ncols], False
     homogeneous = rhs is None
-    cols = ncols if homogeneous else ncols + 1
-    columns = []
-    for j in range(ncols):
-        columns.append(tuple(row[j] for row in rows))
+    columns = [tuple(row[j] for row in rows) for j in range(ncols)]
     if not homogeneous:
         columns.append(tuple(-b for b in rhs))
+    # a frontier vector t carries dots_j = <A t, A e_j> for every column j,
+    # and t + e_j carries dots + gram[j].  A t lies in the span of the
+    # columns, so it is zero exactly when every dot is.
+    gram = [tuple(sum(map(mul, c, d)) for d in columns) for c in columns]
 
     cut = False
+    returned = False  # a solution that is returned has been recorded
     minimals: list[tuple[int, ...]] = []
     # minimals by (coordinate, value): a frontier vector t dominates no
     # minimal, so t + e_j can only dominate a minimal m with m_j = t_j + 1
     by_entry: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    frontier = []
-    seen = set()
-    for j in range(cols):
-        t = tuple(1 if i == j else 0 for i in range(cols))
-        if bound is not None and sum(t[:ncols]) > bound:
+    frontier = []  # (t, dots, sum of the first ncols entries of t)
+    for j, dots in enumerate(gram):
+        t, norm = (0,) * j + (1,) + (0,) * (len(gram) - j - 1), int(j < ncols)
+        if bound is not None and norm > bound:
             cut = True
             continue
-        frontier.append((t, columns[j]))
-        seen.add(t)
+        frontier.append((t, dots, norm))
+    seen = {t for t, _, _ in frontier}
     while frontier:
         # record the whole level before extending any of it, so that no
         # vector on the next frontier dominates a recorded minimal; a
         # solution on the frontier is then minimal.  Counter 0 solutions
         # are recorded too: pruning against them is what bounds the
         # search, they are filtered on return.
-        for t, val in frontier:
-            if not any(val):
+        for t, dots, _ in frontier:
+            if not any(dots):
                 minimals.append(t)
+                returned = returned or homogeneous or t[ncols] == 1
                 for i, a in enumerate(t):
                     if a:
                         by_entry.setdefault((i, a), []).append(t)
-        if least_only and any(homogeneous or m[ncols] == 1 for m in minimals):
+        if least_only and returned:
             break  # every least-norm solution is recorded by now
         nxt = []
-        for t, val in frontier:
-            if not any(val):
+        for t, dots, norm in frontier:
+            if not any(dots):
                 continue
-            for j in range(cols):
-                if not homogeneous and j == ncols and t[ncols] >= 1:
+            for j, dot in enumerate(dots):
+                if dot >= 0 or j == ncols and t[j]:
                     continue  # never raise the counter past 1
-                if sum(v * c for v, c in zip(val, columns[j])) >= 0:
+                t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
+                if t2 in seen or any(all(map(le, m, t2))
+                                     for m in by_entry.get((j, t2[j]), ())):
                     continue
-                t2 = list(t)
-                t2[j] += 1
-                t2 = tuple(t2)
-                if t2 in seen:
-                    continue
-                if any(all(a <= b for a, b in zip(m, t2))
-                       for m in by_entry.get((j, t2[j]), ())):
-                    continue
-                if bound is not None and sum(t2[:ncols]) > bound:
+                norm2 = norm + (j < ncols)
+                if bound is not None and norm2 > bound:
                     cut = True
                     continue
                 seen.add(t2)
-                nxt.append((t2, tuple(v + c for v, c in zip(val, columns[j]))))
+                nxt.append((t2, tuple(map(add, dots, gram[j])), norm2))
         frontier = nxt
     if homogeneous:
         return sorted(minimals, key=vector_key), cut

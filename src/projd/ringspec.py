@@ -55,7 +55,7 @@ class Monomial:
         if any(e < 0 for e in self.exponents):
             raise ValueError("monomial exponents must be nonnegative")
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 

@@ -136,10 +136,78 @@ def brute_combination(gens, target, bound):
 # ---------------------------------------------------------------------------
 # earlier exhaustive forms of library fast paths, kept as references
 
+def contejean_devie_by_generators(rows, ncols, rhs=None, least_only=False, bound=None):
+    """diophantine._contejean_devie in its earlier form: (solutions, cut).
+
+    The same search, step for step, with the value A t carried in place of
+    its dot products: every candidate extension takes the dot product of A t
+    with the column anew, and least_only rescans every minimal at each level.
+    Shares no code with the library, so the oracles below that need minimal
+    solutions stay apart from the kernel they check.
+    """
+    if rhs is not None and not any(rhs):
+        return [(0,) * ncols], False
+    homogeneous = rhs is None
+    cols = ncols if homogeneous else ncols + 1
+    columns = []
+    for j in range(ncols):
+        columns.append(tuple(row[j] for row in rows))
+    if not homogeneous:
+        columns.append(tuple(-b for b in rhs))
+
+    cut = False
+    minimals = []
+    # minimals by (coordinate, value): a frontier vector t dominates no
+    # minimal, so t + e_j can only dominate a minimal m with m_j = t_j + 1
+    by_entry = {}
+    frontier = []
+    seen = set()
+    for j in range(cols):
+        t = tuple(1 if i == j else 0 for i in range(cols))
+        if bound is not None and sum(t[:ncols]) > bound:
+            cut = True
+            continue
+        frontier.append((t, columns[j]))
+        seen.add(t)
+    while frontier:
+        for t, val in frontier:
+            if not any(val):
+                minimals.append(t)
+                for i, a in enumerate(t):
+                    if a:
+                        by_entry.setdefault((i, a), []).append(t)
+        if least_only and any(homogeneous or m[ncols] == 1 for m in minimals):
+            break
+        nxt = []
+        for t, val in frontier:
+            if not any(val):
+                continue
+            for j in range(cols):
+                if not homogeneous and j == ncols and t[ncols] >= 1:
+                    continue  # never raise the counter past 1
+                if sum(v * c for v, c in zip(val, columns[j])) >= 0:
+                    continue
+                t2 = list(t)
+                t2[j] += 1
+                t2 = tuple(t2)
+                if t2 in seen:
+                    continue
+                if any(all(a <= b for a, b in zip(m, t2))
+                       for m in by_entry.get((j, t2[j]), ())):
+                    continue
+                if bound is not None and sum(t2[:ncols]) > bound:
+                    cut = True
+                    continue
+                seen.add(t2)
+                nxt.append((t2, tuple(v + c for v, c in zip(val, columns[j]))))
+        frontier = nxt
+    if not homogeneous:
+        minimals = [m[:ncols] for m in minimals if m[ncols] == 1]
+    return sorted(minimals, key=lambda v: (sum(abs(a) for a in v), v)), cut
+
+
 def full_enumeration_member(gens, target):
     """Graded-lex least of *all* minimal decompositions of target, or None."""
-    from projd.diophantine import minimal_nonneg_solutions
-
     gens = [tuple(g) for g in gens]
     target = tuple(target)
     if not any(target):
@@ -147,19 +215,17 @@ def full_enumeration_member(gens, target):
     if not gens:
         return None
     rows = [[g[i] for g in gens] for i in range(len(target))]
-    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target))
+    sols = contejean_devie_by_generators(rows, len(gens), rhs=list(target))[0]
     return sols[0] if sols else None
 
 
 def semigroup_member_by_search(gens, target):
     """semigroup_member without shrinking the pool: one least-norm search
     over every column."""
-    from projd.diophantine import minimal_nonneg_solutions
-
     gens = [tuple(g) for g in gens]
     rows = [[g[i] for g in gens] for i in range(len(target))]
-    sols = minimal_nonneg_solutions(rows, len(gens), rhs=list(target),
-                                    least_only=True)
+    sols = contejean_devie_by_generators(rows, len(gens), rhs=list(target),
+                                         least_only=True)[0]
     return sols[0] if sols else None
 
 
@@ -307,7 +373,7 @@ def degree_rows_with_pairs(spec, free_coords):
 def companion_by_power_scan(spec, h, f):
     """degree_zero_companion by trying each power N up to [D : D^f] in
     turn, every minimal solution of one power before the next."""
-    from projd.diophantine import minimal_nonneg_solutions, vector_key
+    from projd.diophantine import vector_key
     from projd.fgab import subgroup_index
     from projd.ringspec import Monomial
 
@@ -323,7 +389,7 @@ def companion_by_power_scan(spec, h, f):
         target = (-N) * d_h
         if target.is_zero():
             return N, Monomial((0,) * n), 0
-        sols = minimal_nonneg_solutions(rows, width + 1, rhs=list(target.lift()))
+        sols = contejean_devie_by_generators(rows, width + 1, rhs=list(target.lift()))[0]
         if sols:
             k, g = min((sol[-1], vector_key(sol[:n])) for sol in sols)
             return N, Monomial(g[1]), k
@@ -335,12 +401,12 @@ def graver_relations_by_pairs(spec):
     its (m, -m) torsion pairs also let through kernel vectors a above
     another one b in the conformal order (b_i * a_i >= 0 and
     |b_i| <= |a_i| for every i), and those are dropped afterwards."""
-    from projd.diophantine import minimal_nonneg_solutions, vector_key
+    from projd.diophantine import vector_key
 
     every = range(len(spec.variables))
     rows, width, assemble = degree_rows_with_pairs(spec, every)
     seen = set()
-    for sol in minimal_nonneg_solutions(rows, width):
+    for sol in contejean_devie_by_generators(rows, width)[0]:
         a = assemble(sol)
         if any(a):
             seen.add(a if next(v for v in a if v) > 0 else tuple(-v for v in a))
@@ -415,7 +481,7 @@ def decomposes(gens, units, constrained, target):
 def hilbert_basis_by_decomposition(sg):
     """hilbert_basis with its earlier reduction: a coset-minimal candidate
     is kept unless the other candidates and the units decompose it."""
-    from projd.diophantine import _coset_minimal, minimal_nonneg_solutions, vector_key
+    from projd.diophantine import _coset_minimal, vector_key
 
     K = sg.kernel_basis
     units = sg.units
@@ -428,7 +494,7 @@ def hilbert_basis_by_decomposition(sg):
         row = [K[j][i] for j in range(k)] + [-K[j][i] for j in range(k)]
         rows.append(row + [-1 if s == idx else 0 for s in range(len(conn))])
     candidates = set()
-    for sol in minimal_nonneg_solutions(rows, 2 * k + len(conn)):
+    for sol in contejean_devie_by_generators(rows, 2 * k + len(conn))[0]:
         vec = [sum((sol[j] - sol[k + j]) * K[j][i] for j in range(k))
                for i in range(sg.nvars)]
         rep = _coset_minimal(vec, units)
@@ -466,10 +532,8 @@ def _fresh_semigroup(spec, free_coords):
 def _degree_row_candidates(spec, free_coords, rhs=None):
     """Minimal solutions of the degree equations in the split exponent
     layout, read back as exponent vectors."""
-    from projd.diophantine import minimal_nonneg_solutions
-
     rows, width, assemble = degree_rows_with_pairs(spec, free_coords)
-    return [assemble(sol) for sol in minimal_nonneg_solutions(rows, width, rhs=rhs)]
+    return [assemble(sol) for sol in contejean_devie_by_generators(rows, width, rhs)[0]]
 
 
 def shifted_generators_by_membership(spec, free_coords, d):

@@ -287,16 +287,22 @@ def test_chart_algebra_deterministic():
 def test_cached_charts_equal_fresh_ones(monkeypatch):
     from projd.cli import fixture_text, parse_ring_spec
 
-    # every semigroup whose units are read, so that each caller can be
-    # checked to use the spec's own semigroup and to build none of its own
+    # every semigroup whose units or pool are read, so that each caller can
+    # be checked to use the spec's own semigroup and to build none of its
+    # own; the pool is built once, so a later call reads no units
     read = []
-    units = ConstrainedSemigroup.units
+    units, pool = ConstrainedSemigroup.units, ConstrainedSemigroup.pool
 
     def recorded(sg):
         read.append(sg)
         return units.__get__(sg, ConstrainedSemigroup)
 
+    def recorded_pool(sg):
+        read.append(sg)
+        return pool(sg)
+
     monkeypatch.setattr(ConstrainedSemigroup, "units", property(recorded))
+    monkeypatch.setattr(ConstrainedSemigroup, "pool", recorded_pool)
 
     specs = [parse_ring_spec(fixture_text(name))
              for name in ("plane", "plane-b", "torsion", "quad", "five", "parity")]

@@ -326,6 +326,118 @@ def test_minimal_nonneg_solutions_against_box():
                     assert not all(a <= b for a, b in zip(s, s2))
 
 
+def _box_minimal(found):
+    """The members of found that dominate no other member."""
+    return {s for s in found
+            if not any(o != s and all(a <= b for a, b in zip(o, s)) for o in found)}
+
+
+def test_minimal_nonneg_solutions_with_rhs_against_box():
+    # inside the box [0, 4]^n every minimal solution is box-minimal and
+    # back, since whatever a box vector dominates lies in the box too
+    rng = random.Random(109)
+    for _ in range(60):
+        m, n = rng.randint(1, 2), rng.randint(1, 4)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        sols = minimal_nonneg_solutions(A, n, rhs=rhs)
+        for s in sols:
+            assert oracles.mat_vec(A, list(s)) == rhs and min(s, default=0) >= 0
+        in_box = {x for x in oracles.box(n, 0, 4) if oracles.mat_vec(A, list(x)) == rhs}
+        assert _box_minimal(in_box) == {s for s in sols if max(s, default=0) <= 4}, (A, rhs)
+
+
+def test_bounded_minimal_solutions_against_box():
+    # the vectors of norm <= bound are closed under going down, so the
+    # answer is exactly the minimal solutions among them; a search that
+    # reports reached lost no minimal solution, and a minimal solution past
+    # the bound is never reported reached
+    rng = random.Random(113)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        m, n = rng.randint(1, 2), rng.randint(1, 4)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        bound = rng.randint(0, 5)
+        sols, reached = bounded_minimal_solutions(A, n, rhs, bound)
+        in_box = {x for x in oracles.box(n, 0, 5)
+                  if oracles.mat_vec(A, list(x)) == rhs}
+        below = _box_minimal({x for x in in_box if sum(x) <= bound})
+        assert sols == sorted(below, key=lambda v: (sum(v), v)), (A, rhs, bound)
+        beyond = any(sum(x) > bound for x in _box_minimal(in_box))
+        assert not (reached and beyond), (A, rhs, bound)
+        outcomes[reached] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+    # the converse does not hold: this search is cut at (1, 1), a solution
+    # of x - y = 0, while (1, 0) is the one minimal solution of x - y = 1
+    assert bounded_minimal_solutions([[1, -1]], 2, [1], 1) == ([(1, 0)], False)
+
+
+def _degree_row_systems(rng, count):
+    """(rows, ncols, rhs, bound) of the shapes the library poses through
+    _degree_rows, on seeded gradings with torsion [6] or [2, 2]."""
+    from projd.diophantine import _degree_rows
+
+    systems = []
+    for k in range(count):
+        r = rng.randint(0, 2)
+        G = FgAbGroup(r, [6] if k % 2 else [2, 2])
+        n = rng.randint(2, 4)
+        spec = _grading(G, [tuple(rng.randint(-1, 2) for _ in range(r))
+                            + tuple(rng.randrange(t) for t in G.torsion)
+                            for _ in range(n)])
+        d = G.from_lift([rng.randint(-1, 3) for _ in range(r)]
+                        + [rng.randrange(t) for t in G.torsion])
+        rows, rhs, width = _degree_rows(spec, G.zero())
+        systems.append((rows, width, None, None))  # kernel_lattice
+        rows, rhs, width = _degree_rows(spec, d)
+        systems += [(rows, width, rhs, None), (rows, width, rhs, rng.randint(0, 6))]
+        h, f = spec.degrees[0], sum(spec.degrees[1:], G.zero())
+        rows, rhs, width = _degree_rows(spec, -h, (-f,))  # degree_zero_companion
+        systems.append((rows, width, rhs, None))
+        if n <= 3:  # _graver_relations
+            rows, rhs, width = _degree_rows(spec, G.zero(), [-e for e in spec.degrees])
+            systems.append((rows, width, None, None))
+    return systems
+
+
+def test_kernel_matches_the_former_search():
+    # the kernel carries the dot products of each frontier vector, where
+    # the former loop carried its value; both must visit, prune and return
+    # the same: (solutions, cut) on seeded systems of every call shape
+    from projd.diophantine import _contejean_devie
+
+    rng = random.Random(241)
+    systems = []
+    for k in range(2000):
+        m, kind = rng.randint(0, 3), k % 5
+        # a full search over many columns can take seconds; least_only and
+        # bound stop early, so they draw up to 7 columns at every height
+        n = rng.randint(0, 7 if kind >= 3 or m < 2 else 6 if m == 2 else 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        if kind == 0:
+            systems.append((rows, n, None, False, None))
+        elif kind == 1:
+            systems.append((rows, n, [0] * m if k % 3 == 0 else rhs, False, None))
+        elif kind == 2:
+            systems.append((rows, n, None, True, None))
+        elif kind == 3:
+            systems.append((rows, n, rhs, True, None))
+        else:
+            systems.append((rows, n, rhs, False, rng.randint(0, 6)))
+    torsion = [(rows, n, rhs, False, bound)
+               for rows, n, rhs, bound in _degree_row_systems(rng, 60)]
+    assert any(-6 in row for rows, *_ in torsion for row in rows)
+    assert any(-2 in row for rows, *_ in torsion for row in rows)
+    cuts = 0
+    for args in systems + torsion:
+        got = _contejean_devie(*args)
+        assert got == oracles.contejean_devie_by_generators(*args), args
+        cuts += got[1]
+    assert cuts >= 100
+
+
 FIXTURE_NAMES = ["plane", "plane-b", "torsion", "quad", "five", "parity"]
 
 
