@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 from projd.diophantine import (ConstrainedSemigroup, ExponentVector, semigroup_member,
                                vector_key)
@@ -135,6 +135,11 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
     return tuple(sorted(hit, key=vector_key))
 
 
+def _contains_irrelevant(gens: Sequence[Monomial], variables: AbstractSet[int]) -> bool:
+    """The prime on these variables contains every irrelevant-ideal generator."""
+    return bool(gens) and all(g.support & variables for g in gens)
+
+
 def psi_collision_scan(spec: RingSpec, f) -> Union[str, tuple[MonomialPrime, MonomialPrime]]:
     """First pair of primes with equal images on the f-chart, else "injective".
 
@@ -148,10 +153,8 @@ def psi_collision_scan(spec: RingSpec, f) -> Union[str, tuple[MonomialPrime, Mon
     primes = []
     for size in range(len(outside) + 1):
         for combo in combinations(outside, size):
-            s = set(combo)
-            if gens and all(g.support & s for g in gens):
-                continue  # contains the irrelevant ideal
-            primes.append(MonomialPrime(combo))
+            if not _contains_irrelevant(gens, set(combo)):
+                primes.append(MonomialPrime(combo))
     # the earliest prime sharing its image with a later one opens the first
     # image class (in scan order) of size two or more
     classes: dict[tuple[ExponentVector, ...], list[MonomialPrime]] = {}
@@ -179,25 +182,18 @@ def cover_decomposition(spec: RingSpec, h) -> tuple[Monomial, ...]:
 def v_plus(spec: RingSpec, ideal: Iterable) -> tuple[MonomialPrime, ...]:
     """Minimal monomial primes of the vanishing set, within the model.
 
-    Primes containing every irrelevant-ideal generator are discarded; the
-    empty ideal yields the zero prime, the marker for the whole space.
+    These are the minimal transversals of the supports of the ideal's
+    monomials (Berge, Hypergraphs, 1989), in size-then-index order, less
+    the primes containing every irrelevant-ideal generator.  The empty
+    ideal yields the zero prime, the marker for the whole space, and the
+    unit ideal yields none.
     """
-    monos = [spec.monomial(m) for m in ideal]
-    if not monos:
-        return (MonomialPrime(()),)
-    if any(not m.support for m in monos):
-        return ()
-    n = len(spec.variables)
-    supports = [m.support for m in monos]
+    hitting = [frozenset()]
+    for s in dict.fromkeys(spec.monomial(m).support for m in ideal):
+        # a set grown by one element of s can only contain one that already met s
+        met = [t for t in hitting if t & s]
+        grown = {t | {i} for t in hitting if not t & s for i in s}
+        hitting = met + [t for t in grown if not any(k <= t for k in met)]
     gens = spec.irrelevant_generators()
-    found: list[MonomialPrime] = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            s = set(combo)
-            if any(set(q.variables) <= s for q in found):
-                continue
-            if all(s & supp for supp in supports):
-                found.append(MonomialPrime(combo))
-    kept = [p for p in found
-            if not (gens and all(g.support & set(p.variables) for g in gens))]
-    return tuple(kept)
+    primes = (MonomialPrime(tuple(t)) for t in hitting if not _contains_irrelevant(gens, t))
+    return tuple(sorted(primes, key=lambda p: (len(p.variables), p.variables)))

@@ -3,10 +3,10 @@
 Two chart monomials form a weak pair when the multiplication map from the
 tensor product of their chart algebras onto the product chart fails to be
 surjective; any weak pair obstructs separatedness of the model.  The
-degree relations among variable degrees classify the easy cases: if all
-relations merely identify two variable degrees the model is separated,
-while an irreducible relation with a side of two or more variables forces
-a weak pair.
+degree relations among variable degrees classify the easy cases: if every
+relation matches one variable against one variable (x^2 = y^3 as well as
+x = y) the model is separated, while an irreducible relation with a side
+of two or more variables forces a weak pair.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from projd.diophantine import (
     semigroup_member,
     vector_key,
 )
-from projd.fgab import hnf_reduce, row_hnf
 from projd.ringspec import Monomial, RingSpec
 
 
@@ -167,18 +166,21 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
     length-one-only: every relation matches a single variable against a
     single variable.  nontrivial-irreducible: some relation a with a side
     of two or more variables lies outside the integer span M of the other
-    relations.  none: no relations at all.  Anything else is undetermined
-    and the separation verdict rests on the multiplication maps alone.
+    relations; the witness is the first such a.  none: no relations at
+    all.  Anything else is undetermined and the separation verdict rests
+    on the multiplication maps alone.
 
-    No power e * a with e > 1 can lie in M when a does not, because the
+    A relation a lies outside M iff no other relation is nonzero on
+    supp(a).  If none is, every vector of M vanishes on supp(a) and a
+    does not.  Conversely, let a lie outside M, and let phi be the map
+    from the kernel lattice onto its quotient by M, so phi(a) != 0.  The
     relations are a Graver basis: every kernel vector is a sum of them
-    that is conformal (agrees in sign, coordinate by coordinate).  Take
-    a homomorphism phi with phi(M) = 0 and phi(a) != 0.  For another
-    relation b, phi(a + b) != 0, so a conformal decomposition of a + b
-    uses a or -a; -a would also be conformal to b, and b is minimal, so
-    it uses a, and b agrees in sign with a on supp(a).  The same for
-    a - b gives the opposite sign, so b vanishes on supp(a).  Then a is
-    not even in the rational span of M.
+    and their negatives that is conformal (agrees in sign, coordinate by
+    coordinate).  For another relation b, phi(a + b) != 0, so a conformal
+    decomposition of a + b uses a or -a; -a would also be conformal to b,
+    and b is minimal, so it uses a, and b agrees in sign with a on
+    supp(a).  The same for a - b gives the opposite sign, so b vanishes
+    on supp(a).
     """
     relations = _graver_relations(spec)
     if not relations:
@@ -189,12 +191,9 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
         return pos, neg
     if all(sides(a) == (1, 1) for a in relations):
         return DependencyReport("length-one-only", None, relations)
-    # nonneg combinations over {r, -r} are exactly the integer span
+    meeting = [sum(1 for a in relations if a[i]) for i in range(len(spec.variables))]
     for a in relations:
-        if max(sides(a)) < 2:
-            continue
-        span = row_hnf([r for r in relations if r != a], len(a))
-        if any(hnf_reduce(span, a)):
+        if max(sides(a)) >= 2 and all(meeting[i] == 1 for i, v in enumerate(a) if v):
             return DependencyReport("nontrivial-irreducible", a, relations)
     return DependencyReport("undetermined", None, relations)
 

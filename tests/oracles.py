@@ -272,6 +272,24 @@ def maximal_independent_sets_scan(count, edges):
     return found
 
 
+def v_plus_by_subset_scan(spec, ideal):
+    """v_plus by scanning every variable subset in size-then-index order:
+    a subset meeting every support and containing no subset found before
+    is a minimal prime; those containing the irrelevant ideal are dropped."""
+    from projd.charts import MonomialPrime
+
+    supports = [spec.monomial(m).support for m in ideal]
+    gens = spec.irrelevant_generators()
+    found = []
+    for size in range(len(spec.variables) + 1):
+        for combo in itertools.combinations(range(len(spec.variables)), size):
+            s = set(combo)
+            if not any(set(q) <= s for q in found) and all(s & supp for supp in supports):
+                found.append(combo)
+    return tuple(MonomialPrime(q) for q in found
+                 if not (gens and all(g.support & set(q) for g in gens)))
+
+
 def first_equal_pair(items, images):
     """The pair (items[i], items[j]), i < j, with equal images and least (i, j)."""
     for i in range(len(items)):

@@ -19,7 +19,7 @@ from projd.charts import (
 )
 from projd.diophantine import ConstrainedSemigroup, hilbert_basis, kernel_lattice
 from projd.fgab import FgAbGroup, subgroup_index
-from projd.ringspec import InvalidInput, Monomial, NotRelevant, RingSpec
+from projd.ringspec import InvalidInput, Monomial, NotEffective, NotRelevant, RingSpec
 from projd.sheaves import unit_of_degree
 
 
@@ -265,6 +265,43 @@ def test_v_plus_closure_property():
                 in_closure = all(g.support & set(q.variables) for g in ideal_gens)
                 in_every = all(m.support & set(q.variables) for m in hitting)
                 assert in_closure == in_every
+
+
+def test_v_plus_matches_the_subset_scan():
+    rng = random.Random(167)
+    drawn = set()
+    cases = 0
+    while cases < 300:
+        r = cases % 3
+        G = FgAbGroup(r, rng.choice([[], [2], [3]]))
+        n = rng.randint(max(r, 1), 7)
+        degrees = [G.element(tuple(rng.randint(-1, 2) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(n)]
+        try:
+            R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+        ideal = [Monomial(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)))
+                 for _ in range(rng.randint(0, 4))]
+        assert v_plus(R, ideal) == oracles.v_plus_by_subset_scan(R, ideal), (G, degrees, ideal)
+        drawn.add(n)
+        drawn.add("unit" if any(not m.support for m in ideal) else len(ideal))
+        cases += 1
+    assert {0, "unit", 4, 7} <= drawn
+
+
+def test_v_plus_of_eight_disjoint_edges():
+    # a prime over (x0 x1, x2 x3, ..., x14 x15) picks one end of each edge
+    G = FgAbGroup(1)
+    R = RingSpec(G, [f"x{i}" for i in range(16)], [G.element((1,))] * 16)
+    edges = [Monomial(tuple(int(i // 2 == k) for i in range(16))) for k in range(8)]
+    primes = v_plus(R, edges)
+    assert len(primes) == 256
+    for p in primes:
+        s = set(p.variables)
+        assert all(s & e.support for e in edges)
+        assert not any(all((s - {i}) & e.support for e in edges) for i in s)
 
 
 def test_rank_zero_single_chart():

@@ -359,17 +359,20 @@ def _first_irreducible_by_smith(relations, exponent):
 
 def test_classify_dependencies_matches_the_smith_reducibility_test():
     # the witness is the first relation with a long side that no power up
-    # to the torsion exponent brings into the span of the others
+    # to the torsion exponent brings into the span of the others; Z/6 is
+    # drawn on at most three variables and not at rank 3, where a Graver
+    # search can take a minute
     rng = random.Random(241)
     classes = set()
+    drawn = set()
     cases = 0
-    while cases < 100:
-        r = 1 + cases % 2
-        G = FgAbGroup(r, rng.choice([[2], [3], [4], [2, 2]]))
-        n = rng.randint(r + 1, 4)
-        degrees = [G.element(tuple(rng.randint(0, 3 - r) for _ in range(r)),
-                             tuple(rng.randrange(m) for m in G.torsion))
-                   for _ in range(n)]
+    while cases < 120:
+        r = 1 + cases % 3
+        torsion = rng.choice([[2], [3], [4], [6], [2, 2]] if r < 3 else [[2], [3], [4], [2, 2]])
+        G = FgAbGroup(r, torsion)
+        n = rng.randint(r + 1, 3 if torsion == [6] else 4)
+        free = [tuple(rng.randint(-1, max(1, 3 - r)) for _ in range(r)) for _ in range(n)]
+        degrees = [G.element(f, tuple(rng.randrange(m) for m in G.torsion)) for f in free]
         try:
             R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
         except NotEffective:
@@ -379,8 +382,14 @@ def test_classify_dependencies_matches_the_smith_reducibility_test():
         assert report.witness == witness, (G, degrees)
         assert (report.klass == "nontrivial-irreducible") == (witness is not None)
         classes.add(report.klass)
+        drawn.add((r, G.torsion, min(min(f) for f in free) < 0))
         cases += 1
-    assert {"nontrivial-irreducible", "undetermined"} <= classes
+    assert classes == {"nontrivial-irreducible", "undetermined", "length-one-only"}
+    assert {(6,), (2, 2)} <= {t for _, t, _ in drawn}
+    assert {r for r, _, neg in drawn if neg} == {1, 2, 3}
+    report = classify_dependencies(l6_spec())
+    assert report.witness == _first_irreducible_by_smith(report.relations, 1)
+    assert report.klass == "undetermined"
 
 
 def test_theorem_consistency_on_fixtures():
