@@ -3,16 +3,23 @@
 Two chart monomials form a weak pair when the multiplication map from the
 tensor product of their chart algebras onto the product chart fails to be
 surjective; any weak pair obstructs separatedness of the model.  The
-degree relations among variable degrees classify the easy cases: if every
+model is its list of chart monomials: the minimal monomials of a chosen
+ideal B, else the irrelevant-ideal generators.
+
+The degree relations among variable degrees give a dependency class.  The
+class belongs to the grading, the verdict to the model.  If every
 relation matches one variable against one variable (x^2 = y^3 as well as
-x = y) the model is separated, while an irreducible relation with a side
-of two or more variables forces a weak pair.
+x = y), the model of the irrelevant-ideal generators is separated, while
+an irreducible relation with a side of two or more variables forces a
+weak pair among those generators.  A smaller B can leave that pair out:
+the plane-b fixture is nontrivial-irreducible (z = xy) and separated.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from projd.charts import chart_algebra
@@ -28,12 +35,23 @@ from projd.ringspec import Monomial, RingSpec
 
 @dataclass(frozen=True)
 class WeakPairReport:
-    """Surjectivity audit of the multiplication map onto a product chart."""
+    """Surjectivity audit of the multiplication map onto a product chart.
+
+    pool is the union of the two factor pools, and targets lists the
+    product-chart targets that decompose over it and precede the witness
+    in vector_key order: all of them when the pair is not weak.
+    """
 
     pair: tuple[Monomial, Monomial]
     weak: bool
     witness: Optional[ExponentVector]
-    decompositions: tuple[tuple[ExponentVector, tuple[int, ...]], ...]
+    pool: tuple[ExponentVector, ...] = field(repr=False)
+    targets: tuple[ExponentVector, ...] = field(repr=False)
+
+    @cached_property
+    def decompositions(self) -> tuple[tuple[ExponentVector, tuple[int, ...]], ...]:
+        """Each target with its graded-lex least decomposition over pool."""
+        return tuple((t, semigroup_member(self.pool, t)) for t in self.targets)
 
 
 @dataclass(frozen=True)
@@ -61,10 +79,21 @@ class SeparationVerdict:
 def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     """Audit the multiplication map of the pair (f, g).
 
-    Every generator and unit of the product chart must decompose over the
-    union of the two factor pools; the first element with no decomposition
-    is the weakness witness.  The audit stops there, so the decompositions
-    of a weak pair end before its witness.
+    Every generator and unit t of the product chart must decompose over
+    the union of the two factor pools; the first t in vector_key order
+    with no decomposition is the weakness witness, and the audit stops
+    there.  With F = supp f and G = supp g, every t lies in the degree-zero
+    lattice L, and the f-pool generates S_f, the vectors of L that are
+    >= 0 off F.  Two sign tests settle most targets without a search:
+
+    * rule A: t >= 0 off F puts t in S_f itself; likewise with g and G.
+    * rule B: t - p >= 0 off F for some p in the g-pool puts t - p in S_f,
+      so t = p + (t - p) lies in S_g + S_f; likewise with the roles
+      swapped.  Rule A is rule B with p = 0.
+
+    Only the targets that neither rule settles go to semigroup_member.
+    The decompositions of the targets before the witness are searched
+    when the report's decompositions are first read.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -78,18 +107,26 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     False
     """
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
-    pool = chart_algebra(spec, f).pool() + chart_algebra(spec, g).pool()
-    targets = chart_algebra(spec, f * g).pool()
+    chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
+    pool_f, pool_g = chart_f.pool(), chart_g.pool()
+    pool = pool_f + pool_g
+    off_f, off_g = chart_f.constrained_coords(), chart_g.constrained_coords()
+    targets = sorted(set(chart_algebra(spec, f * g).pool()), key=vector_key)
     witness = None
-    decompositions = []
-    for target in sorted(set(targets), key=vector_key):
-        coeffs = semigroup_member(pool, target)
-        if coeffs is None:
-            witness = target
-            break
-        decompositions.append((target, coeffs))
+    for k, t in enumerate(targets):
+        if (_nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
+                or semigroup_member(pool, t) is not None):
+            continue
+        witness, targets = t, targets[:k]
+        break
     return WeakPairReport((f, g), witness is not None, witness,
-                          tuple(decompositions))
+                          tuple(pool), tuple(targets))
+
+
+def _nonneg_after(t: ExponentVector, pool, off) -> bool:
+    """t - p >= 0 on the coordinates off for p = 0 or some p in pool."""
+    return (all(t[i] >= 0 for i in off)
+            or any(all(t[i] >= p[i] for i in off) for p in pool))
 
 
 def _minimal_divisibility(monos: Sequence[Monomial]) -> list[Monomial]:
@@ -101,6 +138,17 @@ def _minimal_divisibility(monos: Sequence[Monomial]) -> list[Monomial]:
             if not any(o != m and o.divides(m) for o in uniq)]
 
 
+def _chart_monomials(spec: RingSpec, B=None) -> list[Monomial]:
+    """The chart monomials of the model of B, in vector_key order."""
+    if B is None:
+        B = spec.conical_ideal
+    if B is None:
+        gens = list(spec.irrelevant_generators())
+    else:
+        gens = _minimal_divisibility([spec.monomial(b) for b in B])
+    return sorted(gens, key=lambda m: vector_key(m.exponents))
+
+
 def weak_pairs(spec: RingSpec, B=None) -> tuple[WeakPairReport, ...]:
     """All weak pairs among the model's chart monomials.
 
@@ -108,14 +156,7 @@ def weak_pairs(spec: RingSpec, B=None) -> tuple[WeakPairReport, ...]:
     irrelevant-ideal generators; an explicit B is reduced to its minimal
     monomials first.
     """
-    if B is None:
-        B = spec.conical_ideal
-    if B is None:
-        gens = list(spec.irrelevant_generators())
-    else:
-        gens = _minimal_divisibility([spec.monomial(b) for b in B])
-    gens = [g for g in gens if g.support]
-    gens.sort(key=lambda m: vector_key(m.exponents))
+    gens = [g for g in _chart_monomials(spec, B) if g.support]
     out = []
     for f, g in itertools.combinations(gens, 2):
         report = mu_surjective(spec, f, g)
@@ -202,9 +243,10 @@ def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:
     """Maximal sets of chart monomials whose induced model is separated.
 
     These are the maximal independent sets of the weak-pair graph on the
-    irrelevant-ideal generators, deterministically ordered.
+    chart monomials that weak_pairs audits, deterministically ordered; a
+    constant monomial, which weak_pairs skips, joins every set.
     """
-    gens = [g for g in spec.irrelevant_generators()]
+    gens = _chart_monomials(spec)
     index = {g: i for i, g in enumerate(gens)}
     edges = [(index[r.pair[0]], index[r.pair[1]])
              for r in weak_pairs(spec, gens)]

@@ -257,6 +257,28 @@ def reducible_by_smith(relations, a, exponent):
                for e in range(1, exponent + 1))
 
 
+def mu_audit_by_search(spec, f, g):
+    """The weak-pair audit with a membership search for every target.
+
+    Every generator and unit of the product chart, in vector_key order, goes
+    through semigroup_member over the union of the two factor pools; the
+    first with no decomposition is the witness.  Returns (weak, witness,
+    decompositions), the decompositions of the targets before the witness.
+    """
+    from projd.charts import chart_algebra
+    from projd.diophantine import semigroup_member, vector_key
+
+    f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
+    pool = chart_algebra(spec, f).pool() + chart_algebra(spec, g).pool()
+    decompositions = []
+    for target in sorted(set(chart_algebra(spec, f * g).pool()), key=vector_key):
+        coeffs = semigroup_member(pool, target)
+        if coeffs is None:
+            return True, target, tuple(decompositions)
+        decompositions.append((target, coeffs))
+    return False, None, tuple(decompositions)
+
+
 def maximal_independent_sets_scan(count, edges):
     """Maximal independent sets by scanning all subsets, largest first."""
     edges = [frozenset(e) for e in edges]

@@ -65,6 +65,28 @@ def l6_spec():
                     [G.element(d) for d in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3))])
 
 
+def graded(rank, torsion, degrees):
+    """Variables x0, x1, ... whose degrees list free coordinates, then torsion."""
+    G = FgAbGroup(rank, torsion)
+    return RingSpec(G, [f"x{i}" for i in range(len(degrees))],
+                    [G.element(d[:rank], d[rank:]) for d in degrees])
+
+
+def l5_spec():
+    return graded(2, [], [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
+
+
+def r3a_spec():
+    return graded(3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
+
+
+def tor3_spec():
+    return graded(2, [3], [(1, 0, 1), (0, 1, 2), (1, 1, 0), (1, 2, 1)])
+
+
+FIXTURES = ("plane", "plane-b", "torsion", "quad", "five", "parity")
+
+
 def renders(spec, monos):
     return tuple(m.render(spec.variables) for m in monos)
 
@@ -465,6 +487,100 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
+def _counting_searches(monkeypatch):
+    """Record every target that the audit hands to semigroup_member."""
+    import projd.separation as separation
+
+    searched = []
+    search = separation.semigroup_member
+
+    def counted(pool, target):
+        searched.append(tuple(target))
+        return search(pool, target)
+
+    monkeypatch.setattr(separation, "semigroup_member", counted)
+    return searched
+
+
+def test_l5_weak_pairs_search_once_per_weak_pair(monkeypatch):
+    # the sign rules settle every target that decomposes; what is left
+    # is one witness per weak pair
+    searched = _counting_searches(monkeypatch)
+    reports = weak_pairs(l5_spec())
+    assert len(reports) == 15
+    assert searched == [r.witness for r in reports]
+
+
+def _settling_rule(t, f, g, pool_f, pool_g):
+    """The sign rule that settles t: "A" when t >= 0 off supp f or off
+    supp g, "B" when t - p is, for some p in the other pool, else None."""
+    off_f = [i for i in range(len(t)) if i not in f.support]
+    off_g = [i for i in range(len(t)) if i not in g.support]
+
+    def above(p, off):
+        return all(t[i] - p[i] >= 0 for i in off)
+
+    if above((0,) * len(t), off_f) or above((0,) * len(t), off_g):
+        return "A"
+    if any(above(p, off_f) for p in pool_g) or any(above(p, off_g) for p in pool_f):
+        return "B"
+    return None
+
+
+def _random_gradings(rng, count):
+    """Effective gradings of rank 1-3 over Z/1, Z/2, Z/3 or Z/6 on rank + 1
+    or rank + 2 variables, free degree entries -1..3."""
+    out = []
+    while len(out) < count:
+        r = rng.randint(1, 3)
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [6]]))
+        n = rng.randint(r + 1, r + 2)
+        free = [tuple(rng.randint(-1, 3) for _ in range(r)) for _ in range(n)]
+        degrees = [G.element(f, tuple(rng.randrange(m) for m in G.torsion)) for f in free]
+        try:
+            out.append(RingSpec(G, [f"v{i}" for i in range(n)], degrees))
+        except NotEffective:
+            continue
+    return out
+
+
+def test_mu_matches_the_search_of_every_target(monkeypatch):
+    # the former audit searched every target; the sign rules must give the
+    # same weak flags, witnesses and decompositions, and leave exactly the
+    # targets that neither rule settles to the search
+    from projd.cli import fixture_text, parse_ring_spec
+
+    specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
+    drawn = _random_gradings(random.Random(14), 60)
+    specs += [l5_spec(), r3a_spec(), tor3_spec()] + drawn
+    searched = _counting_searches(monkeypatch)
+    rules = {"A": 0, "B": 0, None: 0}
+    weak_flags = set()
+    found_by_search = 0
+    for spec in specs:
+        gens = [g for g in spec.irrelevant_generators() if g.support]
+        for f, g in itertools.combinations(gens, 2):
+            searched.clear()
+            report = mu_surjective(spec, f, g)
+            calls = list(searched)
+            weak, witness, decompositions = oracles.mu_audit_by_search(spec, f, g)
+            assert (report.weak, report.witness) == (weak, witness), (spec, f, g)
+            assert report.decompositions == decompositions, (spec, f, g)
+            audited = [t for t, _ in decompositions] + ([witness] if weak else [])
+            pool_f, pool_g = chart_algebra(spec, f).pool(), chart_algebra(spec, g).pool()
+            fired = [_settling_rule(t, f, g, pool_f, pool_g) for t in audited]
+            assert calls == [t for t, rule in zip(audited, fired) if rule is None]
+            for rule in fired:
+                rules[rule] += 1
+            weak_flags.add(weak)
+            found_by_search += len(calls) - weak
+    assert min(rules.values()) > 0 and found_by_search > 0
+    assert weak_flags == {True, False}
+    assert any(spec.group.torsion == (6,) for spec in drawn)
+    assert any(spec.group.rank == 3 for spec in drawn)
+    assert any(min(d.free) < 0 for spec in drawn for d in spec.degrees)
+
+
 def test_l6_gluing_answers_within_a_minute():
     start = time.perf_counter()
     assert len(weak_pairs(l6_spec())) == 35
@@ -489,6 +605,43 @@ def test_l7_gluing_answers_within_a_minute():
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(raw).hexdigest() == \
         "8f37b77dbffc92112865e7baf84ff8c91ed06bbb8ec6927733237af94dcc17a5"
+
+
+def test_submodels_honour_the_declared_ideal():
+    # plane-b drops yz from the plane model, which removes the weak pair
+    from projd.cli import execute, fixture_text, parse_ring_spec
+
+    spec = parse_ring_spec(fixture_text("plane-b"))
+    assert execute(spec, "submodels", []) == {"submodels": [["xz", "xy"]]}
+
+
+def test_submodels_of_an_ideal_with_a_square():
+    # x^2z has the chart of xz; x^3z^2 is a multiple of x^2z and is dropped
+    def plane_with(B):
+        G = FgAbGroup(2)
+        return RingSpec(G, ["x", "y", "z"],
+                        [G.element((1, 0)), G.element((0, 1)), G.element((1, 1))],
+                        conical_ideal=B)
+
+    R = plane_with(("x^2*z", "xy", "yz"))
+    assert [renders(R, r.pair) for r in weak_pairs(R)] == [("yz", "x^2z")]
+    assert [renders(R, s) for s in separated_submodels(R)] == [("yz", "xy"), ("xy", "x^2z")]
+    R = plane_with(("x^2*z", "xy", "x^3*z^2"))
+    assert [renders(R, s) for s in separated_submodels(R)] == [("xy", "x^2z")]
+
+
+def test_separated_fixtures_are_their_own_one_submodel():
+    from projd.cli import execute, fixture_text, parse_ring_spec
+
+    separated = []
+    for name in FIXTURES:
+        spec = parse_ring_spec(fixture_text(name))
+        if execute(spec, "separated", [])["separated"]:
+            model = spec.conical_ideal or spec.irrelevant_generators()
+            subs = execute(spec, "submodels", [])["submodels"]
+            assert len(subs) == 1 and sorted(subs[0]) == sorted(renders(spec, model)), name
+            separated.append(name)
+    assert separated == ["plane-b", "torsion", "parity"]
 
 
 def test_submodels_are_maximal_and_weak_free():
@@ -551,7 +704,7 @@ def _as_sets(found):
 def test_maximal_independent_sets_match_scan_on_fixtures():
     from projd.cli import fixture_text, parse_ring_spec
 
-    for name in ("plane", "plane-b", "torsion", "quad", "five", "parity"):
+    for name in FIXTURES:
         spec = parse_ring_spec(fixture_text(name))
         gens = list(spec.irrelevant_generators())
         edges = [(gens.index(r.pair[0]), gens.index(r.pair[1]))
