@@ -18,6 +18,7 @@ the plane-b fixture is nontrivial-irreducible (z = xy) and separated.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from projd.diophantine import (
     semigroup_member,
     vector_key,
 )
+from projd.fgab import hnf_reduce
 from projd.ringspec import Monomial, RingSpec
 
 
@@ -56,17 +58,24 @@ class WeakPairReport:
 
 @dataclass(frozen=True)
 class DependencyReport:
-    """Degree relations among variables and their reducibility class.
+    """Reducibility class of the variable-degree relations, and the relations.
 
-    Relations are the minimal kernel vectors under the sign-split order,
-    stated over variable degrees only; general homogeneous elements are
-    outside the classifier's scope.
+    The class and its witness come from one echelon form of the kernel
+    lattice (see classify_dependencies).  The relations, the minimal kernel
+    vectors under the sign-split order, are searched when first read, so
+    only a caller that prints them (the deps command) pays for the Graver
+    basis.  They are stated over variable degrees only; general homogeneous
+    elements are outside the classifier's scope.
     """
 
     klass: str
     witness: Optional[ExponentVector]
-    relations: tuple[ExponentVector, ...]
+    spec: RingSpec = field(repr=False, compare=False)
     scope: str = "variable-degree relations"
+
+    @cached_property
+    def relations(self) -> tuple[ExponentVector, ...]:
+        return _graver_relations(self.spec)
 
 
 @dataclass(frozen=True)
@@ -211,32 +220,129 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
     all.  Anything else is undetermined and the separation verdict rests
     on the multiplication maps alone.
 
-    A relation a lies outside M iff no other relation is nonzero on
-    supp(a).  If none is, every vector of M vanishes on supp(a) and a
-    does not.  Conversely, let a lie outside M, and let phi be the map
-    from the kernel lattice onto its quotient by M, so phi(a) != 0.  The
-    relations are a Graver basis: every kernel vector is a sum of them
-    and their negatives that is conformal (agrees in sign, coordinate by
-    coordinate).  For another relation b, phi(a + b) != 0, so a conformal
-    decomposition of a + b uses a or -a; -a would also be conformal to b,
-    and b is minimal, so it uses a, and b agrees in sign with a on
-    supp(a).  The same for a - b gives the opposite sign, so b vanishes
-    on supp(a).
+    The relations are the Graver basis of the kernel lattice L: every
+    vector of L is a conformal sum of them and their negatives (one that
+    agrees in sign, coordinate by coordinate).  A relation a lies outside
+    M iff no other relation is nonzero on supp(a).  If none is, every
+    vector of M vanishes on supp(a) and a does not.  Conversely, let a lie
+    outside M, and let phi be the map from L onto L/M, so phi(a) != 0.
+    For another relation b, phi(a + b) != 0, so a conformal decomposition
+    of a + b uses a or -a; -a would also be conformal to b, and b is
+    minimal, so it uses a, and b agrees in sign with a on supp(a).  The
+    same for a - b gives the opposite sign, so b vanishes on supp(a).
+
+    The class is read off one echelon form of L, without the relations:
+
+    * Components.  Let M(L) be the matroid on the variables whose circuits
+      are the minimal supports of nonzero vectors of L.  A vector of L is
+      fixed by its entries on the pivot columns of a reduced echelon form
+      E of L, so the other columns form a basis of M(L), and the support
+      of the row of E with pivot p is the fundamental circuit of p.  The
+      connected components of a matroid are those of the fundamental
+      circuits of any one basis (Oxley, Matroid Theory, 2011), so
+      union-find over the row supports gives them, and each row lies in
+      one component.  Over Q, L splits into its parts on the components.
+    * Irreducible relations.  For a relation a with support C, L = Z.a +
+      (L meet Z^(C^c)), a direct sum, exactly when no other relation
+      meets C.  If none does, each term of a conformal sum is +-a or
+      vanishes on C.  If L splits so, the Graver basis of a direct sum
+      over disjoint coordinates is the union of those of the summands,
+      and that of Z.a is {a, -a}.  Then C is a circuit and a separator of
+      M(L), so a component holding exactly one row r of E.  Conversely,
+      for a component C holding one row r, L meet Z^C = Z.a, where a is
+      the least multiple of the primitive vector of r that lies in L
+      (with torsion, not always that vector), and L splits exactly when
+      every basis row of L, projected to C, lies in L.  The witness is
+      the vector_key-least such a with a side of two or more variables.
+    * Length one.  Every circuit carries a relation with its signs: the
+      generator of L on its line.  So if no component qualifies and some
+      row of E is not a pair with opposite signs, the class is
+      undetermined.  If every row is such a pair, every circuit is one,
+      yet a relation need not be a circuit: the relations of 2a + 3b + 5c
+      = 0 include (1, 1, -1) beside (5, 0, -2) and (0, 5, -3).  Only then
+      are the relations searched, to tell length-one-only from
+      undetermined.
     """
+    kernel = spec.kernel
+    if not kernel:
+        return _report(spec, "none", relations=())
+    rows = _reduced_echelon(kernel)
+    n = len(spec.variables)
+    witnesses = []
+    for held in _row_components(rows, n):
+        r = held[0]
+        if len(held) > 1 or max(_sides(r)) < 2:
+            continue
+        if not any(any(hnf_reduce(kernel, [b[j] if r[j] else 0 for j in range(n)]))
+                   for b in kernel):
+            t = next(t for t in itertools.count(1)
+                     if not any(hnf_reduce(kernel, [t * v for v in r])))
+            witnesses.append(tuple(t * v for v in r))
+    if witnesses:
+        return _report(spec, "nontrivial-irreducible", min(witnesses, key=vector_key))
+    if any(_sides(r) != (1, 1) for r in rows):
+        return _report(spec, "undetermined")
     relations = _graver_relations(spec)
-    if not relations:
-        return DependencyReport("none", None, relations)
-    def sides(a):
-        pos = sum(1 for v in a if v > 0)
-        neg = sum(1 for v in a if v < 0)
-        return pos, neg
-    if all(sides(a) == (1, 1) for a in relations):
-        return DependencyReport("length-one-only", None, relations)
-    meeting = [sum(1 for a in relations if a[i]) for i in range(len(spec.variables))]
-    for a in relations:
-        if max(sides(a)) >= 2 and all(meeting[i] == 1 for i, v in enumerate(a) if v):
-            return DependencyReport("nontrivial-irreducible", a, relations)
-    return DependencyReport("undetermined", None, relations)
+    klass = ("length-one-only" if all(_sides(a) == (1, 1) for a in relations)
+             else "undetermined")
+    return _report(spec, klass, relations=relations)
+
+
+def _report(spec: RingSpec, klass: str, witness=None, relations=None) -> DependencyReport:
+    """A DependencyReport whose relations, when already known, are not searched again."""
+    report = DependencyReport(klass, witness, spec)
+    if relations is not None:
+        report.__dict__["relations"] = relations
+    return report
+
+
+def _sides(a: Sequence[int]) -> tuple[int, int]:
+    """How many variables a relation puts on its positive and negative sides."""
+    return sum(1 for v in a if v > 0), sum(1 for v in a if v < 0)
+
+
+def _row_components(rows, n: int) -> list[list[tuple[int, ...]]]:
+    """The rows of a reduced echelon form of L, grouped by the connected
+    component of the matroid of L that holds their supports (see
+    classify_dependencies); union-find over the row supports."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    supports = [[j for j, v in enumerate(r) if v] for r in rows]
+    for first, *rest in supports:
+        for j in rest:
+            root[find(j)] = find(first)
+    held: dict[int, list[tuple[int, ...]]] = {}
+    for r, support in zip(rows, supports):
+        held.setdefault(find(support[0]), []).append(r)
+    return list(held.values())
+
+
+def _reduced_echelon(basis) -> list[tuple[int, ...]]:
+    """Reduced echelon form of a row HNF, fraction-free.
+
+    Each row is primitive, has a positive pivot and is zero on the pivots
+    of the other rows.  Gauss-Jordan: a row of an HNF is zero left of its
+    pivot, so each new row clears its pivot from the rows above it only.
+    """
+    rows: list[tuple[int, ...]] = []
+    for b in basis:
+        r = _primitive(b)
+        p = next(j for j, v in enumerate(r) if v)
+        rows = [_primitive([r[p] * y - s[p] * x for x, y in zip(r, s)]) if s[p] else s
+                for s in rows]
+        rows.append(r)
+    return rows
+
+
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*vec)
+    return tuple(v // g for v in vec)
 
 
 def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:

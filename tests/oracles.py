@@ -460,6 +460,26 @@ def graver_relations_by_pairs(spec):
                             for b in found))
 
 
+def classify_by_graver_supports(relations):
+    """(class, witness) of classify_dependencies, read off the Graver
+    relations (first nonzero entry positive, graded-lex order): a relation
+    with a side of two or more variables is irreducible when no other
+    relation is nonzero on its support, and the witness is the first one.
+    """
+    def sides(a):
+        return sum(1 for v in a if v > 0), sum(1 for v in a if v < 0)
+
+    if not relations:
+        return "none", None
+    if all(sides(a) == (1, 1) for a in relations):
+        return "length-one-only", None
+    for a in relations:
+        if max(sides(a)) >= 2 and not any(
+                b != a and any(x and y for x, y in zip(a, b)) for b in relations):
+            return "nontrivial-irreducible", a
+    return "undetermined", None
+
+
 def graver_basis_in_box(spec, bound):
     """Conformally minimal nonzero degree-zero exponent vectors with every
     entry in [-bound, bound], first nonzero entry positive, graded-lex.

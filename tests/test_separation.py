@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 
@@ -412,6 +413,78 @@ def test_classify_dependencies_matches_the_smith_reducibility_test():
     report = classify_dependencies(l6_spec())
     assert report.witness == _first_irreducible_by_smith(report.relations, 1)
     assert report.klass == "undetermined"
+
+
+def test_classify_dependencies_matches_the_graver_support_classifier(monkeypatch):
+    # the echelon screen gives the class and witness that the supports of
+    # the Graver relations give.  Z/6 is drawn on at most three variables
+    # and not at rank 3, and rank 3 on at most four variables with entries
+    # -1..1: beyond that, some oracle Graver searches run past 5 s each
+    import projd.separation as separation
+
+    searched = []
+    search = separation._graver_relations
+
+    def counted(spec):
+        searched.append(spec)
+        return search(spec)
+
+    monkeypatch.setattr(separation, "_graver_relations", counted)
+    rng = random.Random(251)
+    outcomes = set()
+    cases = 0
+    while cases < 300:
+        r = cases % 4
+        torsion = rng.choice([[], [2], [3], [4], [6], [2, 2]] if r < 3 else [[], [2], [3], [4], [2, 2]])
+        G = FgAbGroup(r, torsion)
+        n = rng.randint(r, min(r + 2, 3 if torsion == [6] else 4))
+        free = [tuple(rng.randint(-1, 3 if r < 3 else 1) for _ in range(r)) for _ in range(n)]
+        degrees = [G.element(f, tuple(rng.randrange(m) for m in G.torsion)) for f in free]
+        try:
+            R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+        searched.clear()
+        report = classify_dependencies(R)
+        fell_back = bool(searched)
+        # read once: searched by the fallback, else on this first read
+        relations = report.relations
+        assert len(searched) == (report.klass != "none"), (G, degrees)
+        assert (report.klass, report.witness) == \
+            oracles.classify_by_graver_supports(relations), (G, degrees)
+        multiple = report.witness is not None and math.gcd(*report.witness) > 1
+        outcomes.add((report.klass, fell_back, multiple))
+        cases += 1
+    assert {k for k, _, _ in outcomes} == {
+        "none", "length-one-only", "nontrivial-irreducible", "undetermined"}
+    assert {("length-one-only", True, False), ("undetermined", True, False),
+            ("undetermined", False, False), ("nontrivial-irreducible", False, True)} <= outcomes
+
+
+def test_is_separated_runs_no_graver_search(monkeypatch):
+    # the class of each grading below comes from the echelon screen; the
+    # Graver relations are searched only when every reduced row is a pair
+    import projd.separation as separation
+
+    def refuse(spec):
+        raise AssertionError("Graver search")
+
+    monkeypatch.setattr(separation, "_graver_relations", refuse)
+    ladder = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+    for R in (graded(2, [], ladder),
+              graded(2, [6], [(2, 3, 3), (3, 0, 2), (3, 2, 4), (1, 2, 1), (2, 1, 5)]),
+              graded(3, [], [(6, 8, 8), (0, 0, 1), (-2, -3, -3), (0, 1, 0), (-5, -6, -6)])):
+        assert is_separated(R).dependency_class == "undetermined"
+    searched = []
+    monkeypatch.setattr(separation, "_graver_relations",
+                        lambda spec: searched.append(spec) or ((1, -1, 0, 0), (0, 0, 1, -1)))
+    p1p1 = graded(2, [], [(1, 0), (1, 0), (0, 1), (0, 1)])
+    verdict = is_separated(p1p1)
+    assert verdict.separated and verdict.dependency_class == "length-one-only"
+    assert searched == [p1p1]
+    searched.clear()
+    assert classify_dependencies(p1p1).relations == ((1, -1, 0, 0), (0, 0, 1, -1))
+    assert searched == [p1p1]
 
 
 def test_theorem_consistency_on_fixtures():
