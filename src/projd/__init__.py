@@ -6,7 +6,6 @@ from projd.fgab import (
     Subgroup,
     smith_normal_form,
     subgroup_index,
-    subgroup_intersection,
     subgroup_member,
 )
 
@@ -16,7 +15,6 @@ __all__ = [
     "Subgroup",
     "smith_normal_form",
     "subgroup_index",
-    "subgroup_intersection",
     "subgroup_member",
 ]
 

@@ -524,8 +524,8 @@ def _payload_companion(spec: RingSpec, h: str, f: str) -> dict:
         "chart_power": None,
     }
     if result is not None:
-        N, g, k = result
-        payload.update(power=N, cofactor=g.render(spec.variables, "*"),
+        g, k = result
+        payload.update(power=1, cofactor=g.render(spec.variables, "*"),
                        chart_power=k)
     return payload
 

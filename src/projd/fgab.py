@@ -2,12 +2,13 @@
 
 Groups are presented as Z^rank x Z/m_1 x ... x Z/m_t with the torsion orders
 normalized to a divisor chain m_1 | m_2 | ... | m_t.  Every subgroup question
-(index, membership, intersection) is translated into an integer lattice
-problem in the free presentation Z^(rank+t), where torsion coordinate j
-contributes the relation m_j * e_j.  Yes/no questions reduce against a row
-Hermite basis; the Smith form is used only where its transforms are read
-(witnesses, kernels).  All arithmetic uses plain Python integers, so
-nothing overflows.
+(index, membership, witness) is an integer lattice problem in the free
+presentation Z^(rank+t), where torsion coordinate j contributes the relation
+m_j * e_j.  Yes/no questions reduce against a row Hermite basis; kernels and
+witnesses come from one Hermite form of [A^T | I] (Cohen 1993, 2.4).  The
+Smith form is used only where invariant factors are read: the torsion normal
+form and the congruence moduli of diophantine._minimal_lifts.  All
+arithmetic uses plain Python integers, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -181,50 +178,35 @@ def hnf_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int,
     return tuple(v)
 
 
-def solve_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution x of mat @ x = rhs, or None if none exists."""
+def _column_hnf(mat: Sequence[Sequence[int]], ncols: int):
+    """Row HNF of the rows [column j of mat | e_j], j < ncols: each result
+    row [h | w] has mat @ w = h, and the w-parts of the rows with h = 0,
+    which come last, span the kernel of mat."""
     m = len(mat)
-    n = len(mat[0]) if m else 0
-    U, S, V = smith_normal_form(mat)
-    c = _mat_vec(U, rhs)
-    y = [0] * n
-    for i in range(m):
-        d = S[i][i] if i < n else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return _mat_vec(V, y)
+    return row_hnf([[row[j] for row in mat] + [int(i == j) for i in range(ncols)]
+                    for j in range(ncols)], m + ncols)
+
+
+def solve_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int],
+                 ncols: Optional[int] = None) -> Optional[list[int]]:
+    """One integer solution x of mat @ x = rhs, or None if none exists.
+
+    [rhs | 0] reduces to [0 | -x] modulo _column_hnf exactly when rhs lies
+    in the column lattice of mat.
+    """
+    m = len(mat)
+    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
+    rem = hnf_reduce(_column_hnf(mat, n), [*rhs, *[0] * n])
+    if any(rem[:m]):
+        return None
+    return [-a for a in rem[m:]]
 
 
 def kernel_basis(mat: Sequence[Sequence[int]], ncols: Optional[int] = None):
     """HNF basis (rows) of the integer kernel {x : mat @ x = 0}."""
     m = len(mat)
     n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    if n == 0:
-        return ()
-    if m == 0:
-        return row_hnf(_identity(n), n)
-    U, S, V = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i])
-    cols = [[V[i][j] for i in range(n)] for j in range(rank, n)]
-    return row_hnf(cols, n)
-
-
-def lattice_intersection(rows1: Sequence[Sequence[int]], rows2: Sequence[Sequence[int]], width: int):
-    """HNF basis of the intersection of the two row spans inside Z^width."""
-    if not rows1 or not rows2:
-        return ()
-    k1 = len(rows1)
-    A = [[rows1[k][i] for k in range(k1)] + [-rows2[k][i] for k in range(len(rows2))]
-         for i in range(width)]
-    K = kernel_basis(A, k1 + len(rows2))
-    vecs = []
-    for row in K:
-        vecs.append([sum(row[k] * rows1[k][i] for k in range(k1)) for i in range(width)])
-    return row_hnf(vecs, width)
+    return row_hnf([row[m:] for row in _column_hnf(mat, n) if not any(row[:m])], n)
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +426,9 @@ def subgroup_member(sub: Subgroup, d: GroupElement):
     integer coefficients over sub.generators recombining to d."""
     if d.group != sub.group:
         raise ValueError("element of a different group")
-    dim = sub.group.dim
     cols = [list(g.lift()) for g in sub.generators] + sub.group.torsion_relation_rows()
-    A = [[col[i] for col in cols] for i in range(dim)]
-    x = solve_linear(A, list(d.lift()))
+    A = [[col[i] for col in cols] for i in range(sub.group.dim)]
+    x = solve_linear(A, d.lift(), len(cols))
     if x is None:
         return False, None
     return True, tuple(x[:len(sub.generators)])
-
-
-def subgroup_intersection(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    """Subgroup generated by the intersection of h1 and h2."""
-    if h1.group != h2.group:
-        raise ValueError("subgroups of different groups")
-    group = h1.group
-    rows = lattice_intersection(h1._hnf, h2._hnf, group.dim)
-    elems = []
-    for row in rows:
-        e = group.from_lift(row)
-        if not e.is_zero() and e not in elems:
-            elems.append(e)
-    return Subgroup(group, elems)

@@ -275,15 +275,14 @@ def veronese_scaled_spec(spec: RingSpec, n: int) -> RingSpec:
 
 
 def degree_zero_companion(spec: RingSpec, h: Monomial,
-                          f: Monomial) -> Optional[tuple[int, Monomial, int]]:
-    """Least (N, g, k) with deg(h^N * g) = deg(f^k), or None if f irrelevant.
+                          f: Monomial) -> Optional[tuple[Monomial, int]]:
+    """Least (g, k) with deg(h * g) = deg(f^k), or None if f irrelevant.
 
-    N is minimized first, then k, then g in graded-lex order.  N = 1
-    always works, so one search over (g, k) answers: with F = supp(f)
-    relevant, the degree-zero lattice L (rank n - r) meets Z^F in rank
-    |F| - r, so it projects onto a full-rank lattice off F, and some c in
-    -h + L is >= 0 off F.  Then g = c + k*f >= 0 for k = max over i in F
-    of ceil(max(0, -c_i) / f_i), and deg(h * g) = deg(f^k).
+    k is minimized first, then g in graded-lex order.  h needs no power:
+    with F = supp(f) relevant, the degree-zero lattice L (rank n - r) meets
+    Z^F in rank |F| - r, so it projects onto a full-rank lattice off F, and
+    some c in -h + L is >= 0 off F.  Then g = c + k*f >= 0 for k = max over
+    i in F of ceil(max(0, -c_i) / f_i), and deg(h * g) = deg(f^k).
     """
     if not spec.is_relevant(f):
         return None
@@ -291,4 +290,4 @@ def degree_zero_companion(spec: RingSpec, h: Monomial,
     rows, rhs, width = _degree_rows(spec, -spec.degree_of(h), (-spec.degree_of(f),))
     sols = minimal_nonneg_solutions(rows, width, rhs=rhs)
     best = min(sols, key=lambda sol: (sol[n], vector_key(sol[:n])))
-    return 1, Monomial(best[:n]), best[n]
+    return Monomial(best[:n]), best[n]

@@ -11,7 +11,6 @@ paths and cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 from projd.diophantine import (
@@ -22,7 +21,7 @@ from projd.diophantine import (
     shifted_minimal_generators,
     vector_key,
 )
-from projd.fgab import GroupElement, subgroup_intersection, subgroup_member
+from projd.fgab import GroupElement, subgroup_member
 from projd.ringspec import InvalidInput, Monomial, RingSpec
 
 
@@ -82,10 +81,8 @@ def unit_of_degree(spec: RingSpec, f, d: GroupElement) -> Optional[ExponentVecto
 
 
 def is_free(spec: RingSpec, d: GroupElement) -> bool:
-    """Whether d lies in the intersection of all chart support groups."""
-    gens = spec.irrelevant_generators()
-    groups = [spec.support_group(g) for g in gens]
-    return reduce(subgroup_intersection, groups).contains(d)
+    """Whether d lies in every chart's support group (their intersection)."""
+    return all(spec.support_group(g).contains(d) for g in spec.irrelevant_generators())
 
 
 def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:

