@@ -102,11 +102,10 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
     chart_fg = chart_algebra(spec, fg)
     inverted = tuple(v for v in chart_f.generators
                      if all(i in fg.support for i, a in enumerate(v) if a))
-    pool = chart_f.pool() + [tuple(-a for a in v) for v in inverted]
-    targets = chart_fg.pool()
+    pool = chart_f.pool + tuple(tuple(-a for a in v) for v in inverted)
     decompositions = []
     ok = True
-    for target in targets:
+    for target in chart_fg.pool:
         coeffs = semigroup_member(pool, target)
         if coeffs is None:
             ok = False
@@ -114,7 +113,7 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
         decompositions.append((target, coeffs))
     # the reverse inclusion holds coordinatewise: anything allowed negative
     # exponents only on supp(f) is allowed them on supp(fg) as well
-    ok = ok and all(chart_fg.contains(v) for v in chart_f.pool())
+    ok = ok and all(chart_fg.contains(v) for v in chart_f.pool)
     return ChartIntersectionReport(f, g, chart_fg, inverted,
                                    tuple(decompositions), ok)
 
@@ -130,7 +129,7 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
     p = parse_prime(spec, p)
     if set(p.variables) & f.support:
         raise PrimeMeetsF(f"prime {p.render(spec.variables)} meets the chart monomial")
-    hit = {v for v in spec.semigroup(f.support).pool()
+    hit = {v for v in spec.semigroup(f.support).pool
            if any(v[i] > 0 for i in p.variables)}
     return tuple(sorted(hit, key=vector_key))
 

@@ -109,7 +109,7 @@ def parse_ring_spec(source) -> RingSpec:
             text = source.read_text(encoding="utf-8")
         elif isinstance(source, bytes):
             text = source.decode("utf-8")
-        elif "\n" not in source and Path(source).exists():
+        elif "\n" not in source and _is_file(source):
             text = Path(source).read_text(encoding="utf-8")
         else:
             text = source
@@ -123,6 +123,15 @@ def parse_ring_spec(source) -> RingSpec:
     except ValueError as exc:  # bytes that are not UTF-8, or a scalar such as !!int x
         raise ParseError(str(exc)) from exc
     return ring_spec_from_dict(data)
+
+
+def _is_file(source: str) -> bool:
+    """source names an existing file; a string no path can be (one too long
+    for a file name, say) is spec text."""
+    try:
+        return Path(source).is_file()
+    except OSError:
+        return False
 
 
 def ring_spec_from_dict(data) -> RingSpec:
@@ -403,11 +412,12 @@ def _payload_weak_pairs(spec: RingSpec) -> dict:
     return {"pairs": _pair_entries(spec, weak_pairs(spec))}
 
 
+def _weak_pair_line(p: dict) -> str:
+    return f"weak pair ({p['pair'][0]}, {p['pair'][1]}); witness {p['witness_render']}"
+
+
 def _render_weak_pairs(payload: dict) -> list[str]:
-    if not payload["pairs"]:
-        return ["no weak pairs"]
-    return [f"weak pair ({p['pair'][0]}, {p['pair'][1]}); "
-            f"witness {p['witness_render']}" for p in payload["pairs"]]
+    return [_weak_pair_line(p) for p in payload["pairs"]] or ["no weak pairs"]
 
 
 def _payload_separated(spec: RingSpec) -> dict:
@@ -423,12 +433,8 @@ def _render_separated(payload: dict) -> list[str]:
     if payload["separated"]:
         return [f"SEPARATED; no weak pairs; dependency class: "
                 f"{payload['dependency_class']}"]
-    lines = ["NOT SEPARATED; dependency class: "
-             f"{payload['dependency_class']}"]
-    for p in payload["pairs"]:
-        lines.append(f"  weak pair ({p['pair'][0]}, {p['pair'][1]}); "
-                     f"witness {p['witness_render']}")
-    return lines
+    return ([f"NOT SEPARATED; dependency class: {payload['dependency_class']}"]
+            + [f"  {_weak_pair_line(p)}" for p in payload["pairs"]])
 
 
 def _payload_deps(spec: RingSpec) -> dict:
@@ -534,17 +540,15 @@ def _render_companion(payload: dict) -> list[str]:
     if not payload["found"]:
         return [f"no degree-zero companion for ({payload['h']}, "
                 f"{payload['f']})"]
-
-    def powered(text, k):
-        base = f"({text})" if ("*" in text or "^" in text) else text
-        return base if k == 1 else f"{base}^{k}"
-
-    top = powered(payload["h"], payload["power"])
+    top = payload["h"]
     if payload["cofactor"] != "1":
         top = f"{top} * {payload['cofactor']}"
-    if payload["chart_power"] == 0:
+    f, k = payload["f"], payload["chart_power"]
+    if k == 0:
         return [f"{top} has degree zero"]
-    bottom = powered(payload["f"], payload["chart_power"])
+    bottom = f"({f})" if ("*" in f or "^" in f) else f
+    if k > 1:
+        bottom = f"{bottom}^{k}"
     return [f"({top}) / {bottom} has degree zero"]
 
 
@@ -581,7 +585,7 @@ COMMANDS = {
               _payload_sheaf, _render_sheaf),
     "sections": (("degree", BOUND), "monomial sections of the twist by D",
                  _payload_sections, _render_sections),
-    "companion": (("h", "f"), "least power of H reaching degree zero over F",
+    "companion": (("h", "f"), "least G, k with H*G / F^k of degree zero",
                   _payload_companion, _render_companion),
 }
 

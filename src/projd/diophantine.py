@@ -87,13 +87,9 @@ class ConstrainedSemigroup:
         return hilbert_basis(self)[1]
 
     @cached_property
-    def _pool(self) -> tuple[ExponentVector, ...]:
+    def pool(self) -> tuple[ExponentVector, ...]:
+        """Generators plus both signs of the unit basis."""
         return (*self.generators, *self.units, *(tuple(-a for a in u) for u in self.units))
-
-    def pool(self) -> list[ExponentVector]:
-        """Generators plus both signs of the unit basis, built once; a new list
-        on every call, so that callers may extend it."""
-        return list(self._pool)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +315,8 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     chart, pass its pool: the generators and both signs of the units.  The
     decision is exact, never heuristic.
 
-    Three rules shrink the search first, none of which changes the answer:
+    Two rules shrink the search first, neither of which changes the answer:
 
-    * lookup: a nonzero target equal to some gens[j] is decomposed as e_j
-      for the last such j.  Norm one is least, and among the e_j the one
-      whose 1 lies furthest right is lex-least.
     * duplicates: only the last copy of a repeated vector keeps a column.
       Moving a coefficient from an earlier copy to a later one keeps the
       norm and lowers the tuple, so the least answer is 0 on earlier copies.
@@ -350,10 +343,6 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     (0, 0, 1)
     """
     gens = [tuple(g) for g in gens]
-    target = tuple(target)
-    if any(target) and target in gens:
-        last = len(gens) - 1 - gens[::-1].index(target)
-        return tuple(int(j == last) for j in range(len(gens)))
     keep = sorted({g: j for j, g in enumerate(gens)}.values())
     while True:
         capped = set()

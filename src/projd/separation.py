@@ -3,8 +3,8 @@
 Two chart monomials form a weak pair when the multiplication map from the
 tensor product of their chart algebras onto the product chart fails to be
 surjective; any weak pair obstructs separatedness of the model.  The
-model is its list of chart monomials: the minimal monomials of a chosen
-ideal B, else the irrelevant-ideal generators.
+model is its list of chart monomials: the minimal monomials of the ideal B
+that the spec declares, else the irrelevant-ideal generators.
 
 The degree relations among variable degrees give a dependency class.  The
 class belongs to the grading, the verdict to the model.  If every
@@ -117,10 +117,10 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     """
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
     chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
-    pool_f, pool_g = chart_f.pool(), chart_g.pool()
+    pool_f, pool_g = chart_f.pool, chart_g.pool
     pool = pool_f + pool_g
     off_f, off_g = chart_f.constrained_coords(), chart_g.constrained_coords()
-    targets = sorted(set(chart_algebra(spec, f * g).pool()), key=vector_key)
+    targets = sorted(set(chart_algebra(spec, f * g).pool), key=vector_key)
     witness = None
     for k, t in enumerate(targets):
         if (_nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
@@ -128,8 +128,7 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
             continue
         witness, targets = t, targets[:k]
         break
-    return WeakPairReport((f, g), witness is not None, witness,
-                          tuple(pool), tuple(targets))
+    return WeakPairReport((f, g), witness is not None, witness, pool, tuple(targets))
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:
@@ -147,25 +146,22 @@ def _minimal_divisibility(monos: Sequence[Monomial]) -> list[Monomial]:
             if not any(o != m and o.divides(m) for o in uniq)]
 
 
-def _chart_monomials(spec: RingSpec, B=None) -> list[Monomial]:
-    """The chart monomials of the model of B, in vector_key order."""
-    if B is None:
-        B = spec.conical_ideal
-    if B is None:
+def _chart_monomials(spec: RingSpec) -> list[Monomial]:
+    """The chart monomials of the spec's model, in vector_key order."""
+    if spec.conical_ideal is None:
         gens = list(spec.irrelevant_generators())
     else:
-        gens = _minimal_divisibility([spec.monomial(b) for b in B])
+        gens = _minimal_divisibility(spec.conical_ideal)
     return sorted(gens, key=lambda m: vector_key(m.exponents))
 
 
-def weak_pairs(spec: RingSpec, B=None) -> tuple[WeakPairReport, ...]:
+def weak_pairs(spec: RingSpec) -> tuple[WeakPairReport, ...]:
     """All weak pairs among the model's chart monomials.
 
-    B defaults to the spec's chosen ideal when present, otherwise to the
-    irrelevant-ideal generators; an explicit B is reduced to its minimal
-    monomials first.
+    The model is the spec's chosen ideal B, reduced to its minimal
+    monomials, when present, otherwise the irrelevant-ideal generators.
     """
-    gens = [g for g in _chart_monomials(spec, B) if g.support]
+    gens = [g for g in _chart_monomials(spec) if g.support]
     out = []
     for f, g in itertools.combinations(gens, 2):
         report = mu_surjective(spec, f, g)
@@ -174,7 +170,7 @@ def weak_pairs(spec: RingSpec, B=None) -> tuple[WeakPairReport, ...]:
     return tuple(out)
 
 
-def is_separated(spec: RingSpec, B=None) -> SeparationVerdict:
+def is_separated(spec: RingSpec) -> SeparationVerdict:
     """Separatedness verdict: no weak pair among the chart monomials.
 
     >>> from projd.fgab import FgAbGroup
@@ -185,7 +181,7 @@ def is_separated(spec: RingSpec, B=None) -> SeparationVerdict:
     >>> is_separated(R).separated
     True
     """
-    pairs = weak_pairs(spec, B)
+    pairs = weak_pairs(spec)
     return SeparationVerdict(not pairs, pairs, classify_dependencies(spec).klass)
 
 
@@ -354,8 +350,7 @@ def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:
     """
     gens = _chart_monomials(spec)
     index = {g: i for i, g in enumerate(gens)}
-    edges = [(index[r.pair[0]], index[r.pair[1]])
-             for r in weak_pairs(spec, gens)]
+    edges = [(index[r.pair[0]], index[r.pair[1]]) for r in weak_pairs(spec)]
     independent = [[gens[i] for i in chosen]
                    for chosen in _maximal_independent_sets(len(gens), edges)]
     key = lambda combo: tuple(vector_key(m.exponents) for m in combo)

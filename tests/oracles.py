@@ -327,9 +327,9 @@ def mu_audit_by_search(spec, f, g):
     from projd.diophantine import semigroup_member, vector_key
 
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
-    pool = chart_algebra(spec, f).pool() + chart_algebra(spec, g).pool()
+    pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
     decompositions = []
-    for target in sorted(set(chart_algebra(spec, f * g).pool()), key=vector_key):
+    for target in sorted(set(chart_algebra(spec, f * g).pool), key=vector_key):
         coeffs = semigroup_member(pool, target)
         if coeffs is None:
             return True, target, tuple(decompositions)

@@ -87,7 +87,7 @@ def test_chart_algebra_vectors_have_degree_zero():
             if not f.support:
                 continue
             c = chart_algebra(spec, f)
-            for v in c.pool():
+            for v in c.pool:
                 deg = spec.group.zero()
                 for a, d in zip(v, spec.degrees):
                     deg = deg + a * d
@@ -123,7 +123,7 @@ def test_chart_intersection_decompositions_recombine():
             rep = chart_intersection_check(spec, f, g)
             assert rep.ok, (spec.variables, f, g)
             chart_f = chart_algebra(spec, f)
-            pool = chart_f.pool() + [tuple(-a for a in v) for v in rep.inverted]
+            pool = chart_f.pool + tuple(tuple(-a for a in v) for v in rep.inverted)
             seen = set()
             for target, coeffs in rep.decompositions:
                 combo = [0] * len(spec.variables)
@@ -132,7 +132,7 @@ def test_chart_intersection_decompositions_recombine():
                         combo[i] += c * a
                 assert tuple(combo) == tuple(target)
                 seen.add(tuple(target))
-            assert seen == set(rep.chart.pool())
+            assert seen == set(rep.chart.pool)
 
 
 def test_psi_image_examples():
@@ -336,10 +336,10 @@ def test_cached_charts_equal_fresh_ones(monkeypatch):
 
     def recorded_pool(sg):
         read.append(sg)
-        return pool(sg)
+        return pool.__get__(sg, ConstrainedSemigroup)
 
     monkeypatch.setattr(ConstrainedSemigroup, "units", property(recorded))
-    monkeypatch.setattr(ConstrainedSemigroup, "pool", recorded_pool)
+    monkeypatch.setattr(ConstrainedSemigroup, "pool", property(recorded_pool))
 
     specs = [parse_ring_spec(fixture_text(name))
              for name in ("plane", "plane-b", "torsion", "quad", "five", "parity")]

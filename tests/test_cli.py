@@ -78,6 +78,20 @@ def test_parse_accepts_path(tmp_path):
     assert parse_ring_spec(str(target)) == plane_spec()
 
 
+def test_parse_accepts_one_line_text_longer_than_a_file_name(tmp_path):
+    # a flow-mapping spec on one line is tried as a path first; at this
+    # length the file-name check itself fails, and the text must still parse
+    degrees = [[i % 2, 1 - i % 2] for i in range(7)] + [[1, 1]]
+    text = ("{group: {rank: 2, torsion: []}, variables: ["
+            + ", ".join(f"{{name: x{i}, degree: {{free: {d}, torsion: []}}}}"
+                        for i, d in enumerate(degrees)) + "]}")
+    assert "\n" not in text and len(text) > 255
+    assert parse_ring_spec(text).variables == tuple(f"x{i}" for i in range(8))
+    # only a file is read; a directory name is text, and not a spec
+    with pytest.raises(ParseError):
+        parse_ring_spec(str(tmp_path))
+
+
 def test_yaml_syntax_error_is_located():
     with pytest.raises(ParseError) as err:
         parse_ring_spec("group: {rank: 2\nvariables: []\n")
@@ -366,6 +380,42 @@ def test_cli_separated_human(tmp_path):
         "NOT SEPARATED; dependency class: nontrivial-irreducible",
         "  weak pair (yz, xz); witness z/(xy)",
     ]
+
+
+def test_cli_companion_human(tmp_path):
+    # h is printed as given, never raised to a power; f keeps its
+    # parentheses because it can carry one
+    ladder_l5 = """group: {rank: 2, torsion: []}
+variables:
+  - {name: x0, degree: {free: [1, 0], torsion: []}}
+  - {name: x1, degree: {free: [0, 1], torsion: []}}
+  - {name: x2, degree: {free: [1, 1], torsion: []}}
+  - {name: x3, degree: {free: [1, 2], torsion: []}}
+  - {name: x4, degree: {free: [2, 1], torsion: []}}
+"""
+    rank_three = """group: {rank: 3, torsion: []}
+variables:
+  - {name: x0, degree: {free: [1, 0, 0], torsion: []}}
+  - {name: x1, degree: {free: [0, 1, 0], torsion: []}}
+  - {name: x2, degree: {free: [0, 0, 1], torsion: []}}
+  - {name: x3, degree: {free: [1, 1, 0], torsion: []}}
+  - {name: x4, degree: {free: [0, 1, 1], torsion: []}}
+  - {name: x5, degree: {free: [1, 0, 1], torsion: []}}
+"""
+    (tmp_path / "l5.yaml").write_text(ladder_l5)
+    (tmp_path / "r3a.yaml").write_text(rank_three)
+    cases = [
+        (write_spec(tmp_path, "plane"), "z", "x*y", "(z) / (x*y) has degree zero"),
+        (str(tmp_path / "l5.yaml"), "x2^2", "x0*x1",
+         "(x2^2) / (x0*x1)^2 has degree zero"),
+        (str(tmp_path / "r3a.yaml"), "x3*x4", "x0*x1*x5",
+         "(x3*x4 * x0^2*x5) / (x0*x1*x5)^2 has degree zero"),
+    ]
+    runner = CliRunner()
+    for spec, h, f, line in cases:
+        result = runner.invoke(main, ["companion", h, f, "--spec", spec])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [line]
 
 
 def test_cli_sheaf_human(tmp_path):

@@ -451,11 +451,11 @@ def _fixture_pools():
         gens = [g for g in spec.irrelevant_generators() if g.support]
         for f, g in itertools.permutations(gens, 2):
             chart_f = chart_algebra(spec, f)
-            targets = chart_algebra(spec, f * g).pool()
+            targets = chart_algebra(spec, f * g).pool
             inverted = [v for v in chart_f.generators
                         if all(i in (f * g).support for i, a in enumerate(v) if a)]
-            for pool in (chart_f.pool() + chart_algebra(spec, g).pool(),
-                         chart_f.pool() + [tuple(-a for a in v) for v in inverted]):
+            for pool in (chart_f.pool + chart_algebra(spec, g).pool,
+                         chart_f.pool + tuple(tuple(-a for a in v) for v in inverted)):
                 for target in targets:
                     yield pool, target
 
@@ -483,9 +483,10 @@ def test_early_exit_member_matches_full_enumeration_on_random_pools(case):
 
 
 def test_pruned_member_matches_the_unpruned_search():
-    # lookup, duplicate columns and sign caps give the same tuple as one
-    # search over the whole pool; sign-constant coordinates are planted so
-    # that the caps fire, and copies so that duplicates do
+    # duplicate columns and sign caps give the same tuple as one search
+    # over the whole pool, a target equal to a pool vector included;
+    # sign-constant coordinates are planted so that the caps fire, and
+    # copies so that duplicates do
     rng = random.Random(233)
     kinds = {"member": 0, "none": 0, "pool vector": 0, "zero": 0, "duplicate": 0}
     for _ in range(1000):

@@ -32,6 +32,11 @@ def plane_spec():
                     [G.element((1, 0)), G.element((0, 1)), G.element((1, 1))])
 
 
+def declaring(R, B):
+    """R with the chosen ideal B as its model."""
+    return RingSpec(R.group, R.variables, R.degrees, conical_ideal=B)
+
+
 def torsion_spec():
     G = FgAbGroup(1, [2])
     return RingSpec(G, ["x", "y", "z"],
@@ -146,7 +151,7 @@ def test_mu_witness_iff_weak_and_decompositions_recombine():
         for f, g in itertools.combinations(gens, 2):
             report = mu_surjective(spec, f, g)
             assert report.weak == (report.witness is not None)
-            pool = chart_algebra(spec, f).pool() + chart_algebra(spec, g).pool()
+            pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
             for target, coeffs in report.decompositions:
                 assert len(coeffs) == len(pool)
                 assert all(c >= 0 for c in coeffs)
@@ -157,15 +162,15 @@ def test_mu_witness_iff_weak_and_decompositions_recombine():
                 assert tuple(combined) == target
             if not report.weak:
                 targets = {t for t, _ in report.decompositions}
-                assert targets == set(chart_algebra(spec, f * g).pool())
+                assert targets == set(chart_algebra(spec, f * g).pool)
 
 
 def test_mu_witness_reverified():
     for spec in (plane_spec(), quad_spec(), five_spec()):
         for report in weak_pairs(spec):
             f, g = report.pair
-            assert report.witness in chart_algebra(spec, f * g).pool()
-            pool = chart_algebra(spec, f).pool() + chart_algebra(spec, g).pool()
+            assert report.witness in chart_algebra(spec, f * g).pool
+            pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
             # small-box recheck that no nonnegative combination works
             rng = range(0, 4)
             for coeffs in itertools.product(rng, repeat=len(pool)):
@@ -212,9 +217,9 @@ def test_weak_pairs_five():
 def test_is_separated_plane_and_custom_ideal():
     R = plane_spec()
     assert is_separated(R).separated is False
-    assert is_separated(R, B=("xz", "xy")).separated is True
+    assert is_separated(declaring(R, ("xz", "xy"))).separated is True
     # a redundant multiple is discarded before pair scanning
-    assert is_separated(R, B=("xz", "xy", "x^2*z^2")).separated is True
+    assert is_separated(declaring(R, ("xz", "xy", "x^2*z^2"))).separated is True
 
 
 def test_weak_pairs_use_declared_ideal():
@@ -224,7 +229,7 @@ def test_weak_pairs_use_declared_ideal():
                  conical_ideal=("xz", "xy"))
     assert weak_pairs(R) == ()
     assert is_separated(R).separated is True
-    assert is_separated(R, B=R.irrelevant_generators()).separated is False
+    assert is_separated(declaring(R, R.irrelevant_generators())).separated is False
 
 
 def test_separated_monotone_under_smaller_ideal():
@@ -233,10 +238,10 @@ def test_separated_monotone_under_smaller_ideal():
     full = {frozenset(r.pair) for r in weak_pairs(R)}
     for size in range(1, len(gens) + 1):
         for B in itertools.combinations(gens, size):
-            sub = {frozenset(r.pair) for r in weak_pairs(R, B)}
+            sub = {frozenset(r.pair) for r in weak_pairs(declaring(R, B))}
             assert sub <= full
             if is_separated(R).separated:
-                assert is_separated(R, B).separated
+                assert is_separated(declaring(R, B)).separated
 
 
 def test_rank_zero_always_separated():
@@ -640,7 +645,7 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
             assert (report.weak, report.witness) == (weak, witness), (spec, f, g)
             assert report.decompositions == decompositions, (spec, f, g)
             audited = [t for t, _ in decompositions] + ([witness] if weak else [])
-            pool_f, pool_g = chart_algebra(spec, f).pool(), chart_algebra(spec, g).pool()
+            pool_f, pool_g = chart_algebra(spec, f).pool, chart_algebra(spec, g).pool
             fired = [_settling_rule(t, f, g, pool_f, pool_g) for t in audited]
             assert calls == [t for t, rule in zip(audited, fired) if rule is None]
             for rule in fired:
@@ -781,7 +786,7 @@ def test_maximal_independent_sets_match_scan_on_fixtures():
         spec = parse_ring_spec(fixture_text(name))
         gens = list(spec.irrelevant_generators())
         edges = [(gens.index(r.pair[0]), gens.index(r.pair[1]))
-                 for r in weak_pairs(spec, gens)]
+                 for r in weak_pairs(declaring(spec, gens))]
         assert _as_sets(_maximal_independent_sets(len(gens), edges)) == \
             _as_sets(oracles.maximal_independent_sets_scan(len(gens), edges))
 
