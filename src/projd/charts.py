@@ -81,7 +81,6 @@ class ChartIntersectionReport:
 
     f: Monomial
     g: Monomial
-    chart: ConstrainedSemigroup
     inverted: tuple[ExponentVector, ...]
     decompositions: tuple[tuple[ExponentVector, tuple[int, ...]], ...]
     ok: bool
@@ -114,8 +113,7 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
     # the reverse inclusion holds coordinatewise: anything allowed negative
     # exponents only on supp(f) is allowed them on supp(fg) as well
     ok = ok and all(chart_fg.contains(v) for v in chart_f.pool)
-    return ChartIntersectionReport(f, g, chart_fg, inverted,
-                                   tuple(decompositions), ok)
+    return ChartIntersectionReport(f, g, inverted, tuple(decompositions), ok)
 
 
 def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:

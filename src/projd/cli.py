@@ -92,7 +92,7 @@ def _load_yaml(text: str):
 
 
 def parse_ring_spec(source) -> RingSpec:
-    """Build a validated RingSpec from a file path or YAML text.
+    """Build a validated RingSpec from YAML text or its UTF-8 bytes.
 
     >>> R = parse_ring_spec('''
     ... group: {rank: 2, torsion: []}
@@ -105,14 +105,7 @@ def parse_ring_spec(source) -> RingSpec:
     ['yz', 'xz', 'xy']
     """
     try:
-        if isinstance(source, Path):
-            text = source.read_text(encoding="utf-8")
-        elif isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif "\n" not in source and _is_file(source):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
         data = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
@@ -123,15 +116,6 @@ def parse_ring_spec(source) -> RingSpec:
     except ValueError as exc:  # bytes that are not UTF-8, or a scalar such as !!int x
         raise ParseError(str(exc)) from exc
     return ring_spec_from_dict(data)
-
-
-def _is_file(source: str) -> bool:
-    """source names an existing file; a string no path can be (one too long
-    for a file name, say) is spec text."""
-    try:
-        return Path(source).is_file()
-    except OSError:
-        return False
 
 
 def ring_spec_from_dict(data) -> RingSpec:
@@ -441,12 +425,14 @@ def _payload_deps(spec: RingSpec) -> dict:
     report = classify_dependencies(spec)
     return {
         "class": report.klass,
-        "scope": report.scope,
+        # the relations are among variable degrees only; relations among
+        # general homogeneous elements are outside the classifier's scope
+        "scope": "variable-degree relations",
         "witness": None if report.witness is None else list(report.witness),
         "witness_equation": (None if report.witness is None
                              else relation_text(report.witness, spec.variables)),
-        "relations": [list(a) for a in report.relations],
-        "equations": [relation_text(a, spec.variables) for a in report.relations],
+        "relations": [list(a) for a in spec.relations],
+        "equations": [relation_text(a, spec.variables) for a in spec.relations],
     }
 
 

@@ -22,8 +22,7 @@ from functools import cached_property
 from operator import add, le, mul
 from typing import Optional, Sequence
 
-from projd.fgab import (hnf_reduce, kernel_basis, row_hnf, smith_normal_form,
-                        subgroup_member)
+from projd.fgab import hnf_reduce, kernel_basis, row_hnf, smith_normal_form
 
 ExponentVector = tuple[int, ...]
 
@@ -364,50 +363,6 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     for j, c in zip(keep, sols[0]):
         coeffs[j] = c
     return tuple(coeffs)
-
-
-def shifted_minimal_generators(spec, free_coords, d) -> tuple[ExponentVector, ...]:
-    """Minimal degree-d Laurent monomials modulo the degree-zero semigroup.
-
-    spec carries the grading (a RingSpec); free_coords tells which exponents
-    may be negative.  The result generates {a : deg(a) = d, a >= 0 off
-    free_coords} as a module over the degree-zero semigroup, one canonical
-    representative per unit coset, graded-lex ordered.  Empty iff the
-    solution set is empty; for d = 0 the answer is the zero vector alone.
-    """
-    if d.is_zero():
-        return ((0,) * len(spec.variables),)
-    ok, a0 = subgroup_member(spec.group.subgroup(spec.degrees), d)
-    if not ok:
-        return ()
-    return _minimal_lifts(spec.semigroup(free_coords), a0)
-
-
-def kernel_lattice(spec) -> tuple[ExponentVector, ...]:
-    """HNF basis of {a in Z^n : sum a_i deg(x_i) = 0}.
-
-    The kernel of the degree congruences, projected to the n exponent
-    columns: each torsion column is fixed by the exponents.  Computed anew
-    on every call; RingSpec.kernel keeps it.  Any object with group,
-    variables and degrees is accepted.
-    """
-    n = len(spec.variables)
-    rows, _, width = _degree_rows(spec, spec.group.zero())
-    return row_hnf([row[:n] for row in kernel_basis(rows, width)], n)
-
-
-def _degree_rows(spec, d, extra=()):
-    """The degree equations deg(a) + sum c_j e_j = d as (rows, rhs, width).
-
-    Columns: the n exponents a, one multiplier c_j per degree e_j of
-    extra, then the torsion columns that _congruences adds, one per
-    torsion order.  This is the one place that knows the torsion columns.
-    """
-    group = spec.group
-    lifts = [e.lift() for e in (*spec.degrees, *extra)]
-    rows = [[lift[r] for lift in lifts] for r in range(group.dim)]
-    moduli = [0] * group.rank + list(group.torsion)
-    return _congruences(rows, moduli, d.lift(), len(lifts))
 
 
 def _congruences(rows, moduli, rhs, ncols):

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from projd.diophantine import (ConstrainedSemigroup, ExponentVector, _degree_rows,
-                               kernel_lattice, minimal_nonneg_solutions, vector_key)
+from projd.diophantine import (ConstrainedSemigroup, ExponentVector, _congruences,
+                               minimal_nonneg_solutions, vector_key)
 from projd.fgab import (
     FgAbGroup,
     GroupElement,
     Subgroup,
+    kernel_basis,
+    row_hnf,
     subgroup_index,
 )
 
@@ -88,9 +90,9 @@ class RingSpec:
     relevant monomials; every entry is checked for relevance.
 
     The spec is the one owner of what its grading determines: relevance
-    per support, the irrelevant-ideal generators, the degree-zero kernel
-    and one degree-zero semigroup per set of inverted variables, each
-    computed once, on first use.
+    per support, the irrelevant-ideal generators, the degree-zero kernel,
+    its relations and one degree-zero semigroup per set of inverted
+    variables, each computed once, on first use.
 
     >>> G = FgAbGroup(2)
     >>> R = RingSpec(G, ["x", "y", "z"],
@@ -110,7 +112,6 @@ class RingSpec:
         # Set first: the relevance checks below already fill them.
         self._relevant: dict[frozenset[int], bool] = {}
         self._semigroups: dict[frozenset[int], ConstrainedSemigroup] = {}
-        self._generators: Optional[tuple[Monomial, ...]] = None
         if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
         if len(set(variables)) != len(variables):
@@ -179,8 +180,39 @@ class RingSpec:
 
     @cached_property
     def kernel(self) -> tuple[ExponentVector, ...]:
-        """HNF basis of the degree-zero exponent lattice; see kernel_lattice."""
-        return kernel_lattice(self)
+        """HNF basis of {a in Z^n : sum a_i deg(x_i) = 0}.
+
+        The kernel of the degree congruences, projected to the n exponent
+        columns: each torsion column is fixed by the exponents.
+        """
+        n = len(self.variables)
+        rows, _, width = _degree_rows(self, self.group.zero())
+        return row_hnf([row[:n] for row in kernel_basis(rows, width)], n)
+
+    @cached_property
+    def relations(self) -> tuple[ExponentVector, ...]:
+        """Minimal nonzero kernel vectors under the sign-split order.
+
+        One search over pairs (p, q) >= 0 with deg(p) = deg(q), read back as
+        a = p - q; its torsion columns are fixed by (p, q) and nondecreasing
+        in it, so its minimal solutions are the minimal pairs.  A pair whose
+        supports meet at i lies above the solution (e_i, e_i), read back as
+        0.  Between pairs with disjoint supports, (p', q') <= (p, q) says
+        exactly that b = p' - q' is conformally below a = p - q (b_i a_i >= 0
+        and |b_i| <= |a_i| for every i).  So the nonzero a read back are the
+        conformally minimal ones, each once with either sign; the one whose
+        first nonzero entry is positive is kept.  An empty kernel has none,
+        and no search is run for it.
+        """
+        if not self.kernel:
+            return ()
+        n = len(self.variables)
+        rows, _, width = _degree_rows(self, self.group.zero(),
+                                      [-d for d in self.degrees])
+        found = (tuple(p - q for p, q in zip(sol[:n], sol[n:]))
+                 for sol in minimal_nonneg_solutions(rows, width))
+        return tuple(sorted((a for a in found if any(a) and next(v for v in a if v) > 0),
+                            key=vector_key))
 
     def semigroup(self, free_coords) -> ConstrainedSemigroup:
         """Degree-zero exponent vectors, nonnegative off free_coords.
@@ -204,10 +236,9 @@ class RingSpec:
         parts, the relevant supports of size r.  For r = 0 the single
         generator is 1 and the model collapses to one affine chart.
         """
-        if self._generators is None:
-            self._generators = self._irrelevant_generators()
-        return self._generators
+        return self._irrelevant_generators
 
+    @cached_property
     def _irrelevant_generators(self) -> tuple[Monomial, ...]:
         n = len(self.variables)
         monos = [Monomial(tuple(1 if i in combo else 0 for i in range(n)))
@@ -272,6 +303,20 @@ def veronese_scaled_spec(spec: RingSpec, n: int) -> RingSpec:
     degrees = [n * d for d in spec.degrees]
     return RingSpec(spec.group, spec.variables, degrees,
                     conical_ideal=spec.conical_ideal, check_effective=False)
+
+
+def _degree_rows(spec: RingSpec, d: GroupElement, extra=()):
+    """The degree equations deg(a) + sum c_j e_j = d as (rows, rhs, width).
+
+    Columns: the n exponents a, one multiplier c_j per degree e_j of
+    extra, then the torsion columns that _congruences adds, one per
+    torsion order.  This is the one place that knows the torsion columns.
+    """
+    group = spec.group
+    lifts = [e.lift() for e in (*spec.degrees, *extra)]
+    rows = [[lift[r] for lift in lifts] for r in range(group.dim)]
+    moduli = [0] * group.rank + list(group.torsion)
+    return _congruences(rows, moduli, d.lift(), len(lifts))
 
 
 def degree_zero_companion(spec: RingSpec, h: Monomial,

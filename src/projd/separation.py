@@ -19,63 +19,34 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from projd.charts import chart_algebra
-from projd.diophantine import (
-    ExponentVector,
-    _degree_rows,
-    minimal_nonneg_solutions,
-    semigroup_member,
-    vector_key,
-)
+from projd.diophantine import ExponentVector, semigroup_member, vector_key
 from projd.fgab import hnf_reduce
 from projd.ringspec import Monomial, RingSpec
 
 
 @dataclass(frozen=True)
 class WeakPairReport:
-    """Surjectivity audit of the multiplication map onto a product chart.
-
-    pool is the union of the two factor pools, and targets lists the
-    product-chart targets that decompose over it and precede the witness
-    in vector_key order: all of them when the pair is not weak.
-    """
+    """Surjectivity audit of the multiplication map onto a product chart."""
 
     pair: tuple[Monomial, Monomial]
     weak: bool
     witness: Optional[ExponentVector]
-    pool: tuple[ExponentVector, ...] = field(repr=False)
-    targets: tuple[ExponentVector, ...] = field(repr=False)
-
-    @cached_property
-    def decompositions(self) -> tuple[tuple[ExponentVector, tuple[int, ...]], ...]:
-        """Each target with its graded-lex least decomposition over pool."""
-        return tuple((t, semigroup_member(self.pool, t)) for t in self.targets)
 
 
 @dataclass(frozen=True)
 class DependencyReport:
-    """Reducibility class of the variable-degree relations, and the relations.
+    """Reducibility class of the variable-degree relations, with its witness.
 
-    The class and its witness come from one echelon form of the kernel
-    lattice (see classify_dependencies).  The relations, the minimal kernel
-    vectors under the sign-split order, are searched when first read, so
-    only a caller that prints them (the deps command) pays for the Graver
-    basis.  They are stated over variable degrees only; general homogeneous
-    elements are outside the classifier's scope.
+    Both come from one echelon form of the kernel lattice (see
+    classify_dependencies); the relations themselves are RingSpec.relations.
     """
 
     klass: str
     witness: Optional[ExponentVector]
-    spec: RingSpec = field(repr=False, compare=False)
-    scope: str = "variable-degree relations"
-
-    @cached_property
-    def relations(self) -> tuple[ExponentVector, ...]:
-        return _graver_relations(self.spec)
 
 
 @dataclass(frozen=True)
@@ -101,8 +72,6 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
       swapped.  Rule A is rule B with p = 0.
 
     Only the targets that neither rule settles go to semigroup_member.
-    The decompositions of the targets before the witness are searched
-    when the report's decompositions are first read.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -118,17 +87,12 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
     chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
     pool_f, pool_g = chart_f.pool, chart_g.pool
-    pool = pool_f + pool_g
     off_f, off_g = chart_f.constrained_coords(), chart_g.constrained_coords()
-    targets = sorted(set(chart_algebra(spec, f * g).pool), key=vector_key)
-    witness = None
-    for k, t in enumerate(targets):
-        if (_nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
-                or semigroup_member(pool, t) is not None):
-            continue
-        witness, targets = t, targets[:k]
-        break
-    return WeakPairReport((f, g), witness is not None, witness, pool, tuple(targets))
+    for t in sorted(set(chart_algebra(spec, f * g).pool), key=vector_key):
+        if not (_nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
+                or semigroup_member(pool_f + pool_g, t) is not None):
+            return WeakPairReport((f, g), True, t)
+    return WeakPairReport((f, g), False, None)
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:
@@ -183,27 +147,6 @@ def is_separated(spec: RingSpec) -> SeparationVerdict:
     """
     pairs = weak_pairs(spec)
     return SeparationVerdict(not pairs, pairs, classify_dependencies(spec).klass)
-
-
-def _graver_relations(spec: RingSpec) -> tuple[ExponentVector, ...]:
-    """Minimal nonzero kernel vectors under the sign-split order.
-
-    One search over pairs (p, q) >= 0 with deg(p) = deg(q), read back as
-    a = p - q; its torsion columns are fixed by (p, q) and nondecreasing
-    in it, so its minimal solutions are the minimal pairs.  A pair whose
-    supports meet at i lies above the solution (e_i, e_i), read back as
-    0.  Between pairs with disjoint supports, (p', q') <= (p, q) says
-    exactly that b = p' - q' is conformally below a = p - q (b_i a_i >= 0
-    and |b_i| <= |a_i| for every i).  So the nonzero a read back are the
-    conformally minimal ones, each once with either sign; the one whose
-    first nonzero entry is positive is kept.
-    """
-    n = len(spec.variables)
-    rows, _, width = _degree_rows(spec, spec.group.zero(), [-d for d in spec.degrees])
-    found = (tuple(p - q for p, q in zip(sol[:n], sol[n:]))
-             for sol in minimal_nonneg_solutions(rows, width))
-    return tuple(sorted((a for a in found if any(a) and next(v for v in a if v) > 0),
-                        key=vector_key))
 
 
 def classify_dependencies(spec: RingSpec) -> DependencyReport:
@@ -261,7 +204,7 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
     """
     kernel = spec.kernel
     if not kernel:
-        return _report(spec, "none", relations=())
+        return DependencyReport("none", None)
     rows = _reduced_echelon(kernel)
     n = len(spec.variables)
     witnesses = []
@@ -275,21 +218,12 @@ def classify_dependencies(spec: RingSpec) -> DependencyReport:
                      if not any(hnf_reduce(kernel, [t * v for v in r])))
             witnesses.append(tuple(t * v for v in r))
     if witnesses:
-        return _report(spec, "nontrivial-irreducible", min(witnesses, key=vector_key))
+        return DependencyReport("nontrivial-irreducible", min(witnesses, key=vector_key))
     if any(_sides(r) != (1, 1) for r in rows):
-        return _report(spec, "undetermined")
-    relations = _graver_relations(spec)
-    klass = ("length-one-only" if all(_sides(a) == (1, 1) for a in relations)
+        return DependencyReport("undetermined", None)
+    klass = ("length-one-only" if all(_sides(a) == (1, 1) for a in spec.relations)
              else "undetermined")
-    return _report(spec, klass, relations=relations)
-
-
-def _report(spec: RingSpec, klass: str, witness=None, relations=None) -> DependencyReport:
-    """A DependencyReport whose relations, when already known, are not searched again."""
-    report = DependencyReport(klass, witness, spec)
-    if relations is not None:
-        report.__dict__["relations"] = relations
-    return report
+    return DependencyReport(klass, None)
 
 
 def _sides(a: Sequence[int]) -> tuple[int, int]:

@@ -16,9 +16,9 @@ from typing import Optional
 from projd.diophantine import (
     ExponentVector,
     _coset_minimal,
+    _minimal_lifts,
     bounded_minimal_solutions,
     minimal_nonneg_solutions,
-    shifted_minimal_generators,
     vector_key,
 )
 from projd.fgab import GroupElement, subgroup_member
@@ -101,6 +101,24 @@ def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:
             obstruction = name
     return SheafReport(d, is_free(spec, d), obstruction is None,
                        tuple(chart_units), obstruction)
+
+
+def shifted_minimal_generators(spec: RingSpec, free_coords,
+                               d: GroupElement) -> tuple[ExponentVector, ...]:
+    """Minimal degree-d Laurent monomials modulo the degree-zero semigroup.
+
+    free_coords tells which exponents may be negative.  The result
+    generates {a : deg(a) = d, a >= 0 off free_coords} as a module over the
+    degree-zero semigroup, one canonical representative per unit coset,
+    graded-lex ordered.  Empty iff the solution set is empty; for d = 0 the
+    answer is the zero vector alone.
+    """
+    if d.is_zero():
+        return ((0,) * len(spec.variables),)
+    ok, a0 = subgroup_member(spec.group.subgroup(spec.degrees), d)
+    if not ok:
+        return ()
+    return _minimal_lifts(spec.semigroup(free_coords), a0)
 
 
 def twist_module_generators(spec: RingSpec, f, d: GroupElement) -> tuple[ExponentVector, ...]:

@@ -495,7 +495,7 @@ def companion_by_power_scan(spec, h, f):
 
 
 def graver_relations_by_pairs(spec):
-    """_graver_relations by the split search with every coordinate free:
+    """RingSpec.relations by the split search with every coordinate free:
     its (m, -m) torsion pairs also let through kernel vectors a above
     another one b in the conformal order (b_i * a_i >= 0 and
     |b_i| <= |a_i| for every i), and those are dropped afterwards."""
@@ -642,9 +642,11 @@ def _drop_by_membership(candidates, sg, units):
 
 def _fresh_semigroup(spec, free_coords):
     """The degree-zero semigroup of spec built anew, apart from its memo."""
-    from projd.diophantine import ConstrainedSemigroup, kernel_lattice
+    from projd.diophantine import ConstrainedSemigroup
+    from projd.ringspec import RingSpec
 
-    return ConstrainedSemigroup(len(spec.variables), kernel_lattice(spec), free_coords)
+    fresh = RingSpec(spec.group, spec.variables, spec.degrees, check_effective=False)
+    return ConstrainedSemigroup(len(spec.variables), fresh.kernel, free_coords)
 
 
 def _degree_row_candidates(spec, free_coords, rhs=None):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from types import SimpleNamespace
 
 import oracles
 import pytest
@@ -17,7 +16,7 @@ from projd.charts import (
     psi_image,
     v_plus,
 )
-from projd.diophantine import ConstrainedSemigroup, hilbert_basis, kernel_lattice
+from projd.diophantine import ConstrainedSemigroup, hilbert_basis
 from projd.fgab import FgAbGroup, subgroup_index
 from projd.ringspec import InvalidInput, Monomial, NotEffective, NotRelevant, RingSpec
 from projd.sheaves import unit_of_degree
@@ -101,7 +100,8 @@ def test_chart_intersection_spec_examples():
     R = plane_spec()
     rep = chart_intersection_check(R, "xy", "xz")
     assert rep.ok
-    assert rep.chart.units == ((1, 1, -1),) and rep.chart.generators == ()
+    chart = chart_algebra(R, "x^2*y*z")
+    assert chart.units == ((1, 1, -1),) and chart.generators == ()
     assert rep.inverted == ((-1, -1, 1),)
 
     rep = chart_intersection_check(R, "xy", "xy")
@@ -110,7 +110,7 @@ def test_chart_intersection_spec_examples():
     rep = chart_intersection_check(R, "xz", "yz")
     assert rep.ok
     assert rep.inverted == ((1, 1, -1),)
-    assert rep.chart.units == ((1, 1, -1),)
+    assert chart_algebra(R, "x*y*z^2").units == ((1, 1, -1),)
 
 
 def test_chart_intersection_decompositions_recombine():
@@ -132,7 +132,7 @@ def test_chart_intersection_decompositions_recombine():
                         combo[i] += c * a
                 assert tuple(combo) == tuple(target)
                 seen.add(tuple(target))
-            assert seen == set(rep.chart.pool)
+            assert seen == set(chart_algebra(spec, f * g).pool)
 
 
 def test_psi_image_examples():
@@ -349,15 +349,14 @@ def test_cached_charts_equal_fresh_ones(monkeypatch):
                           [G.element((1, 0)), G.element((0, 1)), G.element((1, 1))],
                           conical_ideal=["x*y", "y*z^2"]))
     for spec in specs:
-        bare = SimpleNamespace(group=spec.group, variables=spec.variables,
-                               degrees=spec.degrees)
+        anew = RingSpec(spec.group, spec.variables, spec.degrees)  # no shared memo
         n = len(spec.variables)
         supports = [Monomial(bits) for bits in itertools.product((0, 1), repeat=n)]
         g0 = spec.irrelevant_generators()[0]
         # visit supports twice, in two orders, so later calls are cache hits
         for m in supports + supports[::-1]:
             sg = spec.semigroup(m.support)
-            fresh = ConstrainedSemigroup(n, kernel_lattice(bare), m.support)
+            fresh = ConstrainedSemigroup(n, anew.kernel, m.support)
             assert (sg.units, sg.generators) == hilbert_basis(fresh)
             del read[:]
             psi_image(spec, m, MonomialPrime(()))
@@ -366,11 +365,12 @@ def test_cached_charts_equal_fresh_ones(monkeypatch):
             if relevant:
                 assert chart_algebra(spec, m) is sg
                 unit_of_degree(spec, m, spec.degree_of(m))
-                report = chart_intersection_check(spec, m, g0)
-                assert report.chart is spec.semigroup(m.support | g0.support)
+                chart_intersection_check(spec, m, g0)
+                fg = spec.semigroup(m.support | g0.support)
+                assert chart_algebra(spec, m * g0) is fg
             assert any(r is sg for r in read)
             assert all(r is spec.semigroup(r.free_coords) for r in read)
-        assert spec.irrelevant_generators() == spec._irrelevant_generators()
+        assert spec.irrelevant_generators() == anew.irrelevant_generators()
 
 
 def test_psi_collision_scan_matches_pairwise_loop():

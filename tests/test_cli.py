@@ -72,22 +72,26 @@ variables:
 
 
 def test_parse_accepts_path(tmp_path):
+    # a spec is text or the bytes of a file; a path is never opened, so the
+    # name of a file is text, and text that is no mapping
     target = tmp_path / "spec.yaml"
     target.write_text(fixture_text("plane"))
-    assert parse_ring_spec(target) == plane_spec()
-    assert parse_ring_spec(str(target)) == plane_spec()
+    assert parse_ring_spec(target.read_bytes()) == plane_spec()
+    with pytest.raises(ParseError) as err:
+        parse_ring_spec(str(target))
+    assert str(err.value) == "document: expected a mapping"
 
 
 def test_parse_accepts_one_line_text_longer_than_a_file_name(tmp_path):
-    # a flow-mapping spec on one line is tried as a path first; at this
-    # length the file-name check itself fails, and the text must still parse
+    # a flow-mapping spec on one line, longer than a file name may be, is
+    # spec text like any other
     degrees = [[i % 2, 1 - i % 2] for i in range(7)] + [[1, 1]]
     text = ("{group: {rank: 2, torsion: []}, variables: ["
             + ", ".join(f"{{name: x{i}, degree: {{free: {d}, torsion: []}}}}"
                         for i, d in enumerate(degrees)) + "]}")
     assert "\n" not in text and len(text) > 255
     assert parse_ring_spec(text).variables == tuple(f"x{i}" for i in range(8))
-    # only a file is read; a directory name is text, and not a spec
+    # the name of a directory is text too, and no spec
     with pytest.raises(ParseError):
         parse_ring_spec(str(tmp_path))
 

@@ -15,13 +15,12 @@ from projd.diophantine import (
     ConstrainedSemigroup,
     bounded_minimal_solutions,
     hilbert_basis,
-    kernel_lattice,
     minimal_nonneg_solutions,
     semigroup_member,
-    shifted_minimal_generators,
 )
 from projd.fgab import FgAbGroup, row_hnf
 from projd.ringspec import RingSpec
+from projd.sheaves import shifted_minimal_generators
 
 
 def _grading(group, lifts, names=None):
@@ -46,18 +45,18 @@ def _same_lattice(a, b, width):
 
 
 def test_kernel_lattice_plane():
-    K = kernel_lattice(_plane_spec())
+    K = _plane_spec().kernel
     assert _same_lattice(K, [(1, 1, -1)], 3)
 
 
 def test_kernel_lattice_torsion():
-    K = kernel_lattice(_torsion_spec())
+    K = _torsion_spec().kernel
     assert _same_lattice(K, [(-1, 1, 1), (0, 2, 0)], 3)
 
 
 def test_kernel_lattice_matches_degree_zero_box():
     for spec in (_plane_spec(), _torsion_spec()):
-        K = kernel_lattice(spec)
+        K = spec.kernel
         for cand in oracles.box(3, -3, 3):
             deg = spec.group.zero()
             for c, d in zip(cand, spec.degrees):
@@ -66,7 +65,7 @@ def test_kernel_lattice_matches_degree_zero_box():
 
 
 def test_hilbert_basis_plane_charts():
-    K = kernel_lattice(_plane_spec())
+    K = _plane_spec().kernel
     units, gens = hilbert_basis(ConstrainedSemigroup(3, K, frozenset({0, 1})))
     assert units == () and gens == ((-1, -1, 1),)
     units, gens = hilbert_basis(ConstrainedSemigroup(3, K, frozenset({0, 1, 2})))
@@ -74,14 +73,14 @@ def test_hilbert_basis_plane_charts():
 
 
 def test_hilbert_basis_torsion_chart():
-    K = kernel_lattice(_torsion_spec())
+    K = _torsion_spec().kernel
     units, gens = hilbert_basis(ConstrainedSemigroup(3, K, frozenset({0})))
     assert units == ()
     assert set(gens) == {(-1, 1, 1), (0, 2, 0), (-2, 0, 2)}
 
 
 def test_hilbert_basis_invariant_under_basis_change():
-    K = kernel_lattice(_torsion_spec())
+    K = _torsion_spec().kernel
     sg = ConstrainedSemigroup(3, K, frozenset({0}))
     base = hilbert_basis(sg)
     # permute and mix the presented basis; the lattice is unchanged
@@ -100,7 +99,7 @@ def test_semigroup_member_examples():
 
 
 def test_semigroup_member_over_constrained_semigroup():
-    K = kernel_lattice(_plane_spec())
+    K = _plane_spec().kernel
     units, gens = hilbert_basis(ConstrainedSemigroup(3, K, frozenset({0, 1})))
     pool = list(gens) + list(units) + [tuple(-a for a in u) for u in units]
     got = semigroup_member(pool, (-2, -2, 2))
@@ -253,7 +252,7 @@ def test_one_reduction_rule_matches_the_former_reductions():
             cases.append((spec, free, rng.sample(degrees, min(3, len(degrees)))))
     queries = 0
     for spec, free, degrees in cases:
-        sg = ConstrainedSemigroup(len(spec.variables), kernel_lattice(spec), free)
+        sg = ConstrainedSemigroup(len(spec.variables), spec.kernel, free)
         assert hilbert_basis(sg) == oracles.hilbert_basis_by_decomposition(sg), (spec, free)
         for d in degrees:
             assert shifted_minimal_generators(spec, free, d) == \
@@ -271,7 +270,7 @@ def test_hilbert_basis_matches_the_degree_row_search_on_wider_lattices():
         n = rng.randint(4, 5)
         sg = _random_semigroup(rng, n)
         spec = oracles.grading_of_lattice(sg.kernel_basis, n)
-        assert kernel_lattice(spec) == sg.kernel_basis
+        assert spec.kernel == sg.kernel_basis
         assert hilbert_basis(sg) == \
             oracles.hilbert_basis_by_degree_rows(spec, sg.free_coords), sg
 
@@ -376,7 +375,7 @@ def test_bounded_minimal_solutions_against_box():
 def _degree_row_systems(rng, count):
     """(rows, ncols, rhs, bound) of the shapes the library poses through
     _degree_rows, on seeded gradings with torsion [6] or [2, 2]."""
-    from projd.diophantine import _degree_rows
+    from projd.ringspec import _degree_rows
 
     systems = []
     for k in range(count):
@@ -389,13 +388,13 @@ def _degree_row_systems(rng, count):
         d = G.from_lift([rng.randint(-1, 3) for _ in range(r)]
                         + [rng.randrange(t) for t in G.torsion])
         rows, rhs, width = _degree_rows(spec, G.zero())
-        systems.append((rows, width, None, None))  # kernel_lattice
+        systems.append((rows, width, None, None))  # RingSpec.kernel
         rows, rhs, width = _degree_rows(spec, d)
         systems += [(rows, width, rhs, None), (rows, width, rhs, rng.randint(0, 6))]
         h, f = spec.degrees[0], sum(spec.degrees[1:], G.zero())
         rows, rhs, width = _degree_rows(spec, -h, (-f,))  # degree_zero_companion
         systems.append((rows, width, rhs, None))
-        if n <= 3:  # _graver_relations
+        if n <= 3:  # RingSpec.relations
             rows, rhs, width = _degree_rows(spec, G.zero(), [-e for e in spec.degrees])
             systems.append((rows, width, None, None))
     return systems
@@ -543,6 +542,7 @@ def test_invariant_checks_survive_optimized_mode():
         "from projd.diophantine import ConstrainedSemigroup, InvariantError\n"
         "from projd.fgab import FgAbGroup\n"
         "from projd.ringspec import RingSpec\n"
+        "from projd.sheaves import shifted_minimal_generators\n"
         "assert False, 'asserts must be off in this check'\n"
         "G = FgAbGroup(2)\n"
         "spec = RingSpec(G, ['x', 'y', 'z'], [G.element((1, 0)),\n"
@@ -550,7 +550,7 @@ def test_invariant_checks_survive_optimized_mode():
         "d.ConstrainedSemigroup.units = ()\n"
         "for call in (lambda: d.hilbert_basis(ConstrainedSemigroup(\n"
         "                 3, ((1, 1, -1),), frozenset({0, 1, 2}))),\n"
-        "             lambda: d.shifted_minimal_generators(\n"
+        "             lambda: shifted_minimal_generators(\n"
         "                 spec, {0, 1, 2}, G.element((1, 0)))):\n"
         "    try:\n"
         "        call()\n"

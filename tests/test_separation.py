@@ -6,17 +6,18 @@ import json
 import math
 import random
 import time
+from functools import cached_property
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.charts import chart_algebra
+from projd.cli import execute
 from projd.diophantine import minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
 from projd.ringspec import NotEffective, NotRelevant, RingSpec
 from projd.separation import (
-    _graver_relations,
     _maximal_independent_sets,
     classify_dependencies,
     is_separated,
@@ -151,8 +152,10 @@ def test_mu_witness_iff_weak_and_decompositions_recombine():
         for f, g in itertools.combinations(gens, 2):
             report = mu_surjective(spec, f, g)
             assert report.weak == (report.witness is not None)
+            weak, witness, decompositions = oracles.mu_audit_by_search(spec, f, g)
+            assert (report.weak, report.witness) == (weak, witness)
             pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
-            for target, coeffs in report.decompositions:
+            for target, coeffs in decompositions:
                 assert len(coeffs) == len(pool)
                 assert all(c >= 0 for c in coeffs)
                 combined = [0] * len(target)
@@ -161,7 +164,7 @@ def test_mu_witness_iff_weak_and_decompositions_recombine():
                         combined[i] += c * a
                 assert tuple(combined) == target
             if not report.weak:
-                targets = {t for t, _ in report.decompositions}
+                targets = {t for t, _ in decompositions}
                 assert targets == set(chart_algebra(spec, f * g).pool)
 
 
@@ -253,31 +256,40 @@ def test_rank_zero_always_separated():
 
 
 def test_classify_line():
-    report = classify_dependencies(line_spec())
+    R = line_spec()
+    report = classify_dependencies(R)
     assert report.klass == "length-one-only"
-    assert report.relations == ((1, -1, 0),)
+    assert R.relations == ((1, -1, 0),)
     assert report.witness is None
-    assert report.scope == "variable-degree relations"
+    assert execute(R, "deps", [])["scope"] == "variable-degree relations"
 
 
 def test_classify_plane():
-    report = classify_dependencies(plane_spec())
+    R = plane_spec()
+    report = classify_dependencies(R)
     assert report.klass == "nontrivial-irreducible"
     assert report.witness == (1, 1, -1)
-    assert report.relations == ((1, 1, -1),)
+    assert R.relations == ((1, 1, -1),)
 
 
 def test_classify_torsion():
-    report = classify_dependencies(torsion_spec())
-    assert report.klass != "nontrivial-irreducible"
-    assert report.relations == ((0, 2, 0), (1, -1, -1), (1, 1, -1), (2, 0, -2))
+    R = torsion_spec()
+    assert classify_dependencies(R).klass != "nontrivial-irreducible"
+    assert R.relations == ((0, 2, 0), (1, -1, -1), (1, 1, -1), (2, 0, -2))
 
 
-def test_classify_independent_degrees():
+def test_classify_independent_degrees(monkeypatch):
+    # an empty kernel has no relations, and no search is run for them
+    import projd.ringspec as ringspec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graver search")
+
+    monkeypatch.setattr(ringspec, "minimal_nonneg_solutions", refuse)
     G = FgAbGroup(2)
     R = RingSpec(G, ["x", "y"], [G.element((1, 0)), G.element((0, 1))])
     report = classify_dependencies(R)
-    assert report.klass == "none" and report.relations == ()
+    assert report.klass == "none" and R.relations == ()
 
 
 def test_classify_quad_and_five_undetermined():
@@ -287,13 +299,13 @@ def test_classify_quad_and_five_undetermined():
 
 
 def test_graver_relations_quad():
-    assert _graver_relations(quad_spec()) == (
+    assert quad_spec().relations == (
         (1, -1, 0, 0), (0, 1, -1, 1), (1, 0, -1, 1))
 
 
 def test_graver_relations_sign_canonical_and_sorted():
     for spec in (plane_spec(), torsion_spec(), quad_spec(), five_spec()):
-        rels = _graver_relations(spec)
+        rels = spec.relations
         assert list(rels) == sorted(rels, key=vector_key)
         for a in rels:
             assert next(v for v in a if v) > 0
@@ -307,14 +319,14 @@ def test_graver_relations_drop_conformally_dominated_vectors():
     G = FgAbGroup(1, [2, 2])
     R = RingSpec(G, ["x", "y", "z"], [G.element((0,), (1, 1)), G.element((0,), (0, 1)),
                                       G.element((1,), (0, 1))])
-    assert _graver_relations(R) == ((0, 2, 0), (2, 0, 0))
+    assert R.relations == ((0, 2, 0), (2, 0, 0))
     # no dominated vector joins the span of the others, so the relation
     # xz^4 = y^2 stays irreducible and decides the class
     G = FgAbGroup(2, [4])
     R = RingSpec(G, ["x", "y", "z", "w"],
                  [G.element((2, 0), (0,)), G.element((1, 2), (2,)),
                   G.element((0, 1), (2,)), G.element((0, 0), (3,))])
-    assert _graver_relations(R) == ((0, 0, 0, 4), (1, -2, 4, 0))
+    assert R.relations == ((0, 0, 0, 4), (1, -2, 4, 0))
     assert classify_dependencies(R).klass == "nontrivial-irreducible"
     assert not is_separated(R).separated
 
@@ -337,7 +349,7 @@ def test_graver_relations_match_the_box_search():
             R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
         except NotEffective:
             continue
-        relations = _graver_relations(R)
+        relations = R.relations
         bound = max((abs(v) for a in relations for v in a), default=1)
         assert relations == oracles.graver_basis_in_box(R, bound), (G, degrees)
         klass = classify_dependencies(R).klass
@@ -369,7 +381,7 @@ def test_graver_relations_match_the_pair_search():
             R = RingSpec(G, [f"v{i}" for i in range(n)], degrees)
         except NotEffective:
             continue
-        assert _graver_relations(R) == oracles.graver_relations_by_pairs(R), (G, degrees)
+        assert R.relations == oracles.graver_relations_by_pairs(R), (G, degrees)
         drawn.add((r, G.torsion))
         cases += 1
     assert {t for _, t in drawn} == {(), (2,), (3,), (4,), (6,), (2, 2)}
@@ -406,7 +418,7 @@ def test_classify_dependencies_matches_the_smith_reducibility_test():
         except NotEffective:
             continue
         report = classify_dependencies(R)
-        witness = _first_irreducible_by_smith(report.relations, G.torsion[-1])
+        witness = _first_irreducible_by_smith(R.relations, G.torsion[-1])
         assert report.witness == witness, (G, degrees)
         assert (report.klass == "nontrivial-irreducible") == (witness is not None)
         classes.add(report.klass)
@@ -415,9 +427,17 @@ def test_classify_dependencies_matches_the_smith_reducibility_test():
     assert classes == {"nontrivial-irreducible", "undetermined", "length-one-only"}
     assert {(6,), (2, 2)} <= {t for _, t, _ in drawn}
     assert {r for r, _, neg in drawn if neg} == {1, 2, 3}
-    report = classify_dependencies(l6_spec())
-    assert report.witness == _first_irreducible_by_smith(report.relations, 1)
+    R = l6_spec()
+    report = classify_dependencies(R)
+    assert report.witness == _first_irreducible_by_smith(R.relations, 1)
     assert report.klass == "undetermined"
+
+
+def _patch_relations(monkeypatch, search):
+    """Rebind RingSpec.relations to a cached property over search."""
+    relations = cached_property(search)
+    relations.__set_name__(RingSpec, "relations")
+    monkeypatch.setattr(RingSpec, "relations", relations)
 
 
 def test_classify_dependencies_matches_the_graver_support_classifier(monkeypatch):
@@ -425,16 +445,14 @@ def test_classify_dependencies_matches_the_graver_support_classifier(monkeypatch
     # the Graver relations give.  Z/6 is drawn on at most three variables
     # and not at rank 3, and rank 3 on at most four variables with entries
     # -1..1: beyond that, some oracle Graver searches run past 5 s each
-    import projd.separation as separation
-
     searched = []
-    search = separation._graver_relations
+    search = RingSpec.relations.func
 
     def counted(spec):
         searched.append(spec)
         return search(spec)
 
-    monkeypatch.setattr(separation, "_graver_relations", counted)
+    _patch_relations(monkeypatch, counted)
     rng = random.Random(251)
     outcomes = set()
     cases = 0
@@ -453,8 +471,8 @@ def test_classify_dependencies_matches_the_graver_support_classifier(monkeypatch
         report = classify_dependencies(R)
         fell_back = bool(searched)
         # read once: searched by the fallback, else on this first read
-        relations = report.relations
-        assert len(searched) == (report.klass != "none"), (G, degrees)
+        relations = R.relations
+        assert searched == [R], (G, degrees)
         assert (report.klass, report.witness) == \
             oracles.classify_by_graver_supports(relations), (G, degrees)
         multiple = report.witness is not None and math.gcd(*report.witness) > 1
@@ -469,26 +487,26 @@ def test_classify_dependencies_matches_the_graver_support_classifier(monkeypatch
 def test_is_separated_runs_no_graver_search(monkeypatch):
     # the class of each grading below comes from the echelon screen; the
     # Graver relations are searched only when every reduced row is a pair
-    import projd.separation as separation
-
     def refuse(spec):
         raise AssertionError("Graver search")
 
-    monkeypatch.setattr(separation, "_graver_relations", refuse)
+    _patch_relations(monkeypatch, refuse)
     ladder = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
     for R in (graded(2, [], ladder),
               graded(2, [6], [(2, 3, 3), (3, 0, 2), (3, 2, 4), (1, 2, 1), (2, 1, 5)]),
               graded(3, [], [(6, 8, 8), (0, 0, 1), (-2, -3, -3), (0, 1, 0), (-5, -6, -6)])):
         assert is_separated(R).dependency_class == "undetermined"
     searched = []
-    monkeypatch.setattr(separation, "_graver_relations",
-                        lambda spec: searched.append(spec) or ((1, -1, 0, 0), (0, 0, 1, -1)))
+    _patch_relations(monkeypatch,
+                     lambda spec: searched.append(spec) or ((1, -1, 0, 0), (0, 0, 1, -1)))
     p1p1 = graded(2, [], [(1, 0), (1, 0), (0, 1), (0, 1)])
     verdict = is_separated(p1p1)
     assert verdict.separated and verdict.dependency_class == "length-one-only"
     assert searched == [p1p1]
-    searched.clear()
-    assert classify_dependencies(p1p1).relations == ((1, -1, 0, 0), (0, 0, 1, -1))
+    # deps after separated reads the relations that the class searched
+    deps = execute(p1p1, "deps", [])
+    assert deps["class"] == "length-one-only"
+    assert deps["relations"] == [[1, -1, 0, 0], [0, 0, 1, -1]]
     assert searched == [p1p1]
 
 
@@ -624,8 +642,8 @@ def _random_gradings(rng, count):
 
 def test_mu_matches_the_search_of_every_target(monkeypatch):
     # the former audit searched every target; the sign rules must give the
-    # same weak flags, witnesses and decompositions, and leave exactly the
-    # targets that neither rule settles to the search
+    # same weak flags and witnesses, and leave exactly the targets that
+    # neither rule settles to the search
     from projd.cli import fixture_text, parse_ring_spec
 
     specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
@@ -643,7 +661,6 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
             calls = list(searched)
             weak, witness, decompositions = oracles.mu_audit_by_search(spec, f, g)
             assert (report.weak, report.witness) == (weak, witness), (spec, f, g)
-            assert report.decompositions == decompositions, (spec, f, g)
             audited = [t for t, _ in decompositions] + ([witness] if weak else [])
             pool_f, pool_g = chart_algebra(spec, f).pool, chart_algebra(spec, g).pool
             fired = [_settling_rule(t, f, g, pool_f, pool_g) for t in audited]

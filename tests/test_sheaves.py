@@ -8,12 +8,7 @@ import time
 import oracles
 import projd.fgab
 import pytest
-from projd.diophantine import (
-    hilbert_basis,
-    kernel_lattice,
-    semigroup_member,
-    shifted_minimal_generators,
-)
+from projd.diophantine import hilbert_basis, semigroup_member
 from projd.fgab import FgAbGroup, kernel_basis, solve_linear, subgroup_member
 from projd.ringspec import Monomial, NotEffective, NotRelevant, RingSpec
 from projd.sheaves import (
@@ -21,6 +16,7 @@ from projd.sheaves import (
     global_sections,
     is_free,
     is_invertible,
+    shifted_minimal_generators,
     twist_module_generators,
     twist_product_surjective,
     unit_of_degree,
@@ -189,7 +185,7 @@ def test_kernels_witnesses_and_freeness_need_no_smith_form(monkeypatch):
         K = kernel_basis(A, len(cols))
         assert len(K) == len(cols) - dim
         assert all(not any(oracles.mat_vec(A, list(v))) for v in K)
-        L = kernel_lattice(R)
+        L = R.kernel
         assert len(L) == n - R.group.rank
         for a in L:
             assert R.degree_of(Monomial(tuple(max(c, 0) for c in a))) == \
