@@ -96,7 +96,8 @@ class ConstrainedSemigroup:
 
 def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
                              rhs: Optional[Sequence[int]] = None,
-                             least_only: bool = False) -> list[ExponentVector]:
+                             least_only: bool = False,
+                             least_by: Optional[int] = None) -> list[ExponentVector]:
     """Minimal solutions of rows @ x = rhs with x >= 0 integral.
 
     With rhs omitted this is the Hilbert basis of the solution monoid,
@@ -111,12 +112,20 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
     recorded at its level: the result is exactly the least-norm part of the
     full answer, and its first entry is the full answer's first entry.
 
+    least_by = p, with rhs given, returns only the solution least by x_p,
+    then by vector_key of x[:p], found by branch and bound: the search
+    drops every vector t with (t_p, |t[:p]|) past that pair of the least
+    solution recorded so far.  The proof that this loses nothing is in
+    ringspec.degree_zero_companion, its one caller.
+
     >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4])
     [(0, 2), (2, 1), (4, 0)]
     >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_only=True)
     [(0, 2)]
+    >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_by=1)
+    [(4, 0)]
     """
-    return _contejean_devie(rows, ncols, rhs, least_only)[0]
+    return _contejean_devie(rows, ncols, rhs, least_only, least_by=least_by)[0]
 
 
 def bounded_minimal_solutions(rows: Sequence[Sequence[int]], ncols: int,
@@ -140,12 +149,16 @@ def bounded_minimal_solutions(rows: Sequence[Sequence[int]], ncols: int,
     return sols, not cut
 
 
-def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
+def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None,
+                     least_by=None):
     """The search behind minimal_nonneg_solutions: (solutions, cut).
 
     With a bound, vectors whose first ncols entries sum past it are left
     unexplored, and cut says whether any was.  Only rhs None is
-    homogeneous: a given zero rhs has the one minimal solution 0.
+    homogeneous: a given zero rhs has the one minimal solution 0.  With
+    least_by = p, each level is cut, before it is recorded, to the vectors
+    t with (t_p, |t[:p]|) no greater than that pair of the best solution
+    recorded so far.
     """
     if rhs is not None and not any(rhs):
         return [(0,) * ncols], False
@@ -160,6 +173,7 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
 
     cut = False
     returned = False  # a solution that is returned has been recorded
+    p, best = least_by, None  # the least (x_p, vector_key(x[:p]), x) recorded
     minimals: list[tuple[int, ...]] = []
     # minimals by (coordinate, value): a frontier vector t dominates no
     # minimal, so t + e_j can only dominate a minimal m with m_j = t_j + 1
@@ -173,6 +187,9 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
         frontier.append((t, dots, norm))
     seen = {t for t, _, _ in frontier}
     while frontier:
+        if best:  # least_by: drop what can no longer beat the best
+            cap = best[0], best[1][0]
+            frontier = [v for v in frontier if (v[0][p], sum(v[0][:p])) <= cap]
         # record the whole level before extending any of it, so that no
         # vector on the next frontier dominates a recorded minimal; a
         # solution on the frontier is then minimal.  Counter 0 solutions
@@ -187,6 +204,11 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
                         by_entry.setdefault((i, a), []).append(t)
         if least_only and returned:
             break  # every least-norm solution is recorded by now
+        if least_by is not None:
+            for t, dots, _ in frontier:
+                if not any(dots) and t[ncols] == 1:
+                    key = (t[p], vector_key(t[:p]), t[:ncols])
+                    best = min(best, key) if best else key
         nxt = []
         for t, dots, norm in frontier:
             if not any(dots):
@@ -207,6 +229,8 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None):
         frontier = nxt
     if homogeneous:
         return sorted(minimals, key=vector_key), cut
+    if least_by is not None:
+        return [best[2]] if best else [], cut
     out = [m[:ncols] for m in minimals if m[ncols] == 1]
     return sorted(out, key=vector_key), cut
 

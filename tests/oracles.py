@@ -468,6 +468,21 @@ def degree_rows_with_pairs(spec, free_coords):
     return rows, len(conn) + 2 * len(free) + 2 * len(group.torsion), assemble
 
 
+def companion_by_listing(spec, h, f):
+    """ringspec.degree_zero_companion as one full listing: every minimal
+    (g, k) of its search, then the least by k and graded-lex g."""
+    from projd.diophantine import minimal_nonneg_solutions, vector_key
+    from projd.ringspec import Monomial, _degree_rows
+
+    if not spec.is_relevant(f):
+        return None
+    n = len(spec.variables)
+    rows, rhs, width = _degree_rows(spec, -spec.degree_of(h), (-spec.degree_of(f),))
+    sols = minimal_nonneg_solutions(rows, width, rhs=rhs)
+    best = min(sols, key=lambda sol: (sol[n], vector_key(sol[:n])))
+    return Monomial(best[:n]), best[n]
+
+
 def companion_by_power_scan(spec, h, f):
     """degree_zero_companion by trying each power N up to [D : D^f] in
     turn, every minimal solution of one power before the next."""

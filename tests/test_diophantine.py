@@ -392,7 +392,9 @@ def _degree_row_systems(rng, count):
         rows, rhs, width = _degree_rows(spec, d)
         systems += [(rows, width, rhs, None), (rows, width, rhs, rng.randint(0, 6))]
         h, f = spec.degrees[0], sum(spec.degrees[1:], G.zero())
-        rows, rhs, width = _degree_rows(spec, -h, (-f,))  # degree_zero_companion
+        # the system of degree_zero_companion, listed in full as
+        # oracles.companion_by_listing lists it
+        rows, rhs, width = _degree_rows(spec, -h, (-f,))
         systems.append((rows, width, rhs, None))
         if n <= 3:  # RingSpec.relations
             rows, rhs, width = _degree_rows(spec, G.zero(), [-e for e in spec.degrees])
