@@ -53,6 +53,11 @@ def _expect(condition: bool, where: str, what: str):
         raise ParseError(f"{where}: {what}")
 
 
+def _known_keys(mapping: dict, where: str, keys: set[str]):
+    unknown = set(mapping) - keys
+    _expect(not unknown, where, f"unknown keys {sorted(unknown, key=str)}")
+
+
 def _int_list(value, where, length=None) -> list[int]:
     _expect(isinstance(value, list), where, "expected a list of integers")
     out = []
@@ -120,10 +125,10 @@ def parse_ring_spec(source) -> RingSpec:
 
 def ring_spec_from_dict(data) -> RingSpec:
     _expect(isinstance(data, dict), "document", "expected a mapping")
-    unknown = set(data) - {"group", "variables", "B"}
-    _expect(not unknown, "document", f"unknown keys {sorted(unknown)}")
+    _known_keys(data, "document", {"group", "variables", "B"})
     group_data = data.get("group")
     _expect(isinstance(group_data, dict), "group", "expected a mapping")
+    _known_keys(group_data, "group", {"rank", "torsion"})
     rank = group_data.get("rank")
     _expect(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0,
             "group.rank", f"expected a nonnegative integer, got {rank!r}")
@@ -138,12 +143,14 @@ def ring_spec_from_dict(data) -> RingSpec:
     for i, entry in enumerate(entries):
         where = f"variables[{i}]"
         _expect(isinstance(entry, dict), where, "expected a mapping")
+        _known_keys(entry, where, {"name", "degree"})
         name = entry.get("name")
         _expect(isinstance(name, str) and name.isidentifier(), f"{where}.name",
                 f"expected an identifier, got {name!r}")
         _expect(name not in names, f"{where}.name", f"duplicate name {name!r}")
         deg = entry.get("degree")
         _expect(isinstance(deg, dict), f"{where}.degree", "expected a mapping")
+        _known_keys(deg, f"{where}.degree", {"free", "torsion"})
         free = _int_list(deg.get("free", []), f"{where}.degree.free", rank)
         tors = _int_list(deg.get("torsion", []), f"{where}.degree.torsion",
                          len(torsion))

@@ -96,7 +96,6 @@ class ConstrainedSemigroup:
 
 def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
                              rhs: Optional[Sequence[int]] = None,
-                             least_only: bool = False,
                              least_by: Optional[int] = None) -> list[ExponentVector]:
     """Minimal solutions of rows @ x = rhs with x >= 0 integral.
 
@@ -105,27 +104,18 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
     counter coordinate forced to 1, and the returned vectors are exactly
     the minimal inhomogeneous solutions: for a zero rhs, zero alone.
 
-    least_only stops the search after the first level that records a
-    returned solution and returns only the solutions of that level.  Level
-    k holds the vectors of L1 norm k (counter included), and a solution of
-    least norm can dominate no other solution, so it is minimal and is
-    recorded at its level: the result is exactly the least-norm part of the
-    full answer, and its first entry is the full answer's first entry.
-
-    least_by = p, with rhs given, returns only the solution least by x_p,
-    then by vector_key of x[:p], found by branch and bound: the search
-    drops every vector t with (t_p, |t[:p]|) past that pair of the least
-    solution recorded so far.  The proof that this loses nothing is in
-    ringspec.degree_zero_companion, its one caller.
+    least_by = p returns only the least solution, found without listing
+    the others: the least by (x_p, vector_key(x[:p])) for p < ncols, and
+    the graded-lex least for p = ncols.  See _contejean_devie.
 
     >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4])
     [(0, 2), (2, 1), (4, 0)]
-    >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_only=True)
+    >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_by=2)
     [(0, 2)]
     >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4], least_by=1)
     [(4, 0)]
     """
-    return _contejean_devie(rows, ncols, rhs, least_only, least_by=least_by)[0]
+    return _contejean_devie(rows, ncols, rhs, least_by=least_by)[0]
 
 
 def bounded_minimal_solutions(rows: Sequence[Sequence[int]], ncols: int,
@@ -149,16 +139,29 @@ def bounded_minimal_solutions(rows: Sequence[Sequence[int]], ncols: int,
     return sols, not cut
 
 
-def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None,
-                     least_by=None):
+def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     """The search behind minimal_nonneg_solutions: (solutions, cut).
 
-    With a bound, vectors whose first ncols entries sum past it are left
-    unexplored, and cut says whether any was.  Only rhs None is
-    homogeneous: a given zero rhs has the one minimal solution 0.  With
-    least_by = p, each level is cut, before it is recorded, to the vectors
-    t with (t_p, |t[:p]|) no greater than that pair of the best solution
-    recorded so far.
+    Only rhs None is homogeneous: a given zero rhs has the one minimal
+    solution 0.  Besides the Contejean-Devie rules, one cap stops the
+    search early.  A vector t has the key (t_p, |t[:p]|) for a lead column
+    p = least_by < ncols, and (0, |t[:ncols]|) otherwise.  A vector whose
+    key exceeds the cap is never explored, and cut says whether any was.
+    The cap is (0, bound) for a bounded search.  In the least mode
+    (least_by given, no bound) it is the key of the least solution
+    recorded so far, least by (key, x) with x = t[:ncols]; only that
+    solution is returned.  The least mode loses nothing:
+
+    * steps only raise coordinates, so keys never fall along a path: no
+      extension of a vector past the cap has a key within it.
+    * no solution's key is below the least minimal solution's: taking
+      away counter-0 minimal solutions while one lies below a solution s
+      leaves a minimal solution m <= s with counter 1, whose key is no
+      greater than s's.  So the cap never falls below that key.
+    * the search reaches the least minimal solution s* through vectors
+      t <= s*, whose keys are no greater than its own, so none of them
+      is dropped, and s* is recorded.  A vector with the cap's own key is
+      kept: it may lead to an x with the same key that is lex smaller.
     """
     if rhs is not None and not any(rhs):
         return [(0,) * ncols], False
@@ -170,47 +173,44 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None,
     # and t + e_j carries dots + gram[j].  A t lies in the span of the
     # columns, so it is zero exactly when every dot is.
     gram = [tuple(sum(map(mul, c, d)) for d in columns) for c in columns]
+    # t + e_j has the key of t plus (j == lead, j < p)
+    p = ncols if least_by is None else min(least_by, ncols)
+    lead = p if p < ncols else -1
 
     cut = False
-    returned = False  # a solution that is returned has been recorded
-    p, best = least_by, None  # the least (x_p, vector_key(x[:p]), x) recorded
+    cap = None if bound is None else (0, bound)
+    best = None  # least mode: the least (key, x) recorded
     minimals: list[tuple[int, ...]] = []
     # minimals by (coordinate, value): a frontier vector t dominates no
     # minimal, so t + e_j can only dominate a minimal m with m_j = t_j + 1
     by_entry: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    frontier = []  # (t, dots, sum of the first ncols entries of t)
+    frontier = []  # (t, dots, key of t)
     for j, dots in enumerate(gram):
-        t, norm = (0,) * j + (1,) + (0,) * (len(gram) - j - 1), int(j < ncols)
-        if bound is not None and norm > bound:
+        t = (0,) * j + (1,) + (0,) * (len(gram) - j - 1)
+        key = (int(j == lead), int(j < p))
+        if cap is not None and key > cap:
             cut = True
             continue
-        frontier.append((t, dots, norm))
+        frontier.append((t, dots, key))
     seen = {t for t, _, _ in frontier}
     while frontier:
-        if best:  # least_by: drop what can no longer beat the best
-            cap = best[0], best[1][0]
-            frontier = [v for v in frontier if (v[0][p], sum(v[0][:p])) <= cap]
         # record the whole level before extending any of it, so that no
         # vector on the next frontier dominates a recorded minimal; a
         # solution on the frontier is then minimal.  Counter 0 solutions
         # are recorded too: pruning against them is what bounds the
         # search, they are filtered on return.
-        for t, dots, _ in frontier:
+        for t, dots, key in frontier:
             if not any(dots):
                 minimals.append(t)
-                returned = returned or homogeneous or t[ncols] == 1
                 for i, a in enumerate(t):
                     if a:
                         by_entry.setdefault((i, a), []).append(t)
-        if least_only and returned:
-            break  # every least-norm solution is recorded by now
-        if least_by is not None:
-            for t, dots, _ in frontier:
-                if not any(dots) and t[ncols] == 1:
-                    key = (t[p], vector_key(t[:p]), t[:ncols])
-                    best = min(best, key) if best else key
+                if least_by is not None and (homogeneous or t[ncols] == 1):
+                    if best is None or (key, t[:ncols]) < best:
+                        best = key, t[:ncols]
+                        cap = key
         nxt = []
-        for t, dots, norm in frontier:
+        for t, dots, (lead_t, norm) in frontier:
             if not any(dots):
                 continue
             for j, dot in enumerate(dots):
@@ -220,17 +220,17 @@ def _contejean_devie(rows, ncols, rhs=None, least_only=False, bound=None,
                 if t2 in seen or any(all(map(le, m, t2))
                                      for m in by_entry.get((j, t2[j]), ())):
                     continue
-                norm2 = norm + (j < ncols)
-                if bound is not None and norm2 > bound:
+                key2 = (lead_t + (j == lead), norm + (j < p))
+                if cap is not None and key2 > cap:
                     cut = True
                     continue
                 seen.add(t2)
-                nxt.append((t2, tuple(map(add, dots, gram[j])), norm2))
+                nxt.append((t2, tuple(map(add, dots, gram[j])), key2))
         frontier = nxt
+    if least_by is not None:
+        return [best[1]] if best else [], cut
     if homogeneous:
         return sorted(minimals, key=vector_key), cut
-    if least_by is not None:
-        return [best[2]] if best else [], cut
     out = [m[:ncols] for m in minimals if m[ncols] == 1]
     return sorted(out, key=vector_key), cut
 
@@ -380,7 +380,7 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
         keep = [j for j in keep if j not in capped]
     rows = [[gens[j][i] for j in keep] for i in range(len(target))]
     sols = minimal_nonneg_solutions(rows, len(keep), rhs=list(target),
-                                    least_only=True)
+                                    least_by=len(keep))
     if not sols:
         return None
     coeffs = [0] * len(gens)

@@ -329,27 +329,15 @@ def degree_zero_companion(spec: RingSpec, h: Monomial,
     some c in -h + L is >= 0 off F.  Then g = c + k*f >= 0 for k = max over
     i in F of ceil(max(0, -c_i) / f_i), and deg(h * g) = deg(f^k).
 
-    The pairs are the counter-1 solutions s = (g, k, torsion columns) of one
-    Contejean-Devie search, and the torsion columns are fixed by (g, k).
-    The search keeps the least (k, vector_key(g)) recorded so far and drops
-    every vector t whose (t_k, |t_g|) exceeds that (k, |g|), so nothing is
-    listed.  It loses nothing.  Let s* be the least minimal solution:
-
-    * no solution s has a key below s*: taking away counter-0 minimal
-      solutions while one lies below s leaves a solution above a minimal
-      solution m with counter 1; m_g <= s_g and m_k <= s_k, so m's key is
-      no greater than s's.  So the best is never below s*.
-    * steps only raise coordinates, so (t_k, |t_g|) never falls along a
-      path in the lexicographic order: no extension of a dropped vector
-      beats the best.
-    * the search reaches s* through vectors t <= s*, each with (t_k, |t_g|)
-      no greater than s*'s pair, so none of them is dropped, and s* is
-      recorded.  A vector with the best's own pair is kept: it may lead to
-      a g of the same norm that is graded-lex smaller and is recorded at a
-      later level, because its torsion columns are larger.
-
-    The order reads only the k column and the n exponent columns, never
-    the search level, which counts the torsion columns too.
+    The pairs are the counter-1 solutions s = (g, k, torsion columns) of
+    one Contejean-Devie search in its least mode with lead column k, which
+    lists nothing (see diophantine._contejean_devie).  Its order reads
+    only the k column and the n exponent columns, never the search level,
+    which counts the torsion columns too.  The torsion columns are fixed
+    by (g, k), but they make a tie: a vector with the best's (k, |g|) may
+    lead to a g of the same norm that is graded-lex smaller and is
+    recorded at a later level, because its torsion columns are larger;
+    the least mode keeps such a vector.
     """
     if not spec.is_relevant(f):
         return None

@@ -179,8 +179,8 @@ def _is_pointed(spec: RingSpec) -> bool:
     has degree zero: only the free coordinates need checking, and a single
     nonnegative solution of them settles the question.
     """
-    return not minimal_nonneg_solutions(_free_degree_rows(spec), len(spec.variables),
-                                        least_only=True)
+    n = len(spec.variables)
+    return not minimal_nonneg_solutions(_free_degree_rows(spec), n, least_by=n)
 
 
 def global_sections(spec: RingSpec, d: GroupElement,

@@ -119,6 +119,32 @@ def test_semantic_errors_name_the_offending_element():
         assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("group: {rank: 1, torsion: []}\nvariables: []\nvariable: []",
+     "document: unknown keys ['variable']"),
+    # keys of mixed types are listed, not compared
+    ("group: {rank: 1, torsion: []}\nvariables: []\n1: a\nfoo: b",
+     "document: unknown keys [1, 'foo']"),
+    ("group: {rank: 1, torsoin: [2]}\nvariables: []",
+     "group: unknown keys ['torsoin']"),
+    ("group: {rank: 1, torsion: []}\nvariables: [{name: x, weight: 2, degree: "
+     "{free: [1], torsion: []}}]", "variables[0]: unknown keys ['weight']"),
+    ("group: {rank: 1, torsion: [2]}\nvariables: [{name: x, degree: "
+     "{free: [1], torsoin: [1]}}]", "variables[0].degree: unknown keys ['torsoin']"),
+])
+def test_unknown_keys_are_rejected_at_every_level(tmp_path, text, message):
+    # a misspelled key is an error, never a default: group: {torsoin: [2]}
+    # would otherwise read as a group without torsion
+    with pytest.raises(ParseError) as err:
+        parse_ring_spec(text)
+    assert str(err.value) == message
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    result = CliRunner().invoke(main, ["check", "--spec", str(bad)])
+    assert result.exit_code == 3
+    assert message in result.output
+
+
 def test_undecodable_or_unbuildable_yaml_is_a_parse_error():
     for source in (b"group: {rank: 1}\n# \xff\n",
                    "group: {rank: !!int x, torsion: []}\nvariables: []\n"):

@@ -17,6 +17,7 @@ from projd.diophantine import (
     hilbert_basis,
     minimal_nonneg_solutions,
     semigroup_member,
+    vector_key,
 )
 from projd.fgab import FgAbGroup, row_hnf
 from projd.ringspec import RingSpec
@@ -300,7 +301,7 @@ def test_minimal_nonneg_solutions_small_systems():
     for rows in ([[1, -1]], [[1, -1], [2, -2]]):
         zeros = [0] * len(rows)
         assert minimal_nonneg_solutions(rows, 2, rhs=zeros) == [(0, 0)]
-        assert minimal_nonneg_solutions(rows, 2, rhs=zeros, least_only=True) == [(0, 0)]
+        assert minimal_nonneg_solutions(rows, 2, rhs=zeros, least_by=2) == [(0, 0)]
         assert bounded_minimal_solutions(rows, 2, zeros, 0) == ([(0, 0)], True)
 
 
@@ -404,39 +405,59 @@ def _degree_row_systems(rng, count):
 
 def test_kernel_matches_the_former_search():
     # the kernel carries the dot products of each frontier vector, where
-    # the former loop carried its value; both must visit, prune and return
-    # the same: (solutions, cut) on seeded systems of every call shape
+    # the former loop carried its value, and it stops early by one cap,
+    # where the former loop had a bound and least_only's level break.
+    # Full listings and bounded searches must visit, prune and return the
+    # same: (solutions, cut) on seeded systems of every call shape.  The
+    # least mode returns the first entry of least_only's level, and with a
+    # lead column p the least by (x_p, vector_key(x[:p])) of the listing.
     from projd.diophantine import _contejean_devie
 
     rng = random.Random(241)
-    systems = []
+    systems, least = [], []
     for k in range(2000):
         m, kind = rng.randint(0, 3), k % 5
-        # a full search over many columns can take seconds; least_only and
-        # bound stop early, so they draw up to 7 columns at every height
+        # a full search over many columns can take seconds; the least
+        # mode and bound stop early, so they draw up to 7 columns at every
+        # height
         n = rng.randint(0, 7 if kind >= 3 or m < 2 else 6 if m == 2 else 4)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-3, 3) for _ in range(m)]
         if kind == 0:
-            systems.append((rows, n, None, False, None))
+            systems.append((rows, n, None, None))
         elif kind == 1:
-            systems.append((rows, n, [0] * m if k % 3 == 0 else rhs, False, None))
+            systems.append((rows, n, [0] * m if k % 3 == 0 else rhs, None))
         elif kind == 2:
-            systems.append((rows, n, None, True, None))
+            least.append((rows, n, None))
         elif kind == 3:
-            systems.append((rows, n, rhs, True, None))
+            least.append((rows, n, rhs))
         else:
-            systems.append((rows, n, rhs, False, rng.randint(0, 6)))
-    torsion = [(rows, n, rhs, False, bound)
-               for rows, n, rhs, bound in _degree_row_systems(rng, 60)]
+            systems.append((rows, n, rhs, rng.randint(0, 6)))
+    torsion = _degree_row_systems(rng, 60)
     assert any(-6 in row for rows, *_ in torsion for row in rows)
     assert any(-2 in row for rows, *_ in torsion for row in rows)
     cuts = 0
-    for args in systems + torsion:
-        got = _contejean_devie(*args)
-        assert got == oracles.contejean_devie_by_generators(*args), args
+    for rows, n, rhs, bound in systems + torsion:
+        got = _contejean_devie(rows, n, rhs, bound=bound)
+        assert got == oracles.contejean_devie_by_generators(rows, n, rhs, bound=bound), \
+            (rows, n, rhs, bound)
         cuts += got[1]
     assert cuts >= 100
+    for rows, n, rhs in least:
+        want = oracles.contejean_devie_by_generators(rows, n, rhs, least_only=True)[0]
+        assert _contejean_devie(rows, n, rhs, least_by=n)[0] == want[:1], (rows, n, rhs)
+    found = 0
+    for k in range(400):
+        m = rng.randint(0, 3)
+        n = rng.randint(1, 7 if m < 2 else 6 if m == 2 else 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in range(m)] if k % 2 else None
+        p = rng.randrange(n)
+        full = oracles.contejean_devie_by_generators(rows, n, rhs)[0]
+        want = [min(full, key=lambda s: (s[p], vector_key(s[:p]), s))] if full else []
+        assert _contejean_devie(rows, n, rhs, least_by=p)[0] == want, (rows, n, rhs, p)
+        found += bool(want) and want != full[:1]
+    assert found >= 30
 
 
 FIXTURE_NAMES = ["plane", "plane-b", "torsion", "quad", "five", "parity"]
@@ -518,15 +539,42 @@ def test_pruned_member_matches_the_unpruned_search():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_pool_cases, st.booleans())
-def test_least_only_is_the_least_norm_part(case, homogeneous):
+def test_least_mode_is_the_first_graded_lex_solution(case, homogeneous):
     pool, target = case
     n = len(target)
     rows = [[g[i] for g in pool] for i in range(n)]
     rhs = None if homogeneous else list(target)
     full = minimal_nonneg_solutions(rows, len(pool), rhs=rhs)
-    least = [s for s in full if full and sum(s) == sum(full[0])]
     assert minimal_nonneg_solutions(rows, len(pool), rhs=rhs,
-                                    least_only=True) == least
+                                    least_by=len(pool)) == full[:1]
+
+
+def test_member_and_pointedness_list_no_solutions(monkeypatch):
+    # semigroup_member and sheaves._is_pointed ask for the least solution
+    # alone; a search that lists every minimal solution raises here
+    import projd.diophantine as diophantine
+    import projd.sheaves as sheaves
+
+    search = diophantine.minimal_nonneg_solutions
+    pools = list(itertools.islice(_fixture_pools(), 200))
+    members = [(pool, target, semigroup_member(pool, target)) for pool, target in pools]
+    G = FgAbGroup(1)
+    pointed = _grading(G, [(1,), (2,), (3,)])
+    mixed = _grading(G, [(1,), (-1,), (2,)])
+    assert any(got is None for *_, got in members)
+    assert any(got is not None and sum(got) > 1 for *_, got in members)
+    assert sheaves._is_pointed(pointed) and not sheaves._is_pointed(mixed)
+
+    def refuse_listing(rows, ncols, rhs=None, least_by=None):
+        if least_by is None:
+            raise AssertionError("full listing")
+        return search(rows, ncols, rhs, least_by)
+
+    monkeypatch.setattr(diophantine, "minimal_nonneg_solutions", refuse_listing)
+    monkeypatch.setattr(sheaves, "minimal_nonneg_solutions", refuse_listing)
+    for pool, target, want in members:
+        assert semigroup_member(pool, target) == want, (pool, target)
+    assert sheaves._is_pointed(pointed) and not sheaves._is_pointed(mixed)
 
 
 def _run_optimized(script: str) -> subprocess.CompletedProcess:

@@ -281,7 +281,7 @@ def test_degree_zero_companion_matches_the_listing():
         kinds |= {("rank", r), ("torsion", G.torsion), ("k >= 2", got[1] >= 2),
                   ("negative", any(a < 0 for d in free for a in d)),
                   ("pointed", not minimal_nonneg_solutions(
-                      [list(c) for c in zip(*free)], n, least_only=True))}
+                      [list(c) for c in zip(*free)], n, least_by=n))}
         cases += 1
     assert kinds == {("rank", 1), ("rank", 2), ("rank", 3), ("torsion", ()),
                      ("torsion", (2,)), ("torsion", (3,)), ("torsion", (4,)),
@@ -297,10 +297,10 @@ def test_degree_zero_companion_lists_no_solutions(monkeypatch):
 
     search = ringspec.minimal_nonneg_solutions
 
-    def refuse_listing(rows, ncols, rhs=None, least_only=False, least_by=None):
+    def refuse_listing(rows, ncols, rhs=None, least_by=None):
         if least_by is None:
             raise AssertionError("full listing")
-        return search(rows, ncols, rhs, least_only, least_by)
+        return search(rows, ncols, rhs, least_by)
 
     monkeypatch.setattr(ringspec, "minimal_nonneg_solutions", refuse_listing)
     for R, h, f, g, k in COMPANION_CASES:
