@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Sequence, Union
 
-from projd.diophantine import (ConstrainedSemigroup, ExponentVector, semigroup_member,
-                               vector_key)
+from projd.diophantine import (ConstrainedSemigroup, ExponentVector, InvariantError,
+                               semigroup_member, vector_key)
 from projd.ringspec import InvalidInput, Monomial, ParseError, RingSpec
 
 
@@ -79,8 +79,6 @@ def chart_algebra(spec: RingSpec, f) -> ConstrainedSemigroup:
 class ChartIntersectionReport:
     """Outcome of rebuilding the product chart from one factor's chart."""
 
-    f: Monomial
-    g: Monomial
     inverted: tuple[ExponentVector, ...]
     decompositions: tuple[tuple[ExponentVector, tuple[int, ...]], ...]
     ok: bool
@@ -90,30 +88,30 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
     """Verify that the product chart is the f-chart with some units added.
 
     The generators of the f-chart supported inside supp(fg) become units of
-    the fg-chart; every generator and unit of the fg-chart must decompose
-    over the f-chart pool extended by the inverses of those elements.  The
-    returned decompositions are coefficient vectors over that pool.
+    the fg-chart; ok says that every generator and unit of the fg-chart
+    decomposes over the f-chart pool extended by the inverses of those
+    elements.  The returned decompositions are coefficient vectors over
+    that pool.  The reverse inclusion cannot fail: supp(fg) contains
+    supp(f), so the fg-chart only relaxes signs.  It is checked, and a
+    failure raises InvariantError.
     """
     f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
     fg = f * g
     chart_f = chart_algebra(spec, f)
     chart_fg = chart_algebra(spec, fg)
+    if not all(chart_fg.contains(v) for v in chart_f.pool):
+        raise InvariantError("the f-chart is not inside the fg-chart")
     inverted = tuple(v for v in chart_f.generators
                      if all(i in fg.support for i, a in enumerate(v) if a))
     pool = chart_f.pool + tuple(tuple(-a for a in v) for v in inverted)
     decompositions = []
-    ok = True
     for target in chart_fg.pool:
         coeffs = semigroup_member(pool, target)
-        if coeffs is None:
-            ok = False
-            continue
-        decompositions.append((target, coeffs))
-    # the reverse inclusion holds coordinatewise: anything allowed negative
-    # exponents only on supp(f) is allowed them on supp(fg) as well
-    ok = ok and all(chart_fg.contains(v) for v in chart_f.pool)
-    return ChartIntersectionReport(f, g, inverted, tuple(decompositions), ok)
+        if coeffs is not None:
+            decompositions.append((target, coeffs))
+    return ChartIntersectionReport(inverted, tuple(decompositions),
+                                   len(decompositions) == len(chart_fg.pool))
 
 
 def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:

@@ -164,25 +164,6 @@ def ring_spec_from_dict(data) -> RingSpec:
     return RingSpec(group, names, degrees, conical_ideal=B)
 
 
-def ring_spec_to_dict(spec: RingSpec) -> dict:
-    """Plain-data form of a RingSpec, in canonical torsion coordinates."""
-    out = {
-        "group": {"rank": spec.group.rank, "torsion": list(spec.group.torsion)},
-        "variables": [
-            {"name": name,
-             "degree": {"free": list(d.free), "torsion": list(d.torsion)}}
-            for name, d in zip(spec.variables, spec.degrees)
-        ],
-    }
-    if spec.conical_ideal is not None:
-        out["B"] = [b.render(spec.variables, "*") for b in spec.conical_ideal]
-    return out
-
-
-def serialize_ring_spec(spec: RingSpec) -> str:
-    return yaml.safe_dump(ring_spec_to_dict(spec), sort_keys=False)
-
-
 # ---------------------------------------------------------------------------
 # renderings
 
@@ -319,10 +300,11 @@ def _render_chart(payload: dict) -> list[str]:
 
 
 def _payload_intersect(spec: RingSpec, f: str, g: str) -> dict:
+    f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
     report = chart_intersection_check(spec, f, g)
     return {
-        "f": report.f.render(spec.variables, "*"),
-        "g": report.g.render(spec.variables, "*"),
+        "f": f.render(spec.variables, "*"),
+        "g": g.render(spec.variables, "*"),
         "ok": report.ok,
         "inverted": [list(v) for v in report.inverted],
         "inverted_renders": [laurent_text(v, spec.variables)
@@ -472,11 +454,12 @@ def _payload_sheaf(spec: RingSpec, degree_text: str) -> dict:
         "degree": str(d),
         "free": report.free,
         "invertible": report.invertible,
-        "obstruction": report.obstruction,
+        "obstruction": (None if report.obstruction is None
+                        else report.obstruction.render(spec.variables)),
         "chart_units": [
-            {"chart": name, "unit": None if u is None else list(u),
+            {"chart": g.render(spec.variables), "unit": None if u is None else list(u),
              "render": None if u is None else laurent_text(u, spec.variables)}
-            for name, u in report.chart_units
+            for g, u in report.chart_units
         ],
     }
 

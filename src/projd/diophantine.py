@@ -146,11 +146,14 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     solution 0.  Besides the Contejean-Devie rules, one cap stops the
     search early.  A vector t has the key (t_p, |t[:p]|) for a lead column
     p = least_by < ncols, and (0, |t[:ncols]|) otherwise.  A vector whose
-    key exceeds the cap is never explored, and cut says whether any was.
-    The cap is (0, bound) for a bounded search.  In the least mode
-    (least_by given, no bound) it is the key of the least solution
-    recorded so far, least by (key, x) with x = t[:ncols]; only that
-    solution is returned.  The least mode loses nothing:
+    key exceeds the cap is never explored, and cut says whether any was
+    that is neither seen nor dominated.  Once cut is set, a step past the
+    cap is dropped before it is built: the least mode stops building the
+    extensions of its last level at the first one it cuts.  The cap is
+    (0, bound) for a bounded search.  In the least mode (least_by given,
+    no bound) it is the key of the least solution recorded so far, least
+    by (key, x) with x = t[:ncols]; only that solution is returned.  The
+    least mode loses nothing:
 
     * steps only raise coordinates, so keys never fall along a path: no
       extension of a vector past the cap has a key within it.
@@ -216,11 +219,13 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
             for j, dot in enumerate(dots):
                 if dot >= 0 or j == ncols and t[j]:
                     continue  # never raise the counter past 1
+                key2 = (lead_t + (j == lead), norm + (j < p))
+                if cut and key2 > cap:
+                    continue
                 t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
                 if t2 in seen or any(all(map(le, m, t2))
                                      for m in by_entry.get((j, t2[j]), ())):
                     continue
-                key2 = (lead_t + (j == lead), norm + (j < p))
                 if cap is not None and key2 > cap:
                     cut = True
                     continue

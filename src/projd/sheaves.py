@@ -29,20 +29,16 @@ from projd.ringspec import InvalidInput, Monomial, RingSpec
 class SheafReport:
     """Freeness and invertibility audit of a twist, chart by chart."""
 
-    d: GroupElement
     free: bool
     invertible: bool
-    chart_units: tuple[tuple[str, Optional[ExponentVector]], ...]
-    obstruction: Optional[str]
+    chart_units: tuple[tuple[Monomial, Optional[ExponentVector]], ...]
+    obstruction: Optional[Monomial]
 
 
 @dataclass(frozen=True)
 class TwistProductReport:
     """Surjectivity audit of the multiplication of two twists on a chart."""
 
-    f: Monomial
-    d: GroupElement
-    e: GroupElement
     surjective: bool
     decompositions: tuple[tuple[ExponentVector, ExponentVector, ExponentVector,
                                 ExponentVector], ...]
@@ -91,16 +87,10 @@ def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:
     Kept independent of is_free on purpose: the two must agree, and any
     divergence signals a bug rather than a mathematical possibility.
     """
-    chart_units = []
-    obstruction = None
-    for g in spec.irrelevant_generators():
-        name = g.render(spec.variables)
-        unit = unit_of_degree(spec, g, d)
-        chart_units.append((name, unit))
-        if unit is None and obstruction is None:
-            obstruction = name
-    return SheafReport(d, is_free(spec, d), obstruction is None,
-                       tuple(chart_units), obstruction)
+    chart_units = tuple((g, unit_of_degree(spec, g, d))
+                        for g in spec.irrelevant_generators())
+    obstruction = next((g for g, unit in chart_units if unit is None), None)
+    return SheafReport(is_free(spec, d), obstruction is None, chart_units, obstruction)
 
 
 def shifted_minimal_generators(spec: RingSpec, free_coords,
@@ -156,7 +146,7 @@ def twist_product_surjective(spec: RingSpec, f, d: GroupElement,
             surjective = False
         else:
             decompositions.append(found)
-    return TwistProductReport(f, d, e, surjective, tuple(decompositions))
+    return TwistProductReport(surjective, tuple(decompositions))
 
 
 def _bounded_exponents(n: int, bound: int):
@@ -201,8 +191,8 @@ def global_sections(spec: RingSpec, d: GroupElement,
     >>> R = RingSpec(G, ["x", "y", "z"],
     ...              [G.element((1, 0)), G.element((0, 1)), G.element((1, 1))])
     >>> rep = global_sections(R, G.element((1, 1)), 3)
-    >>> [m.render(R.variables) for m in rep.monomials], rep.complete
-    (['z', 'xy'], True)
+    >>> [m.exponents for m in rep.monomials], rep.complete
+    ([(0, 0, 1), (1, 1, 0)], True)
     """
     if total_degree_bound < 0:
         raise InvalidInput("bound must be nonnegative")

@@ -208,19 +208,21 @@ def test_is_invertible_plane():
     R = plane_spec()
     report = is_invertible(R, R.group.element((1, 1)))
     assert report.free and report.invertible and report.obstruction is None
-    assert report.chart_units == (("yz", (0, 0, 1)), ("xz", (0, 0, 1)),
-                                  ("xy", (1, 1, 0)))
+    assert report.chart_units == ((R.monomial("yz"), (0, 0, 1)),
+                                  (R.monomial("xz"), (0, 0, 1)),
+                                  (R.monomial("xy"), (1, 1, 0)))
 
 
 def test_is_invertible_torsion_obstruction():
     T = torsion_spec()
     report = is_invertible(T, T.group.element((1,), (0,)))
     assert not report.free and not report.invertible
-    assert report.obstruction == "z"
-    assert report.chart_units == (("z", None), ("x", (1, 0, 0)))
+    z, x = T.monomial("z"), T.monomial("x")
+    assert report.obstruction == z
+    assert report.chart_units == ((z, None), (x, (1, 0, 0)))
     good = is_invertible(T, T.group.element((2,), (0,)))
     assert good.free and good.invertible
-    assert good.chart_units == (("z", (0, 0, 2)), ("x", (2, 0, 0)))
+    assert good.chart_units == ((z, (0, 0, 2)), (x, (2, 0, 0)))
 
 
 def test_is_invertible_zero_degree():
