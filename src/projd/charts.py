@@ -39,21 +39,17 @@ class MonomialPrime:
 
 
 def parse_prime(spec: RingSpec, p) -> MonomialPrime:
-    """The monomial prime of p: a MonomialPrime, text like "(x, z)" or
-    "(0)", or a list of variable names and indices (negative ones count
-    from the end).  Anything else is refused with a ParseError."""
+    """The monomial prime of p: a MonomialPrime, or text like "(x, z)" or
+    "(0)".  Anything else is refused with a ParseError."""
     if isinstance(p, MonomialPrime):
         return p
-    items = p
-    if isinstance(p, str):
-        body = p.strip()
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1].strip()
-        items = [] if body in ("", "0") else [piece.strip() for piece in body.split(",")]
-    n = len(spec.variables)
-    index = {}
-    for i, name in enumerate(spec.variables):
-        index[name] = index[i] = index[i - n] = i
+    if not isinstance(p, str):
+        raise ParseError(f"prime {p!r}: expected text like '(x, z)'")
+    body = p.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1].strip()
+    items = [] if body in ("", "0") else [piece.strip() for piece in body.split(",")]
+    index = {name: i for i, name in enumerate(spec.variables)}
     for item in items:
         if item not in index:
             raise ParseError(f"prime {p!r}: unknown variable {item!r}")

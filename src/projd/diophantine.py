@@ -281,17 +281,18 @@ def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> Expone
 def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     """Minimal members of the coset a0 + L that are >= 0 on conn.
 
-    The one search for chart generators (a0 = 0: the semigroup's
+    The one search for chart generators (a0 None: the semigroup's
     irreducibles) and twist generators (a0 of degree d: the generators of
-    its coset as a module).  The kernel of the projection pi to conn on L
-    is the unit lattice, so modulo units the answer is the minimal points
-    of (pi(a0) + P) in N^conn, P = pi(L).  With U P^T V = S in Smith form,
-    b is in pi(a0) + P iff (U b)_j = (U pi(a0))_j mod s_j, which
-    _congruences turns into equations whose minimal solutions are the
-    minimal points; they are lifted through V, made coset-minimal and
-    sorted graded-lex.
+    its coset as a module, 0 alone for a0 = 0).  The kernel of the
+    projection pi to conn on L is the unit lattice, so modulo units the
+    answer is the minimal points of (pi(a0) + P) in N^conn, P = pi(L).
+    With U P^T V = S in Smith form, b is in pi(a0) + P iff (U b)_j =
+    (U pi(a0))_j mod s_j, which _congruences turns into equations whose
+    minimal solutions are the minimal points; they are lifted through V,
+    made coset-minimal and sorted graded-lex.
     """
     K, units = sg.kernel_basis, sg.units
+    start = (0,) * sg.nvars if a0 is None else a0
     conn = sg.constrained_coords()
     U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
     moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
@@ -299,14 +300,14 @@ def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     if len(units) != len(K) - rank:
         raise InvariantError(f"generators need a unit lattice of rank "
                              f"{len(K) - rank}, got {len(units)}")
-    shift = [sum(u * a0[i] for u, i in zip(row, conn)) for row in U]
+    shift = [sum(u * start[i] for u, i in zip(row, conn)) for row in U]
     rows, rhs, width = _congruences(U, moduli, shift, len(conn))
-    sols = minimal_nonneg_solutions(rows, width, rhs if any(a0) else None)
+    sols = minimal_nonneg_solutions(rows, width, None if a0 is None else rhs)
     basis = [[sum(V[r][j] * K[r][i] for r in range(len(K))) for i in range(sg.nvars)]
              for j in range(rank)]
     lifts = []
     for sol in sols:
-        vec = list(a0)
+        vec = list(start)
         for j in range(rank):
             q, rem = divmod(sum(u * b for u, b in zip(U[j], sol)) - shift[j], moduli[j])
             if rem:
@@ -331,7 +332,7 @@ def hilbert_basis(sg: ConstrainedSemigroup):
     >>> hilbert_basis(ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1, 2})))
     (((1, 1, -1),), ())
     """
-    return sg.units, _minimal_lifts(sg, (0,) * sg.nvars)
+    return sg.units, _minimal_lifts(sg, None)
 
 
 def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -372,6 +373,8 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     """
     gens = [tuple(g) for g in gens]
     keep = sorted({g: j for j, g in enumerate(gens)}.values())
+    # the caps carry the gluing audits: without them L7 `separated` takes
+    # 0.23 s in place of 0.07 s (Xeon), and the L8 search runs out of memory
     while True:
         capped = set()
         for i, t in enumerate(target):

@@ -15,6 +15,7 @@ from typing import Optional
 
 from projd.diophantine import (
     ExponentVector,
+    InvariantError,
     _coset_minimal,
     _minimal_lifts,
     bounded_minimal_solutions,
@@ -27,9 +28,8 @@ from projd.ringspec import InvalidInput, Monomial, RingSpec
 
 @dataclass(frozen=True)
 class SheafReport:
-    """Freeness and invertibility audit of a twist, chart by chart."""
+    """Invertibility audit of a twist, chart by chart; freeness agrees."""
 
-    free: bool
     invertible: bool
     chart_units: tuple[tuple[Monomial, Optional[ExponentVector]], ...]
     obstruction: Optional[Monomial]
@@ -82,15 +82,17 @@ def is_free(spec: RingSpec, d: GroupElement) -> bool:
 
 
 def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:
-    """Per-chart unit scan for the twist by d, with the freeness flag.
+    """Per-chart unit scan for the twist by d, checked against is_free.
 
-    Kept independent of is_free on purpose: the two must agree, and any
-    divergence signals a bug rather than a mathematical possibility.
+    Kept independent of is_free on purpose: the two must agree, and a
+    divergence is a fault of the engine, raised as InvariantError.
     """
     chart_units = tuple((g, unit_of_degree(spec, g, d))
                         for g in spec.irrelevant_generators())
     obstruction = next((g for g, unit in chart_units if unit is None), None)
-    return SheafReport(is_free(spec, d), obstruction is None, chart_units, obstruction)
+    if is_free(spec, d) != (obstruction is None):
+        raise InvariantError(f"freeness and invertibility disagree on {d}")
+    return SheafReport(obstruction is None, chart_units, obstruction)
 
 
 def shifted_minimal_generators(spec: RingSpec, free_coords,
@@ -103,8 +105,6 @@ def shifted_minimal_generators(spec: RingSpec, free_coords,
     graded-lex ordered.  Empty iff the solution set is empty; for d = 0 the
     answer is the zero vector alone.
     """
-    if d.is_zero():
-        return ((0,) * len(spec.variables),)
     ok, a0 = subgroup_member(spec.group.subgroup(spec.degrees), d)
     if not ok:
         return ()
@@ -198,15 +198,12 @@ def global_sections(spec: RingSpec, d: GroupElement,
         raise InvalidInput("bound must be nonnegative")
     n = len(spec.variables)
     if not _is_pointed(spec):
-        found = [exps for exps in _bounded_exponents(n, total_degree_bound)
-                 if spec.degree_of(Monomial(exps)) == d]
-        complete = False
+        found, complete = _bounded_exponents(n, total_degree_bound), False
     else:
         # no two monomials of one free degree divide each other, so those
         # of free degree d.free are exactly the minimal solutions of the
-        # free degree equations; the torsion part is checked afterwards
-        sols, complete = bounded_minimal_solutions(
+        # free degree equations; the torsion part is checked below
+        found, complete = bounded_minimal_solutions(
             _free_degree_rows(spec), n, d.free, total_degree_bound)
-        found = [exps for exps in sols if spec.degree_of(Monomial(exps)) == d]
-    found.sort(key=vector_key)
-    return GlobalSectionsReport(tuple(Monomial(e) for e in found), complete)
+    found = sorted((e for e in found if spec.degree_of(Monomial(e)) == d), key=vector_key)
+    return GlobalSectionsReport(tuple(map(Monomial, found)), complete)

@@ -18,7 +18,8 @@ from projd.charts import (
 )
 from projd.diophantine import ConstrainedSemigroup, hilbert_basis
 from projd.fgab import FgAbGroup, subgroup_index
-from projd.ringspec import InvalidInput, Monomial, NotEffective, NotRelevant, RingSpec
+from projd.ringspec import (InvalidInput, Monomial, NotEffective, NotRelevant, ParseError,
+                            RingSpec)
 from projd.sheaves import unit_of_degree
 
 
@@ -138,18 +139,17 @@ def test_chart_intersection_decompositions_recombine():
 def test_psi_image_examples():
     R = plane_spec()
     assert psi_image(R, "xz", MonomialPrime(())) == ()
-    assert psi_image(R, "xz", ["y"]) == ((1, 1, -1),)
+    assert psi_image(R, "xz", "(y)") == ((1, 1, -1),)
     # irrelevant f is allowed and exhibits the collision
-    assert psi_image(R, "z", ["x"]) == ((1, 1, -1),)
-    assert psi_image(R, "z", ["y"]) == ((1, 1, -1),)
+    assert psi_image(R, "z", "(x)") == ((1, 1, -1),)
+    assert psi_image(R, "z", "(y)") == ((1, 1, -1),)
     with pytest.raises(PrimeMeetsF):
-        psi_image(R, "xz", ["x"])
-    # a bad prime is refused as input; a negative index counts from the end
-    for bad in (["q"], [5]):
-        with pytest.raises(InvalidInput, match="unknown variable"):
-            psi_image(R, "xz", bad)
-    with pytest.raises(PrimeMeetsF):
-        psi_image(R, "xz", [-1])
+        psi_image(R, "xz", "(x)")
+    # a bad prime is refused as input, and a prime is text, not a list
+    with pytest.raises(InvalidInput, match="unknown variable"):
+        psi_image(R, "xz", "(q)")
+    with pytest.raises(ParseError):
+        psi_image(R, "xz", ["y"])
 
 
 def test_psi_collision_scan_examples():

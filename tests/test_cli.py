@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -593,15 +592,10 @@ def test_cli_intersect_reverse_inclusion_failure_exits_4(tmp_path, monkeypatch):
 
 
 def test_cli_sheaf_disagreement_is_an_invariant_error(tmp_path, monkeypatch):
-    import projd.cli
+    import projd.sheaves
 
-    real = projd.cli.is_invertible
-
-    def disagree(spec, d):
-        report = real(spec, d)
-        return dataclasses.replace(report, invertible=not report.free)
-
-    monkeypatch.setattr("projd.cli.is_invertible", disagree)
+    real = projd.sheaves.is_free
+    monkeypatch.setattr("projd.sheaves.is_free", lambda spec, d: not real(spec, d))
     with pytest.raises(InvariantError, match="freeness and invertibility disagree"):
         execute(parse_ring_spec(fixture_text("torsion")), "sheaf", ["(2 | 0 mod 2)"])
     runner = CliRunner()

@@ -71,8 +71,6 @@ def test_parse_monomial():
 def test_monomial_ops():
     m = Monomial((1, 0, 2))
     assert m.support == {0, 2}
-    assert not m.is_squarefree()
-    assert Monomial((1, 1, 0)).is_squarefree()
     assert (m * Monomial((0, 1, 0))).exponents == (1, 1, 2)
     assert Monomial((1, 0, 0)).divides(m)
     assert not Monomial((0, 1, 0)).divides(m)

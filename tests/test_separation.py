@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.charts import chart_algebra
 from projd.cli import execute
-from projd.diophantine import minimal_nonneg_solutions, vector_key
+from projd.diophantine import _minimal_lifts, minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
-from projd.ringspec import NotEffective, NotRelevant, RingSpec
+from projd.ringspec import Monomial, NotEffective, NotRelevant, RingSpec
 from projd.separation import (
     _maximal_independent_sets,
     classify_dependencies,
@@ -309,8 +309,8 @@ def test_graver_relations_sign_canonical_and_sorted():
         assert list(rels) == sorted(rels, key=vector_key)
         for a in rels:
             assert next(v for v in a if v) > 0
-            assert not spec.degree_of(spec.monomial([max(v, 0) for v in a])) \
-                != spec.degree_of(spec.monomial([max(-v, 0) for v in a]))
+            assert not spec.degree_of(Monomial(tuple(max(v, 0) for v in a))) \
+                != spec.degree_of(Monomial(tuple(max(-v, 0) for v in a)))
 
 
 def test_graver_relations_drop_conformally_dominated_vectors():
@@ -556,6 +556,20 @@ def test_l6_charts_match_the_degree_row_search():
         chart = chart_algebra(R, f)
         assert (chart.units, chart.generators) == \
             oracles.hilbert_basis_by_degree_rows(R, f.support), f
+
+
+def test_minimal_lifts_search_the_zero_coset_like_any_other():
+    # None asks for the chart's generators; the zero coset is the
+    # degree-zero twist module, generated by the zero vector alone
+    from projd.cli import fixture_text, parse_ring_spec
+
+    specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
+    for spec in specs + [l5_spec(), r3a_spec(), tor3_spec()]:
+        n = len(spec.variables)
+        for f in spec.irrelevant_generators():
+            chart = chart_algebra(spec, f)
+            assert _minimal_lifts(chart, None) == chart.generators, f
+            assert _minimal_lifts(chart, (0,) * n) == ((0,) * n,), f
 
 
 def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
