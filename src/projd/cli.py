@@ -209,8 +209,6 @@ def parse_degree(group: FgAbGroup, text: str) -> GroupElement:
 
     def ints(chunk, orders, what):
         pieces = [p.strip() for p in chunk.split(",")] if chunk.strip() else []
-        if not pieces:
-            return [0] * len(orders)
         if len(pieces) != len(orders):
             raise ParseError(
                 f"degree {text!r}: expected {len(orders)} {what} coordinates")
@@ -229,7 +227,8 @@ def parse_degree(group: FgAbGroup, text: str) -> GroupElement:
     if group.rank == 0 and "|" not in body:
         torsion_part, free_part = free_part, ""
     free = ints(free_part, [None] * group.rank, "free")
-    tors = ints(torsion_part, group.torsion, "torsion")
+    tors = (ints(torsion_part, group.torsion, "torsion") if torsion_part.strip()
+            else [0] * len(group.torsion))
     return group.from_lift(free + tors)
 
 

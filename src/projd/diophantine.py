@@ -147,7 +147,7 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     search early.  A vector t has the key (t_p, |t[:p]|) for a lead column
     p = least_by < ncols, and (0, |t[:ncols]|) otherwise.  A vector whose
     key exceeds the cap is never explored, and cut says whether any was
-    that is neither seen nor dominated.  Once cut is set, a step past the
+    that is neither a repeat nor dominated.  Once cut is set, a step past the
     cap is dropped before it is built: the least mode stops building the
     extensions of its last level at the first one it cuts.  The cap is
     (0, bound) for a bounded search.  In the least mode (least_by given,
@@ -195,7 +195,6 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
             cut = True
             continue
         frontier.append((t, dots, key))
-    seen = {t for t, _, _ in frontier}
     while frontier:
         # record the whole level before extending any of it, so that no
         # vector on the next frontier dominates a recorded minimal; a
@@ -212,7 +211,8 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
                     if best is None or (key, t[:ncols]) < best:
                         best = key, t[:ncols]
                         cap = key
-        nxt = []
+        # a step raises |t| by one, so only the level being built can repeat
+        nxt = {}
         for t, dots, (lead_t, norm) in frontier:
             if not any(dots):
                 continue
@@ -223,15 +223,14 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
                 if cut and key2 > cap:
                     continue
                 t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
-                if t2 in seen or any(all(map(le, m, t2))
+                if t2 in nxt or any(all(map(le, m, t2))
                                      for m in by_entry.get((j, t2[j]), ())):
                     continue
                 if cap is not None and key2 > cap:
                     cut = True
                     continue
-                seen.add(t2)
-                nxt.append((t2, tuple(map(add, dots, gram[j])), key2))
-        frontier = nxt
+                nxt[t2] = tuple(map(add, dots, gram[j])), key2
+        frontier = [(t, dots, key) for t, (dots, key) in nxt.items()]
     if least_by is not None:
         return [best[1]] if best else [], cut
     if homogeneous:

@@ -238,10 +238,7 @@ class GroupElement:
                             [a + b for a, b in zip(self.torsion, other.torsion)])
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group,
-                            [a - b for a, b in zip(self.free, other.free)],
-                            [a - b for a, b in zip(self.torsion, other.torsion)])
+        return self + -other
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, [-a for a in self.free], [-a for a in self.torsion])
@@ -325,13 +322,8 @@ class FgAbGroup:
         return GroupElement(self, vec[:self.rank], vec[self.rank:])
 
     def standard_generators(self) -> list[GroupElement]:
-        gens = []
-        for i in range(self.rank):
-            gens.append(self.from_lift([1 if j == i else 0 for j in range(self.dim)]))
-        for k in range(len(self.torsion)):
-            gens.append(self.from_lift(
-                [1 if j == self.rank + k else 0 for j in range(self.dim)]))
-        return gens
+        return [self.from_lift([int(j == i) for j in range(self.dim)])
+                for i in range(self.dim)]
 
     def torsion_relation_rows(self) -> list[list[int]]:
         """Lattice relations m_j * e_(rank+j) of the free presentation."""

@@ -243,7 +243,9 @@ class RingSpec:
 
 
 def parse_monomial(text: str, names: Sequence[str]) -> Monomial:
-    """Parse "x*z^2" or "xz" style monomial text against a variable list."""
+    """Parse "x*z^2" or "xz" style monomial text; ParseError for anything else."""
+    if not isinstance(text, str):
+        raise ParseError(f"monomial {text!r}: expected text like 'x*z^2'")
     text = text.strip()
     exps = [0] * len(names)
     if text in ("1", ""):
@@ -251,17 +253,17 @@ def parse_monomial(text: str, names: Sequence[str]) -> Monomial:
     index = {name: i for i, name in enumerate(names)}
     for factor in text.replace(" ", "").split("*"):
         if not factor:
-            raise InvalidInput(f"empty factor in monomial {text!r}")
+            raise ParseError(f"empty factor in monomial {text!r}")
         if "^" in factor:
             base, _, power = factor.partition("^")
             try:
                 e = int(power)
             except ValueError:
-                raise InvalidInput(f"bad exponent in monomial factor {factor!r}")
+                raise ParseError(f"bad exponent in monomial factor {factor!r}")
         else:
             base, e = factor, 1
         if e < 0:
-            raise InvalidInput(f"negative exponent in monomial factor {factor!r}")
+            raise ParseError(f"negative exponent in monomial factor {factor!r}")
         if base in index:
             exps[index[base]] += e
             continue
@@ -271,7 +273,7 @@ def parse_monomial(text: str, names: Sequence[str]) -> Monomial:
                 exps[index[ch]] += 1
             exps[index[base[-1]]] += e
             continue
-        raise InvalidInput(f"unknown variable in monomial factor {factor!r}")
+        raise ParseError(f"unknown variable in monomial factor {factor!r}")
     return Monomial(tuple(exps))
 
 

@@ -315,6 +315,13 @@ def test_parse_degree_errors(tmp_path):
         parse_degree(G, "(1)")
     with pytest.raises(ParseError):
         parse_degree(G, "(a, b)")
+    # only the torsion part may be omitted; rank 0 has no free part to omit
+    for text in ["", "()", " | ", "|1"]:
+        with pytest.raises(ParseError, match="expected 2 free coordinates"):
+            parse_degree(G, text)
+    with pytest.raises(ParseError, match="expected 1 free coordinates"):
+        parse_degree(FgAbGroup(1, [2]), "|1")
+    assert str(parse_degree(FgAbGroup(0, [2]), "(1 mod 2)")) == "(1 mod 2)"
     # a torsion piece is c or c mod m with m its order; free pieces take no mod
     T = FgAbGroup(1, [2])
     for text in ["(2 | 1 mod 3)", "(2 | 1 mod)", "(2 | 1 modulo 2)",
@@ -324,6 +331,9 @@ def test_parse_degree_errors(tmp_path):
     result = CliRunner().invoke(main, ["sheaf", "(2 | 1 mod 3)", "--spec",
                                        write_spec(tmp_path, "torsion")])
     line = "error: degree '(2 | 1 mod 3)': bad torsion coordinate '1 mod 3'\n"
+    assert (result.exit_code, result.stderr, result.stdout) == (3, line, "")
+    result = CliRunner().invoke(main, ["sheaf", "", "--spec", write_spec(tmp_path, "plane")])
+    line = "error: degree '': expected 2 free coordinates\n"
     assert (result.exit_code, result.stderr, result.stdout) == (3, line, "")
 
 

@@ -230,6 +230,13 @@ def test_element_arithmetic_reduces_torsion():
     assert str(a) == "(1 | 1 mod 2)"
     assert str(G.element((4,), (0,))) == "(4 | 0 mod 2)"
     assert str(FgAbGroup(2).element((1, -2), ())) == "(1, -2)"
+    b = G.element((3,), (0,))
+    assert (b - a).lift() == (2, 1)  # torsion 0 - 1 reduced mod 2
+    assert a - a == G.zero()
+    with pytest.raises(ValueError):
+        a - FgAbGroup(1, [3]).element((1,), (1,))
+    # e_i over every coordinate, free ones first
+    assert [str(g) for g in G.standard_generators()] == ["(1 | 0 mod 2)", "(0 | 1 mod 2)"]
 
 
 def test_subgroup_index_examples():

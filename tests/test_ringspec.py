@@ -13,6 +13,7 @@ from projd.ringspec import (
     BadConicalIdeal,
     Monomial,
     NotEffective,
+    ParseError,
     RingSpec,
     degree_zero_companion,
     parse_monomial,
@@ -66,6 +67,20 @@ def test_parse_monomial():
         parse_monomial("q", names)
     with pytest.raises(ValueError):
         parse_monomial("x^-1", names)
+
+
+def test_monomial_input_is_a_monomial_or_text():
+    # anything else is refused as input, never with an engine-fault type
+    R = plane_spec()
+    assert R.monomial(Monomial((1, 0, 1))) == R.monomial("xz")
+    for source in ([1, 0, 0], None, 5):
+        with pytest.raises(ParseError, match="expected text"):
+            R.monomial(source)
+    for text, message in [("q", "unknown variable in monomial factor 'q'"),
+                          ("x^a", "bad exponent in monomial factor 'x\\^a'"),
+                          ("x^-1", "negative exponent"), ("x**y", "empty factor")]:
+        with pytest.raises(ParseError, match=message):
+            parse_monomial(text, R.variables)
 
 
 def test_monomial_ops():
