@@ -17,6 +17,7 @@ Smith form, one auxiliary column per modulus.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, le, mul
@@ -34,7 +35,7 @@ class InvariantError(RuntimeError):
 
 def vector_key(vec: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Graded-lex sort key: L1 norm first, then entries."""
-    return (sum(abs(a) for a in vec), tuple(vec))
+    return (sum(map(abs, vec)), tuple(vec))
 
 
 @dataclass(frozen=True)
@@ -245,36 +246,42 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
 def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> ExponentVector:
     """Graded-lex least representative of vec modulo the unit lattice.
 
-    The L1 norm is proper on every coset, so the minimum exists; candidates
-    are enumerated through the triangular structure of the HNF basis.
+    The L1 norm is proper on every coset, so the minimum exists.  A
+    candidate is vec plus one multiple of each row of the HNF basis, chosen
+    row by row.  A row is zero left of its pivot, so the rows after it
+    leave its pivot entry alone: the sizes of the pivot entries chosen so
+    far bound the final norm from below.  Each row tries its multiples in
+    two runs, up from the first that makes its pivot entry positive and
+    down from the one before, so the entry grows in size along a run; a
+    run stops once the bound passes the best norm found so far.  A bound
+    equal to that norm goes on, since keys compare (norm, vector).
     """
     if not units:
         return tuple(vec)
     start = hnf_reduce(units, vec)
-    best = [vector_key(start)]
+    best = vector_key(start)
     pivots = [next(j for j, a in enumerate(row) if a) for row in units]
-    bound = best[0][0]
 
     def descend(level: int, current: list[int], partial: int) -> None:
-        if partial > best[0][0]:
-            return
+        nonlocal best
         if level == len(units):
             key = vector_key(current)
-            if key < best[0]:
-                best[0] = key
+            if key < best:
+                best = key
             return
         row = units[level]
         p = pivots[level]
         step = row[p]
-        # |current[p] + k*step| <= bound caps k on both sides
-        lo = -(bound + current[p]) // step
-        hi = (bound - current[p]) // step
-        for k in range(lo, hi + 1):
-            cand = [a + k * b for a, b in zip(current, row)]
-            descend(level + 1, cand, partial + abs(cand[p]))
+        first = -current[p] // step + 1  # least k with current[p] + k*step > 0
+        for run in (itertools.count(first), itertools.count(first - 1, -1)):
+            for k in run:
+                bound = partial + abs(current[p] + k * step)
+                if bound > best[0]:
+                    break
+                descend(level + 1, [a + k * b for a, b in zip(current, row)], bound)
 
     descend(0, list(start), 0)
-    return best[0][1]
+    return best[1]
 
 
 def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
@@ -302,13 +309,13 @@ def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     shift = [sum(u * start[i] for u, i in zip(row, conn)) for row in U]
     rows, rhs, width = _congruences(U, moduli, shift, len(conn))
     sols = minimal_nonneg_solutions(rows, width, None if a0 is None else rhs)
-    basis = [[sum(V[r][j] * K[r][i] for r in range(len(K))) for i in range(sg.nvars)]
-             for j in range(rank)]
+    columns = list(zip(*K))
+    basis = [[sum(map(mul, v, c)) for c in columns] for v in list(zip(*V))[:rank]]
     lifts = []
     for sol in sols:
         vec = list(start)
         for j in range(rank):
-            q, rem = divmod(sum(u * b for u, b in zip(U[j], sol)) - shift[j], moduli[j])
+            q, rem = divmod(sum(map(mul, U[j], sol)) - shift[j], moduli[j])
             if rem:
                 raise InvariantError(f"generator {sol[:len(conn)]} leaves the lattice")
             vec = [a + q * w for a, w in zip(vec, basis[j])]

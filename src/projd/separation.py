@@ -85,20 +85,42 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     False
     """
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
+    return _audit(spec, f, g, {}, {})
+
+
+def _audit(spec: RingSpec, f: Monomial, g: Monomial, off: dict,
+           targets: dict) -> WeakPairReport:
+    """mu_surjective of two relevant monomials.
+
+    off and targets are the tables of one call, filled on first use and
+    keyed by support: each chart's constrained coordinates, and each
+    product chart's targets.  Those are its distinct pool vectors in
+    vector_key order, each with the set of coordinates where it is
+    negative, so that rule A is a subset test.  Every pair looks up its
+    three charts through chart_algebra, where the bench trace counts them.
+    """
     chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
+    chart_fg = chart_algebra(spec, f * g)
+    F, G, FG = chart_f.free_coords, chart_g.free_coords, chart_fg.free_coords
+    for chart in (chart_f, chart_g):
+        if chart.free_coords not in off:
+            off[chart.free_coords] = chart.constrained_coords()
+    if FG not in targets:
+        targets[FG] = [(t, frozenset(i for i, a in enumerate(t) if a < 0))
+                       for t in sorted(set(chart_fg.pool), key=vector_key)]
     pool_f, pool_g = chart_f.pool, chart_g.pool
-    off_f, off_g = chart_f.constrained_coords(), chart_g.constrained_coords()
-    for t in sorted(set(chart_algebra(spec, f * g).pool), key=vector_key):
-        if not (_nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
+    off_f, off_g = off[F], off[G]
+    for t, negative in targets[FG]:
+        if not (negative <= F or negative <= G
+                or _nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
                 or semigroup_member(pool_f + pool_g, t) is not None):
             return WeakPairReport((f, g), True, t)
     return WeakPairReport((f, g), False, None)
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:
-    """t - p >= 0 on the coordinates off for p = 0 or some p in pool."""
-    return (all(t[i] >= 0 for i in off)
-            or any(all(t[i] >= p[i] for i in off) for p in pool))
+    """t - p >= 0 on the coordinates off for some p in pool: rule B."""
+    return any(all(t[i] >= p[i] for i in off) for p in pool)
 
 
 def _minimal_divisibility(monos: Sequence[Monomial]) -> list[Monomial]:
@@ -126,12 +148,10 @@ def weak_pairs(spec: RingSpec) -> tuple[WeakPairReport, ...]:
     monomials, when present, otherwise the irrelevant-ideal generators.
     """
     gens = [g for g in _chart_monomials(spec) if g.support]
-    out = []
-    for f, g in itertools.combinations(gens, 2):
-        report = mu_surjective(spec, f, g)
-        if report.weak:
-            out.append(report)
-    return tuple(out)
+    off, targets = {}, {}
+    reports = (_audit(spec, f, g, off, targets)
+               for f, g in itertools.combinations(gens, 2))
+    return tuple(r for r in reports if r.weak)
 
 
 def is_separated(spec: RingSpec) -> SeparationVerdict:

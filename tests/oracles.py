@@ -229,6 +229,47 @@ def semigroup_member_by_search(gens, target):
     return sols[0] if sols else None
 
 
+def coset_minimal_by_box(vec, units):
+    """Graded-lex least representative of vec modulo the unit lattice.
+
+    The L1 norm is proper on every coset, so the minimum exists; candidates
+    are enumerated through the triangular structure of the HNF basis.
+
+    The former diophantine._coset_minimal, kept as the reference: every
+    level tries each multiple allowed by the starting norm.
+    """
+    from projd.diophantine import vector_key
+    from projd.fgab import hnf_reduce
+
+    if not units:
+        return tuple(vec)
+    start = hnf_reduce(units, vec)
+    best = [vector_key(start)]
+    pivots = [next(j for j, a in enumerate(row) if a) for row in units]
+    bound = best[0][0]
+
+    def descend(level: int, current: list[int], partial: int) -> None:
+        if partial > best[0][0]:
+            return
+        if level == len(units):
+            key = vector_key(current)
+            if key < best[0]:
+                best[0] = key
+            return
+        row = units[level]
+        p = pivots[level]
+        step = row[p]
+        # |current[p] + k*step| <= bound caps k on both sides
+        lo = -(bound + current[p]) // step
+        hi = (bound - current[p]) // step
+        for k in range(lo, hi + 1):
+            cand = [a + k * b for a, b in zip(current, row)]
+            descend(level + 1, cand, partial + abs(cand[p]))
+
+    descend(0, list(start), 0)
+    return best[0][1]
+
+
 def subgroup_index_by_smith(group, sub):
     """[group : sub] from the Smith diagonal of the lifted generators plus
     torsion relations; math.inf below full rank."""

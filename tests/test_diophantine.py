@@ -287,6 +287,65 @@ def test_hilbert_basis_of_a_four_coordinate_lattice():
         (9, 1, 5, 0), (11, 0, 6, 0)))
 
 
+def test_coset_minimal_matches_the_box_enumeration():
+    # the pruned runs against the former enumeration; the draws stay small
+    # because the enumeration tries every multiple the starting norm allows
+    from projd.diophantine import _coset_minimal
+    from projd.fgab import hnf_reduce
+
+    rng = random.Random(24)
+    seen = {"moved": 0, "rank 3": 0, "n = 6": 0}
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        units = row_hnf([[rng.randint(-3, 3) for _ in range(n)]
+                         for _ in range(rng.randint(1, min(3, n)))], n)
+        vec = [rng.randint(-3, 3) for _ in range(n)]
+        got = _coset_minimal(vec, units)
+        assert got == oracles.coset_minimal_by_box(vec, units), (vec, units)
+        seen["moved"] += bool(units) and got != hnf_reduce(units, vec)
+        seen["rank 3"] += len(units) == 3
+        seen["n = 6"] += n == 6
+    assert min(seen.values()) >= 30, seen
+
+
+def test_coset_minimal_visits_fewer_leaves_on_the_l8_product_charts(monkeypatch):
+    # work, not time: the leaves (one vector_key each, past the starting
+    # key) on the coset representatives of the 126 product charts of the L8
+    # ladder rung: 7,658 here, 10,150 for the former enumeration
+    import projd.diophantine as diophantine
+
+    G = FgAbGroup(2)
+    spec = _grading(G, [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)])
+    kernel, calls = diophantine._coset_minimal, []
+
+    def recording(vec, units):
+        calls.append((tuple(vec), units))
+        return kernel(vec, units)
+
+    monkeypatch.setattr(diophantine, "_coset_minimal", recording)
+    gens = spec.irrelevant_generators()
+    supports = {f.support | g.support for f, g in itertools.combinations(gens, 2)}
+    for support in supports:
+        assert spec.semigroup(support).generators
+    assert len(supports) == 126
+    calls = [(vec, units) for vec, units in calls if units]
+    keys = 0
+
+    def counted(vec):
+        nonlocal keys
+        keys += 1
+        return vector_key(vec)
+
+    monkeypatch.setattr(diophantine, "vector_key", counted)
+    answers, leaves = [], []
+    for search in (kernel, oracles.coset_minimal_by_box):
+        keys = 0
+        answers.append([search(vec, units) for vec, units in calls])
+        leaves.append(keys - len(calls))
+    assert answers[0] == answers[1] and len(calls) == 600
+    assert leaves[0] <= 8000 < leaves[1], leaves
+
+
 def test_minimal_nonneg_solutions_small_systems():
     # x - y = 0 over N^2
     sols = minimal_nonneg_solutions([[1, -1]], 2)

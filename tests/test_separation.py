@@ -716,6 +716,21 @@ def test_l7_gluing_answers_within_a_minute():
         "8f37b77dbffc92112865e7baf84ff8c91ed06bbb8ec6927733237af94dcc17a5"
 
 
+@pytest.mark.parametrize("rung, weak, digest", [
+    (8, 126, "4217833f39cc4f874d585ee5858da0e4a9d0e4a5c8122b9f2a94bf8543ab18a0"),
+    (9, 210, "2320aa346c5784adba6c9e9cf16136771614d9ed113d4f7425460355631c0a1f"),
+], ids=["L8", "L9"])
+def test_l8_and_l9_separated_payloads_are_unchanged(rung, weak, digest):
+    # L7 plus (2, 3), then (3, 2): the rungs where coset minimisation and
+    # the shared audit tables carry most of the work; the digests are those
+    # of the payloads before either was pruned
+    degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+    payload = execute(graded(2, [], degrees[:rung]), "separated", [])
+    assert len(payload["pairs"]) == weak
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
 def test_submodels_honour_the_declared_ideal():
     # plane-b drops yz from the plane model, which removes the weak pair
     from projd.cli import execute, fixture_text, parse_ring_spec
