@@ -4,23 +4,27 @@ A ring-spec file is YAML with three keys: group {rank, torsion}, a list
 of variables carrying degree coordinates, and an optional monomial list
 B restricting the model.  Every command parses the file, delegates to
 one library operation, and emits either a short human rendering or a
-byte-stable JSON report {command, digest, payload}.
+byte-stable JSON report {command, digest, payload}, in one write to
+stdout.  The parser is argparse's, one subparser per COMMANDS entry,
+built once at import.
 
-Exit codes: 0 success, 2 usage, 3 invalid input (InvalidInput), 4 any
-other fault or a fixture mismatch.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage (an
+unreadable --spec file among them), 3 invalid input (InvalidInput), 4
+any other fault or a fixture mismatch.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-import click
 import yaml
 
 from projd.charts import (
@@ -526,11 +530,12 @@ def _render_companion(payload: dict) -> list[str]:
     return [f"({top}) / {bottom} has degree zero"]
 
 
-BOUND = click.Option(["--bound"], type=int, default=6, show_default=True,
-                     help="total-degree cutoff for the listing")
+# In the params of a command that takes --bound, a total-degree cutoff.
+BOUND = object()
+DEFAULT_BOUND = 6
 
-# The one list of commands; dispatch, rendering and the click commands all
-# come from it.  name: (params, help, payload_fn, render_fn), where params
+# The one list of commands; dispatch, rendering and the argparse subparsers
+# all come from it.  name: (params, help, payload_fn, render_fn), where params
 # are the argument names in order, plus BOUND for a command that takes it,
 # and payload_fn(spec, *arguments[, bound]) returns the payload.
 COMMANDS = {
@@ -575,7 +580,7 @@ def execute(spec: RingSpec, command: str, args: Sequence[str],
         raise ParseError(f"unknown command {command!r}")
     params, _, payload_fn, _ = COMMANDS[command]
     if BOUND in params:
-        args = [*args, BOUND.default if bound is None else bound]
+        args = [*args, DEFAULT_BOUND if bound is None else bound]
     return payload_fn(spec, *args)
 
 
@@ -625,60 +630,104 @@ def run_fixture_corpus(echo=print) -> int:
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# command line
 
-def _emit(command: str, spec_path: str, as_json: bool,
-          args: Sequence[str] = (), bound: Optional[int] = None) -> None:
+def _spec_bytes(path: str) -> bytes:
+    """The type of --spec: the file's bytes.  A file that cannot be read is
+    a usage error (exit 2), like a missing one, not a fault (exit 4)."""
     try:
-        raw = Path(spec_path).read_bytes()
-        spec = parse_ring_spec(raw)
-        payload = execute(spec, command, list(args), bound)
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path!r}: {exc.strerror or exc}") from exc
+
+
+def _parser():
+    """The parser and its subparsers, one per COMMANDS entry: its params,
+    then --spec and --json.  Help is --help alone, with no -h."""
+    parser = argparse.ArgumentParser(
+        prog="projd", add_help=False, allow_abbrev=False,
+        description="Exact combinatorics of multigraded Proj models.")
+    parser.add_argument("--fixtures", action="store_true",
+                        help="run the built-in example corpus against stored "
+                             "expectations")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     title="commands")
+    for name, (params, help_text, _, _) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text, description=help_text,
+                                  add_help=False, allow_abbrev=False)
+        for param in params:
+            if param is BOUND:
+                sub.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                                 help="total-degree cutoff for the listing "
+                                      "(default: %(default)s)")
+            else:
+                sub.add_argument(param, metavar=param.upper())
+        sub.add_argument("--spec", required=True, type=_spec_bytes,
+                         metavar="FILE", help="ring-spec YAML file")
+        sub.add_argument("--json", action="store_true",
+                         help="emit the machine-readable report")
+    for each in (parser, *commands.choices.values()):
+        each.add_argument("--help", action="help",
+                          help="show this help message and exit")
+    return parser, commands
+
+
+PARSER, SUBCOMMANDS = _parser()
+
+
+def _emit(options: argparse.Namespace) -> int:
+    """Run the parsed command on its spec file's bytes, write the report in
+    one write, and return the exit code."""
+    command, raw = options.command, options.spec
+    args = [vars(options)[p] for p in COMMANDS[command][0] if p is not BOUND]
+    try:
+        payload = execute(parse_ring_spec(raw), command, args,
+                          getattr(options, "bound", None))
     except InvalidInput as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(4)
-    if as_json:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    if options.json:
         report = {"command": command,
                   "digest": hashlib.sha256(raw).hexdigest(),
                   "payload": payload}
-        click.echo(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        for line in human_lines(command, payload):
-            click.echo(line)
+        text = "".join(line + "\n" for line in human_lines(command, payload))
+    sys.stdout.write(text)
+    return 0
 
 
-def _command(name: str, params, help_text: str) -> click.Command:
-    """The click command of a COMMANDS entry: its params, then --spec and --json."""
-    arguments = [p for p in params if isinstance(p, str)]
+def main(args: Optional[Sequence[str]] = None, prog_name=None):
+    """Run one `projd` call on `args` (default: sys.argv[1:]) and exit
+    with its code.
 
-    def callback(spec_path, as_json, bound=None, **values):
-        _emit(name, spec_path, as_json, [values[a] for a in arguments], bound)
+    With `main.main = main`, callers of the form `main.main(args=...,
+    prog_name=...)` keep working; `prog_name` is ignored, the program is
+    always `projd`.
+    """
+    options = PARSER.parse_args(args)
+    try:
+        if options.fixtures:
+            code = run_fixture_corpus()
+        elif options.command is None:
+            PARSER.print_help()
+            code = 2
+        else:
+            code = _emit(options)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # no traceback, and no second failure when Python flushes stdout
+        # on exit: point it at /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
-    return click.Command(name, callback=callback, help=help_text, params=[
-        *(click.Argument([p]) if isinstance(p, str) else p for p in params),
-        click.Option(["--spec", "spec_path"], required=True,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="ring-spec YAML file"),
-        click.Option(["--json", "as_json"], is_flag=True,
-                     help="emit the machine-readable report"),
-    ])
 
-
-@click.group(invoke_without_command=True,
-             commands=[_command(name, params, help_text)
-                       for name, (params, help_text, _, _) in COMMANDS.items()])
-@click.option("--fixtures", "fixtures_flag", is_flag=True,
-              help="run the built-in example corpus against stored expectations")
-@click.pass_context
-def main(ctx, fixtures_flag):
-    """Exact combinatorics of multigraded Proj models."""
-    if fixtures_flag:
-        ctx.exit(run_fixture_corpus(echo=click.echo))
-    if ctx.invoked_subcommand is None:
-        click.echo(ctx.get_help())
-        ctx.exit(2)
+main.main = main
 
 
 if __name__ == "__main__":

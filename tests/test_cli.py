@@ -1,20 +1,23 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import oracles
 import projd
 import pytest
 import yaml
-from click.testing import CliRunner
 from projd.cli import (
     COMMANDS,
+    SUBCOMMANDS,
     ParseError,
     execute,
     fixture_text,
@@ -45,6 +48,22 @@ variables:
 
 def plane_spec():
     return parse_ring_spec(fixture_text("plane"))
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one `projd` call made in this process.
+
+    The call has the form `main.main(args=..., prog_name=...)`, the one the
+    benchmark makes in each op process.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=list(argv), prog_name="projd")
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 # parsing
@@ -130,9 +149,9 @@ def test_unknown_keys_are_rejected_at_every_level(tmp_path, text, message):
     assert str(err.value) == message
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
-    result = CliRunner().invoke(main, ["check", "--spec", str(bad)])
-    assert result.exit_code == 3
-    assert message in result.output
+    code, out, err = run_cli(["check", "--spec", str(bad)])
+    assert code == 3
+    assert message in err
 
 
 def test_undecodable_or_unbuildable_yaml_is_a_parse_error():
@@ -328,13 +347,13 @@ def test_parse_degree_errors(tmp_path):
                  "(2|1 mod 2 mod 5)", "2 mod 7 | 1"]:
         with pytest.raises(ParseError):
             parse_degree(T, text)
-    result = CliRunner().invoke(main, ["sheaf", "(2 | 1 mod 3)", "--spec",
-                                       write_spec(tmp_path, "torsion")])
+    code, out, err = run_cli(["sheaf", "(2 | 1 mod 3)", "--spec",
+                              write_spec(tmp_path, "torsion")])
     line = "error: degree '(2 | 1 mod 3)': bad torsion coordinate '1 mod 3'\n"
-    assert (result.exit_code, result.stderr, result.stdout) == (3, line, "")
-    result = CliRunner().invoke(main, ["sheaf", "", "--spec", write_spec(tmp_path, "plane")])
+    assert (code, err, out) == (3, line, "")
+    code, out, err = run_cli(["sheaf", "", "--spec", write_spec(tmp_path, "plane")])
     line = "error: degree '': expected 2 free coordinates\n"
-    assert (result.exit_code, result.stderr, result.stdout) == (3, line, "")
+    assert (code, err, out) == (3, line, "")
 
 
 def test_parse_prime_forms():
@@ -388,25 +407,21 @@ def write_spec(tmp_path, name):
 
 
 def test_cli_gens_human(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["gens", "--spec", write_spec(tmp_path, "plane")])
-    assert result.exit_code == 0
-    assert result.output == "Gen = {yz, xz, xy}\n"
+    code, out, err = run_cli(["gens", "--spec", write_spec(tmp_path, "plane")])
+    assert code == 0
+    assert out == "Gen = {yz, xz, xy}\n"
 
 
 def test_cli_gens_rank_zero(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["gens", "--spec", write_spec(tmp_path, "parity")])
-    assert result.exit_code == 0
-    assert "single affine chart" in result.output
+    code, out, err = run_cli(["gens", "--spec", write_spec(tmp_path, "parity")])
+    assert code == 0
+    assert "single affine chart" in out
 
 
 def test_cli_separated_human(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main,
-                           ["separated", "--spec", write_spec(tmp_path, "plane")])
-    assert result.exit_code == 0
-    assert result.output.splitlines() == [
+    code, out, err = run_cli(["separated", "--spec", write_spec(tmp_path, "plane")])
+    assert code == 0
+    assert out.splitlines() == [
         "NOT SEPARATED; dependency class: nontrivial-irreducible",
         "  weak pair (yz, xz); witness z/(xy)",
     ]
@@ -441,38 +456,34 @@ variables:
         (str(tmp_path / "r3a.yaml"), "x3*x4", "x0*x1*x5",
          "(x3*x4 * x0^2*x5) / (x0*x1*x5)^2 has degree zero"),
     ]
-    runner = CliRunner()
     for spec, h, f, line in cases:
-        result = runner.invoke(main, ["companion", h, f, "--spec", spec])
-        assert result.exit_code == 0
-        assert result.output.splitlines() == [line]
+        code, out, err = run_cli(["companion", h, f, "--spec", spec])
+        assert code == 0
+        assert out.splitlines() == [line]
 
 
 def test_cli_sheaf_human(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["sheaf", "(2 | 0 mod 2)", "--spec",
-                                  write_spec(tmp_path, "torsion")])
-    assert result.exit_code == 0
-    assert result.output == ("twist by (2 | 0 mod 2): free: yes; "
-                             "invertible: yes; witnesses z^2 | x^2\n")
+    code, out, err = run_cli(["sheaf", "(2 | 0 mod 2)", "--spec",
+                              write_spec(tmp_path, "torsion")])
+    assert code == 0
+    assert out == ("twist by (2 | 0 mod 2): free: yes; "
+                   "invertible: yes; witnesses z^2 | x^2\n")
 
 
 def test_cli_sections_bound(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["sections", "(1, 1)", "--bound", "3",
-                                  "--spec", write_spec(tmp_path, "plane")])
-    assert result.exit_code == 0
-    assert "{z, xy} (complete)" in result.output
+    code, out, err = run_cli(["sections", "(1, 1)", "--bound", "3",
+                              "--spec", write_spec(tmp_path, "plane")])
+    assert code == 0
+    assert "{z, xy} (complete)" in out
 
 
 def test_cli_json_digest_matches_file_bytes(tmp_path):
     path = write_spec(tmp_path, "plane")
-    runner = CliRunner()
-    first = runner.invoke(main, ["gens", "--spec", path, "--json"])
-    second = runner.invoke(main, ["gens", "--spec", path, "--json"])
-    assert first.exit_code == 0
-    assert first.output == second.output
-    report = json.loads(first.output)
+    first = run_cli(["gens", "--spec", path, "--json"])
+    second = run_cli(["gens", "--spec", path, "--json"])
+    assert first[0] == 0
+    assert first[1] == second[1]
+    report = json.loads(first[1])
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
     assert report == {
         "command": "gens",
@@ -482,44 +493,84 @@ def test_cli_json_digest_matches_file_bytes(tmp_path):
 
 
 def test_cli_json_is_compact_and_sorted(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["separated", "--spec",
-                                  write_spec(tmp_path, "quad"), "--json"])
-    line = result.output.rstrip("\n")
+    code, out, err = run_cli(["separated", "--spec",
+                              write_spec(tmp_path, "quad"), "--json"])
+    line = out.rstrip("\n")
     assert json.dumps(json.loads(line), sort_keys=True,
                       separators=(",", ":")) == line
 
 
-def test_cli_usage_error_exits_2():
-    runner = CliRunner()
-    assert runner.invoke(main, []).exit_code == 2
-    assert runner.invoke(main, ["gens"]).exit_code == 2
-    assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+def test_cli_bytes_of_every_corpus_call():
+    # every byte a corpus call writes, and its exit code, plain and with
+    # --json, on the packaged fixture files: the payload tests above pin
+    # the payloads, this pins the text around them
+    digest = hashlib.sha256()
+    for entry in load_corpus():
+        path = resources.files("projd") / "fixtures" / f"{entry['fixture']}.yaml"
+        argv = [entry["command"], *entry.get("args", []), "--spec", str(path)]
+        if "bound" in entry:
+            argv += ["--bound", str(entry["bound"])]
+        for extra in ([], ["--json"]):
+            digest.update(json.dumps(run_cli(argv + extra)).encode())
+    assert digest.hexdigest() == (
+        "d18e1f1911ca4dcb01c72757972bdf7d6ed685850c151f7a12b14f1f061ed0e4")
+
+
+def test_cli_usage_error_exits_2(tmp_path):
+    spec = write_spec(tmp_path, "plane")
+    code, out, err = run_cli([])  # no command: the help, on stdout
+    assert (code, err) == (2, "") and out
+    for argv in (["gens"], ["frobnicate"],
+                 ["gens", "--spec", str(tmp_path / "missing.yaml")],
+                 ["gens", "--spec", str(tmp_path)],
+                 ["sections", "(1, 1)", "--bound", "x", "--spec", spec],
+                 ["gens", "--spec", spec, "--js"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err, argv
+    # a report written to a pipe whose reader has gone: exit 1, and no
+    # traceback on stderr
+    src = str(Path(projd.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "projd.cli", "gens", "--spec", spec, "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux procfs")
+def test_cli_unreadable_spec_exits_2():
+    # a file that exists but cannot be read is bad usage, like a missing
+    # one; exit 4 is for faults of the engine
+    code, out, err = run_cli(["gens", "--spec", "/proc/self/mem"])
+    assert (code, out) == (2, "")
+    assert "Input/output error" in err and "internal error" not in err
 
 
 def test_cli_validation_error_exits_3(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("group: {rank: 2\n")
-    runner = CliRunner()
-    result = runner.invoke(main, ["gens", "--spec", str(bad)])
-    assert result.exit_code == 3
-    assert "error:" in result.output
+    code, out, err = run_cli(["gens", "--spec", str(bad)])
+    assert code == 3
+    assert "error:" in err
 
 
 def test_cli_irrelevant_chart_exits_3(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["chart", "x", "--spec",
-                                  write_spec(tmp_path, "plane")])
-    assert result.exit_code == 3
-    assert "x is not relevant" in result.output
+    code, out, err = run_cli(["chart", "x", "--spec", write_spec(tmp_path, "plane")])
+    assert code == 3
+    assert "x is not relevant" in err
 
 
 def test_cli_prime_meeting_chart_exits_3(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["psi", "x*y", "(x)", "--spec",
-                                  write_spec(tmp_path, "plane")])
-    assert result.exit_code == 3
-    assert "meets the chart monomial" in result.output
+    code, out, err = run_cli(["psi", "x*y", "(x)", "--spec",
+                              write_spec(tmp_path, "plane")])
+    assert code == 3
+    assert "meets the chart monomial" in err
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -532,8 +583,8 @@ def test_cli_prime_meeting_chart_exits_3(tmp_path):
     (["psi", "xy", "(x,z)", "--json"], "error: prime (x, z) meets the chart monomial"),
 ])
 def test_cli_relevance_error_lines(tmp_path, argv, line):
-    result = CliRunner().invoke(main, [*argv, "--spec", write_spec(tmp_path, "plane")])
-    assert (result.exit_code, result.stderr, result.stdout) == (3, line + "\n", "")
+    code, out, err = run_cli([*argv, "--spec", write_spec(tmp_path, "plane")])
+    assert (code, err, out) == (3, line + "\n", "")
 
 
 # Each text reaches PyYAML: a tab, "?" or a "!," tag that libyaml would
@@ -560,8 +611,7 @@ def test_cli_relevance_error_lines(tmp_path, argv, line):
 def test_cli_bad_yaml_lines(tmp_path, text, code, stdout, stderr):
     path = tmp_path / "spec.yaml"
     path.write_bytes(text.encode("utf-8"))
-    result = CliRunner().invoke(main, ["check", "--spec", str(path)])
-    assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
+    assert run_cli(["check", "--spec", str(path)]) == (code, stdout, stderr)
 
 
 def test_cli_internal_error_exits_4(tmp_path, monkeypatch):
@@ -569,10 +619,9 @@ def test_cli_internal_error_exits_4(tmp_path, monkeypatch):
         raise RuntimeError("invariant broken")
 
     monkeypatch.setattr("projd.cli.execute", boom)
-    runner = CliRunner()
-    result = runner.invoke(main, ["gens", "--spec", write_spec(tmp_path, "plane")])
-    assert result.exit_code == 4
-    assert "internal error: invariant broken" in result.output
+    code, out, err = run_cli(["gens", "--spec", write_spec(tmp_path, "plane")])
+    assert code == 4
+    assert "internal error: invariant broken" in err
 
 
 def test_cli_library_value_error_exits_4(tmp_path, monkeypatch):
@@ -580,25 +629,22 @@ def test_cli_library_value_error_exits_4(tmp_path, monkeypatch):
         raise ValueError("coordinate shape does not match the group")
 
     monkeypatch.setattr("projd.cli.chart_algebra", shape_mismatch)
-    runner = CliRunner()
-    result = runner.invoke(main, ["chart", "xy", "--spec",
-                                  write_spec(tmp_path, "plane")])
-    assert result.exit_code == 4
-    assert "internal error: coordinate shape" in result.output
+    code, out, err = run_cli(["chart", "xy", "--spec", write_spec(tmp_path, "plane")])
+    assert code == 4
+    assert "internal error: coordinate shape" in err
 
 
 def test_cli_intersect_reverse_inclusion_failure_exits_4(tmp_path, monkeypatch):
     # the f-chart always lies inside the fg-chart; a fault there is the
     # engine's, reported as one, never a FAILED verdict on the user's ring
     path = write_spec(tmp_path, "plane")
-    runner = CliRunner()
-    result = runner.invoke(main, ["intersect", "xy", "xz", "--spec", path])
-    assert result.exit_code == 0 and ": ok;" in result.output
+    code, out, err = run_cli(["intersect", "xy", "xz", "--spec", path])
+    assert code == 0 and ": ok;" in out
     monkeypatch.setattr(ConstrainedSemigroup, "contains", lambda self, vec: False)
-    result = runner.invoke(main, ["intersect", "xy", "xz", "--spec", path])
-    assert result.exit_code == 4
-    assert result.output.startswith("internal error: ")
-    assert "FAILED" not in result.output
+    code, out, err = run_cli(["intersect", "xy", "xz", "--spec", path])
+    assert code == 4
+    assert err.startswith("internal error: ")
+    assert "FAILED" not in out + err
 
 
 def test_cli_sheaf_disagreement_is_an_invariant_error(tmp_path, monkeypatch):
@@ -608,11 +654,10 @@ def test_cli_sheaf_disagreement_is_an_invariant_error(tmp_path, monkeypatch):
     monkeypatch.setattr("projd.sheaves.is_free", lambda spec, d: not real(spec, d))
     with pytest.raises(InvariantError, match="freeness and invertibility disagree"):
         execute(parse_ring_spec(fixture_text("torsion")), "sheaf", ["(2 | 0 mod 2)"])
-    runner = CliRunner()
-    result = runner.invoke(main, ["sheaf", "(2 | 0 mod 2)", "--spec",
-                                  write_spec(tmp_path, "torsion")])
-    assert result.exit_code == 4
-    assert "internal error: freeness and invertibility disagree" in result.output
+    code, out, err = run_cli(["sheaf", "(2 | 0 mod 2)", "--spec",
+                              write_spec(tmp_path, "torsion")])
+    assert code == 4
+    assert "internal error: freeness and invertibility disagree" in err
 
 
 def test_fixture_corpus_passes_in_optimized_mode():
@@ -626,28 +671,23 @@ def test_fixture_corpus_passes_in_optimized_mode():
 
 
 def test_cli_bad_monomial_and_bound_exit_3(tmp_path):
-    runner = CliRunner()
     path = write_spec(tmp_path, "plane")
-    result = runner.invoke(main, ["chart", "xq", "--spec", path])
-    assert result.exit_code == 3
-    assert "error: unknown variable" in result.output
-    result = runner.invoke(main, ["sections", "(1, 1)", "--bound", "-1",
-                                  "--spec", path])
-    assert result.exit_code == 3
-    assert "error: bound must be nonnegative" in result.output
+    code, out, err = run_cli(["chart", "xq", "--spec", path])
+    assert code == 3
+    assert "error: unknown variable" in err
+    code, out, err = run_cli(["sections", "(1, 1)", "--bound", "-1", "--spec", path])
+    assert code == 3
+    assert "error: bound must be nonnegative" in err
 
 
-def test_cli_help_screens_are_unchanged():
-    # recorded from the hand-written click commands the table replaced
+def test_cli_help_screens_are_unchanged(monkeypatch):
+    # recorded at a fixed width: argparse wraps help to $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads((Path(__file__).parent / "cli_help.json").read_text())
-    assert set(golden) == {"projd", *COMMANDS} == {"projd", *main.commands}
-    runner = CliRunner()
+    assert set(golden) == {"projd", *COMMANDS} == {"projd", *SUBCOMMANDS.choices}
     for name, text in golden.items():
         argv = [] if name == "projd" else [name]
-        result = runner.invoke(main, argv + ["--help"], prog_name="projd",
-                               terminal_width=80)
-        assert result.exit_code == 0
-        assert result.output == text, name
+        assert run_cli(argv + ["--help"]) == (0, text, ""), name
 
 
 def test_command_table_matches_the_corpus():
@@ -655,10 +695,9 @@ def test_command_table_matches_the_corpus():
 
 
 def test_cli_fixture_corpus_passes():
-    runner = CliRunner()
-    result = runner.invoke(main, ["--fixtures"])
-    assert result.exit_code == 0
-    assert result.output.splitlines()[-1] == "fixture corpus: all entries match"
+    code, out, err = run_cli(["--fixtures"])
+    assert code == 0
+    assert out.splitlines()[-1] == "fixture corpus: all entries match"
 
 
 def test_fixture_corpus_mismatch_exits_4(monkeypatch):
