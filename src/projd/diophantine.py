@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import add, le, mul
 from typing import Optional, Sequence
 
-from projd.fgab import hnf_reduce, kernel_basis, row_hnf, smith_normal_form
+from projd.fgab import hnf_reduce, row_hnf, smith_normal_form
 
 ExponentVector = tuple[int, ...]
 
@@ -47,11 +47,21 @@ class ConstrainedSemigroup:
     must stay >= 0.  The units and generators are computed once, on first
     use; the semigroup is generated by the generators and both signs of
     the units.
+
+    Without a base, both come from one Smith form of the projection of L
+    to the constrained coordinates: the units are its kernel, and the
+    generators the minimal points of its image (see _minimal_lifts).  A
+    base is a semigroup of the same lattice whose free set is a proper
+    subset of free_coords, and relevant: L projects onto a full-rank
+    lattice off it.  Then both are read off the base's units and
+    generators, with no search (see _localize).  The base takes no part
+    in comparison: the answer does not depend on it.
     """
 
     nvars: int
     kernel_basis: tuple[ExponentVector, ...]
     free_coords: frozenset[int] = field(default_factory=frozenset)
+    base: Optional[ConstrainedSemigroup] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for v in self.kernel_basis:
@@ -60,6 +70,10 @@ class ConstrainedSemigroup:
         if any(i < 0 or i >= self.nvars for i in self.free_coords):
             raise ValueError("free coordinate out of range")
         object.__setattr__(self, "kernel_basis", row_hnf(self.kernel_basis, self.nvars))
+        base = self.base
+        if base is not None and not (base.kernel_basis == self.kernel_basis
+                                     and base.free_coords < self.free_coords):
+            raise ValueError("a base has the same lattice and fewer free coordinates")
 
     def constrained_coords(self) -> list[int]:
         return [i for i in range(self.nvars) if i not in self.free_coords]
@@ -71,19 +85,39 @@ class ConstrainedSemigroup:
         return not any(hnf_reduce(self.kernel_basis, vec))
 
     @cached_property
+    def _smith(self):
+        """The projection of L to the constrained coordinates in Smith form.
+
+        Returns (U, moduli, rank, V): U P V = S for the matrix P whose
+        column k is basis vector k of L projected, moduli the diagonal of
+        S padded with zeros to one entry per row, and rank the number of
+        its nonzero entries.  A column of V, as coefficients on the basis
+        of L, is a vector of L (see _lift); those past the rank span the
+        kernel of the projection.
+        """
+        K = self.kernel_basis
+        conn = self.constrained_coords()
+        if not conn:  # P has no rows: V is the identity
+            return [], [], 0, [[int(i == j) for j in range(len(K))] for i in range(len(K))]
+        U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
+        moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
+        return U, moduli, sum(1 for s in moduli if s), V
+
+    @cached_property
     def units(self) -> tuple[ExponentVector, ...]:
         """HNF basis of the invertible part: lattice vectors supported on F."""
-        K = self.kernel_basis
-        if not K:
-            return ()
-        rows = [[v[i] for v in K] for i in self.constrained_coords()]
-        vecs = [[sum(c * v[i] for c, v in zip(coeffs, K)) for i in range(self.nvars)]
-                for coeffs in kernel_basis(rows, len(K))]
-        return row_hnf(vecs, self.nvars)
+        if self.base is not None:
+            conn = self.constrained_coords()
+            inside = [g for g in self.base.generators if not any(g[i] for i in conn)]
+            return row_hnf((*self.base.units, *inside), self.nvars)
+        _, _, rank, V = self._smith
+        return row_hnf((_lift(self, c) for c in list(zip(*V))[rank:]), self.nvars)
 
     @cached_property
     def generators(self) -> tuple[ExponentVector, ...]:
         """Minimal generators of the pointed quotient; see hilbert_basis."""
+        if self.base is not None:
+            return _localize(self)
         return hilbert_basis(self)[1]
 
     @cached_property
@@ -253,32 +287,41 @@ def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> Expone
     far bound the final norm from below.  Each row tries its multiples in
     two runs, up from the first that makes its pivot entry positive and
     down from the one before, so the entry grows in size along a run; a
-    run stops once the bound passes the best norm found so far.  A bound
-    equal to that norm goes on, since keys compare (norm, vector).
+    run stops once the bound passes the best norm found so far.  At the
+    last row every entry is fixed, and the norm is convex in the multiple,
+    so a run there also stops once the norm is above the best and has
+    stopped falling.  A norm equal to the best goes on, since keys compare
+    (norm, vector).
     """
     if not units:
         return tuple(vec)
     start = hnf_reduce(units, vec)
     best = vector_key(start)
     pivots = [next(j for j, a in enumerate(row) if a) for row in units]
+    last = len(units) - 1
 
     def descend(level: int, current: list[int], partial: int) -> None:
         nonlocal best
-        if level == len(units):
-            key = vector_key(current)
-            if key < best:
-                best = key
-            return
         row = units[level]
         p = pivots[level]
         step = row[p]
         first = -current[p] // step + 1  # least k with current[p] + k*step > 0
         for run in (itertools.count(first), itertools.count(first - 1, -1)):
+            before = None
             for k in run:
                 bound = partial + abs(current[p] + k * step)
                 if bound > best[0]:
                     break
-                descend(level + 1, [a + k * b for a, b in zip(current, row)], bound)
+                nxt = [a + k * b for a, b in zip(current, row)]
+                if level < last:
+                    descend(level + 1, nxt, bound)
+                    continue
+                key = vector_key(nxt)
+                if key < best:
+                    best = key
+                elif key[0] > best[0] and before is not None and key[0] >= before:
+                    break
+                before = key[0]
 
     descend(0, list(start), 0)
     return best[1]
@@ -292,35 +335,92 @@ def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     its coset as a module, 0 alone for a0 = 0).  The kernel of the
     projection pi to conn on L is the unit lattice, so modulo units the
     answer is the minimal points of (pi(a0) + P) in N^conn, P = pi(L).
-    With U P^T V = S in Smith form, b is in pi(a0) + P iff (U b)_j =
-    (U pi(a0))_j mod s_j, which _congruences turns into equations whose
-    minimal solutions are the minimal points; they are lifted through V,
-    made coset-minimal and sorted graded-lex.
+    With U P V = S in Smith form (sg._smith), b is in pi(a0) + P iff
+    (U b)_j = (U pi(a0))_j mod s_j, which _congruences turns into
+    equations whose minimal solutions are the minimal points; they are
+    lifted through V, made coset-minimal and sorted graded-lex.
     """
     K, units = sg.kernel_basis, sg.units
     start = (0,) * sg.nvars if a0 is None else a0
     conn = sg.constrained_coords()
-    U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
-    moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
-    rank = sum(1 for s in moduli if s)
+    U, moduli, rank, V = sg._smith
     if len(units) != len(K) - rank:
         raise InvariantError(f"generators need a unit lattice of rank "
                              f"{len(K) - rank}, got {len(units)}")
+    lifts = [_lift(sg, c) for c in list(zip(*V))[:rank]]
     shift = [sum(u * start[i] for u, i in zip(row, conn)) for row in U]
     rows, rhs, width = _congruences(U, moduli, shift, len(conn))
     sols = minimal_nonneg_solutions(rows, width, None if a0 is None else rhs)
-    columns = list(zip(*K))
-    basis = [[sum(map(mul, v, c)) for c in columns] for v in list(zip(*V))[:rank]]
-    lifts = []
+    out = []
     for sol in sols:
         vec = list(start)
         for j in range(rank):
             q, rem = divmod(sum(map(mul, U[j], sol)) - shift[j], moduli[j])
             if rem:
                 raise InvariantError(f"generator {sol[:len(conn)]} leaves the lattice")
-            vec = [a + q * w for a, w in zip(vec, basis[j])]
-        lifts.append(_coset_minimal(vec, units))
-    return tuple(sorted(lifts, key=vector_key))
+            vec = [a + q * w for a, w in zip(vec, lifts[j])]
+        out.append(_coset_minimal(vec, units))
+    return tuple(sorted(out, key=vector_key))
+
+
+def _lift(sg: ConstrainedSemigroup, coeffs: Sequence[int]) -> ExponentVector:
+    """The vector of L with the given coefficients on its basis."""
+    return tuple(sum(map(mul, coeffs, column)) for column in zip(*sg.kernel_basis))
+
+
+def _localize(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
+    """Generators of sg read off those of its base, with no search.
+
+    This is the chart of fg as the chart of f with degree-zero elements
+    inverted.  Write F for the free set of the base and F' for that of sg,
+    S_F and S_F' for the two semigroups, C' for the coordinates off F' and
+    pi' for the projection to C'.  sg.units is the row HNF of the units of
+    S_F together with the generators of S_F supported inside F'.  The
+    generators are the generators of S_F whose projections are nonzero and
+    minimal, one per projection, made coset-minimal modulo sg.units and
+    sorted graded-lex.  This is exact:
+
+    1. F is relevant, so for every i in F' - F some m e_i (m > 0) is
+       congruent modulo L to a vector on F.  Their sum is a vector u of L
+       supported inside F', >= 0 off F and > 0 on F' - F.
+    2. Hence S_F' = S_F + N (-u): for any t in S_F', t + k u lies in S_F
+       once k is large.
+    3. Units.  Let t in L be supported inside F'.  By 2, t + k u is a
+       member of S_F supported inside F', and so is u; write each over the
+       pool of S_F.  Every summand is >= 0 off F, and they add up to zero
+       off F', so every summand is supported inside F'.  So t lies in the
+       span of the units of S_F and its generators inside F'; all of them
+       are units of S_F'.
+    4. Generators.  pi'(S_F') is pi'(L) intersected with N^C', a
+       saturated monoid, so its Hilbert basis is its set of minimal
+       nonzero points, and each of them lies in every generating set.  u and the units of S_F
+       project to 0, so by 2 the projections of the generators of S_F
+       generate it: its minimal nonzero points are their nonzero
+       projections minimal among them.
+    5. The kernel of pi' on L is the unit lattice of S_F', so two
+       generators with the same projection lie in one coset of it and
+       have one coset-minimal representative.
+
+    So the answer is that of _minimal_lifts, which finds the same minimal
+    points by a search.  The unit lattice must have rank |F'| - r =
+    rank L - |C'|; a smaller one is a fault of the engine.
+    """
+    conn = sg.constrained_coords()
+    units = sg.units
+    want = len(sg.kernel_basis) - len(conn)
+    if len(units) != want:
+        raise InvariantError(f"generators need a unit lattice of rank {want}, "
+                             f"got {len(units)}")
+    lift = {}
+    for g in sg.base.generators:
+        p = tuple(g[i] for i in conn)
+        if any(p):
+            lift.setdefault(p, g)
+    minimal: list[tuple[int, ...]] = []
+    for p in sorted(lift, key=sum):  # whatever lies below p comes first
+        if not any(all(map(le, m, p)) for m in minimal):
+            minimal.append(p)
+    return tuple(sorted((_coset_minimal(lift[p], units) for p in minimal), key=vector_key))
 
 
 def hilbert_basis(sg: ConstrainedSemigroup):

@@ -383,3 +383,66 @@ def test_psi_collision_scan_matches_pairwise_loop():
             images = [psi_image(spec, f, p) for p in primes]
             expected = oracles.first_equal_pair(primes, images)
             assert psi_collision_scan(spec, f) == (expected or "injective")
+
+
+def _drawn_grading(rng):
+    """An effective grading of rank 1-3 with torsion [], [2], [3], [4], [6]
+    or [2, 2], free degree entries -1..3, on r + 1 to r + 3 variables (r +
+    2 at rank 3, where six variables can keep one search for seconds);
+    a draw that is not effective is drawn again."""
+    while True:
+        r = rng.randint(1, 3)
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [4], [6], [2, 2]]))
+        n = rng.randint(r + 1, r + (2 if r == 3 else 3))
+        degrees = [G.element(tuple(rng.randint(-1, 3) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(n)]
+        try:
+            return RingSpec(G, [f"v{i}" for i in range(n)], degrees)
+        except NotEffective:
+            continue
+
+
+def test_localized_charts_match_the_standalone_search():
+    # every chart of a relevant support past rank D is localized from a
+    # relevant support inside it; from each of several, it must equal the
+    # chart searched alone, units and generators both.  The smallest
+    # subsets are bases, the largest are localized themselves.
+    rng = random.Random(26)
+    seen = {"torsion": set(), "rank 3": 0, "chained": 0, "units": 0, "checks": 0}
+    for _ in range(150):
+        spec = _drawn_grading(rng)
+        n, r = len(spec.variables), spec.group.rank
+        relevant = [s for k in range(r, n + 1)
+                    for s in map(frozenset, itertools.combinations(range(n), k))
+                    if spec.is_relevant(Monomial(tuple(int(i in s) for i in range(n))))]
+        seen["torsion"].add(spec.group.torsion)
+        seen["rank 3"] += r == 3
+        for wide in relevant:
+            inside = [s for s in relevant if s < wide]
+            if not inside:
+                continue
+            alone = ConstrainedSemigroup(n, spec.kernel, wide)
+            for narrow in dict.fromkeys(inside[:2] + inside[-2:]):
+                base = spec.semigroup(narrow)
+                chart = ConstrainedSemigroup(n, spec.kernel, wide, base)
+                assert (chart.units, chart.generators) == (alone.units, alone.generators), \
+                    (spec.degrees, wide, narrow)
+                assert chart == alone
+                seen["chained"] += base.base is not None
+                seen["units"] += bool(chart.units)
+                seen["checks"] += 1
+    assert seen["torsion"] == {(), (2,), (3,), (4,), (6,), (2, 2)}, seen
+    assert min(seen["rank 3"], seen["chained"], seen["units"]) >= 30, seen
+    assert seen["checks"] >= 2500, seen
+
+
+def test_a_base_shares_the_lattice_and_frees_fewer_coordinates():
+    K = ((1, 1, -1),)
+    base = ConstrainedSemigroup(3, K, frozenset({0, 1}))
+    assert ConstrainedSemigroup(3, K, frozenset({0, 1, 2}), base).units == K
+    for bad in (ConstrainedSemigroup(3, ((1, 1, -2),), frozenset({0})),
+                ConstrainedSemigroup(3, K, frozenset({0, 2})),
+                ConstrainedSemigroup(3, K, frozenset({0, 1}))):
+        with pytest.raises(ValueError):
+            ConstrainedSemigroup(3, K, frozenset({0, 2}), bad)

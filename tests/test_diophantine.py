@@ -346,6 +346,27 @@ def test_coset_minimal_visits_fewer_leaves_on_the_l8_product_charts(monkeypatch)
     assert leaves[0] <= 8000 < leaves[1], leaves
 
 
+def test_coset_minimal_stops_a_last_row_run_once_the_norm_rises(monkeypatch):
+    # one unit row, so every run is on the last row.  From (0, 50) the run
+    # up rises at once and stops after two leaves, where the pivot bound
+    # alone let it try fifty; the run down keeps the norm at 50 for 51
+    # leaves, and goes on through them, since an equal norm may still
+    # bring a smaller vector
+    import projd.diophantine as diophantine
+
+    keys = 0
+    key = diophantine.vector_key
+
+    def counted(vec):
+        nonlocal keys
+        keys += 1
+        return key(vec)
+
+    monkeypatch.setattr(diophantine, "vector_key", counted)
+    assert diophantine._coset_minimal((0, 50), ((1, 1),)) == (-50, 0)
+    assert keys - 1 == 2 + 51
+
+
 def test_minimal_nonneg_solutions_small_systems():
     # x - y = 0 over N^2
     sols = minimal_nonneg_solutions([[1, -1]], 2)
@@ -734,3 +755,34 @@ def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):
         "main()\n")
     assert done.returncode == 4, (done.returncode, done.stderr)
     assert "internal error: generator" in done.stderr
+
+
+def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
+    # the chart of x0x1x2 on the L5 rung is localized from that of x0x1;
+    # without its unit lattice it would offer no unit where it has one,
+    # which the localization must refuse under -O too, and the CLI exits 4
+    degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))
+    spec = tmp_path / "l5.yaml"
+    spec.write_text("group: {rank: 2, torsion: []}\nvariables:\n" + "".join(
+        f"  - {{name: x{i}, degree: {{free: {list(d)}, torsion: []}}}}\n"
+        for i, d in enumerate(degrees)), encoding="utf-8")
+    done = _run_optimized(
+        "import sys\n"
+        "import projd.diophantine as d\n"
+        "from projd.charts import chart_algebra\n"
+        "from projd.cli import main, parse_ring_spec\n"
+        "assert False, 'asserts must be off in this check'\n"
+        "d.ConstrainedSemigroup.units = ()\n"
+        f"with open({str(spec)!r}, encoding='utf-8') as fh:\n"
+        "    chart = chart_algebra(parse_ring_spec(fh.read()), 'x0*x1*x2')\n"
+        "print('base', sorted(chart.base.free_coords))\n"
+        "try:\n"
+        "    chart.generators\n"
+        "except d.InvariantError as exc:\n"
+        "    print('raised', exc)\n"
+        f"sys.argv = ['projd', 'chart', 'x0*x1*x2', '--spec', {str(spec)!r}]\n"
+        "main()\n")
+    assert done.returncode == 4, (done.returncode, done.stderr)
+    assert done.stdout.splitlines() == [
+        "base [0, 1]", "raised generators need a unit lattice of rank 1, got 0"]
+    assert "internal error: generators need a unit lattice of rank 1" in done.stderr

@@ -558,6 +558,50 @@ def test_l6_charts_match_the_degree_row_search():
             oracles.hilbert_basis_by_degree_rows(R, f.support), f
 
 
+def test_every_relevant_chart_matches_the_degree_row_search():
+    # the localized charts too: all 57 relevant supports of L6 and the 11
+    # of tor3, which has torsion, in two orders, so that a chart is
+    # localized both from a memoized chart and from a basis searched for it
+    for make, count in ((l6_spec, 57), (tor3_spec, 11)):
+        n = len(make().variables)
+        supports = [frozenset(s) for k in range(n + 1)
+                    for s in itertools.combinations(range(n), k)]
+        for order in (supports, supports[::-1]):
+            spec = make()
+            relevant = [s for s in order
+                        if spec.is_relevant(Monomial(tuple(int(i in s) for i in range(n))))]
+            assert len(relevant) == count
+            localized = 0
+            for support in relevant:
+                chart = spec.semigroup(support)
+                localized += chart.base is not None
+                assert (chart.units, chart.generators) == \
+                    oracles.hilbert_basis_by_degree_rows(spec, support), support
+            assert localized == count - len(spec.irrelevant_generators())
+
+
+@pytest.mark.parametrize("rung, bases", [(5, 10), (9, 36)], ids=["L5", "L9"])
+def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, bases):
+    # work, not time: every product chart is localized from a chart already
+    # built, so the generator search runs once per basis chart (25 and 246
+    # searches when every product chart ran its own)
+    import projd.diophantine as diophantine
+
+    searched = []
+    search = diophantine._minimal_lifts
+
+    def counted(sg, a0):
+        searched.append(sg.free_coords)
+        return search(sg, a0)
+
+    monkeypatch.setattr(diophantine, "_minimal_lifts", counted)
+    degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+    spec = graded(2, [], degrees[:rung])
+    execute(spec, "separated", [])
+    assert len(searched) == len(set(searched)) == bases
+    assert set(searched) == {g.support for g in spec.irrelevant_generators()}
+
+
 def test_minimal_lifts_search_the_zero_coset_like_any_other():
     # None asks for the chart's generators; the zero coset is the
     # degree-zero twist module, generated by the zero vector alone
