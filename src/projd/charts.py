@@ -73,23 +73,20 @@ def chart_algebra(spec: RingSpec, f) -> ConstrainedSemigroup:
 
 @dataclass(frozen=True)
 class ChartIntersectionReport:
-    """Outcome of rebuilding the product chart from one factor's chart."""
+    """The product chart rebuilt from one factor's chart."""
 
     inverted: tuple[ExponentVector, ...]
     decompositions: tuple[tuple[ExponentVector, tuple[int, ...]], ...]
-    ok: bool
 
 
 def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
-    """Verify that the product chart is the f-chart with some units added.
+    """Rebuild the product chart as the f-chart with some units added.
 
     The generators of the f-chart supported inside supp(fg) become units of
-    the fg-chart; ok says that every generator and unit of the fg-chart
-    decomposes over the f-chart pool extended by the inverses of those
-    elements.  The returned decompositions are coefficient vectors over
-    that pool.  The reverse inclusion cannot fail: supp(fg) contains
-    supp(f), so the fg-chart only relaxes signs.  It is checked, and a
-    failure raises InvariantError.
+    the fg-chart, and every generator and unit of the fg-chart is returned
+    with its coefficients over the f-chart pool extended by their inverses.
+    Both inclusions hold (the fg-chart only relaxes signs, and steps 1-3 of
+    diophantine._localize give the other), so a failure raises InvariantError.
     """
     f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
@@ -104,10 +101,11 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
     decompositions = []
     for target in chart_fg.pool:
         coeffs = semigroup_member(pool, target)
-        if coeffs is not None:
-            decompositions.append((target, coeffs))
-    return ChartIntersectionReport(inverted, tuple(decompositions),
-                                   len(decompositions) == len(chart_fg.pool))
+        if coeffs is None:
+            raise InvariantError(f"{target} of the fg-chart does not decompose "
+                                 "over the f-chart and its inverted generators")
+        decompositions.append((target, coeffs))
+    return ChartIntersectionReport(inverted, tuple(decompositions))
 
 
 def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:

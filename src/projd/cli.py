@@ -307,7 +307,7 @@ def _payload_intersect(spec: RingSpec, f: str, g: str) -> dict:
     return {
         "f": f.render(spec.variables, "*"),
         "g": g.render(spec.variables, "*"),
-        "ok": report.ok,
+        "ok": True,  # chart_intersection_check raises otherwise
         "inverted": [list(v) for v in report.inverted],
         "inverted_renders": [laurent_text(v, spec.variables)
                              for v in report.inverted],
@@ -320,10 +320,9 @@ def _payload_intersect(spec: RingSpec, f: str, g: str) -> dict:
 
 
 def _render_intersect(payload: dict) -> list[str]:
-    status = "ok" if payload["ok"] else "FAILED"
     inverted = ", ".join(payload["inverted_renders"]) or "none"
     return [f"intersection of Q_({payload['f']}) and Q_({payload['g']}): "
-            f"{status}; newly inverted: {inverted}; "
+            f"ok; newly inverted: {inverted}; "
             f"{len(payload['decompositions'])} decompositions"]
 
 

@@ -125,16 +125,14 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     return U, A, V
 
 
-def row_hnf(rows: Iterable[Sequence[int]], width: Optional[int] = None):
-    """Canonical (Hermite) basis of the integer span of the given rows.
+def row_hnf(rows: Iterable[Sequence[int]], width: int):
+    """Canonical (Hermite) basis of the integer span of rows of width entries.
 
     Echelon form with positive pivots and the entries above each pivot
     reduced into [0, pivot); unique for a given lattice, so usable as a
     normal form.  Returns a tuple of row tuples, zero rows dropped.
     """
     mat = [list(r) for r in rows]
-    if width is None:
-        width = len(mat[0]) if mat else 0
     r = 0
     for c in range(width):
         piv = None
@@ -384,9 +382,9 @@ class Subgroup:
         return not any(hnf_reduce(self._hnf, d.lift()))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup) or self.group != other.group:
-            return NotImplemented if not isinstance(other, Subgroup) else False
-        return self._hnf == other._hnf
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.group == other.group and self._hnf == other._hnf
 
     __hash__ = None  # mutual-membership equality is not hash-compatible
 

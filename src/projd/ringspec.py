@@ -219,18 +219,10 @@ class RingSpec:
         supp(f) this is the chart of f.
 
         The charts glue along D+(fg) = D+(f) meet D+(g): the chart of fg is
-        that of f with degree-zero elements inverted.  So a relevant set F'
-        of more than r = rank D coordinates is localized from a relevant
-        F inside it (see diophantine._localize), with no search.  F is the
-        largest such set whose semigroup is already built, the first of
-        them on a tie: the weak-pair audit builds the charts of f and g
-        before that of fg, and a larger F leaves fewer generators to
-        project (on L9 `separated`, 4,567 in all against 10,797 from the
-        first one built).  With none built, F is the first basis inside F'
-        (a relevant set of r coordinates), which the search builds.  A
-        basis has no units, as its free degree parts are independent.  So
-        the search runs only for bases, for irrelevant sets and for twist
-        cosets.
+        that of f with degree-zero elements inverted.  So a relevant set of
+        more than r = rank D coordinates is localized from the chart of the
+        first basis inside it (see diophantine._localize), with no search.
+        A basis has no units, as its free degree parts are independent.
         """
         free = frozenset(free_coords)
         sg = self._semigroups.get(free)
@@ -241,18 +233,13 @@ class RingSpec:
         return sg
 
     def _localization_base(self, free: frozenset[int]) -> Optional[ConstrainedSemigroup]:
-        """The semigroup that semigroup(free) is localized from, if any."""
+        """The chart of the first basis inside free, a relevant set of r =
+        rank D coordinates, if free is relevant and larger; else None."""
         r = self.group.rank
         if len(free) <= r or not self._relevant_support(free):
             return None
-        built = max((sg for support, sg in self._semigroups.items()
-                     if support < free and self._relevant_support(support)),
-                    key=lambda sg: len(sg.free_coords), default=None)
-        if built is not None:
-            return built
-        basis = next(b for b in map(frozenset, itertools.combinations(sorted(free), r))
-                     if self._relevant_support(b))
-        return self.semigroup(basis)
+        subsets = map(frozenset, itertools.combinations(sorted(free), r))
+        return self.semigroup(next(b for b in subsets if self._relevant_support(b)))
 
     def irrelevant_generators(self) -> tuple[Monomial, ...]:
         """Minimal square-free relevant monomials, graded-lex ordered.

@@ -124,10 +124,7 @@ def _nonneg_after(t: ExponentVector, pool, off) -> bool:
 
 
 def _minimal_divisibility(monos: Sequence[Monomial]) -> list[Monomial]:
-    uniq = []
-    for m in monos:
-        if m not in uniq:
-            uniq.append(m)
+    uniq = list(dict.fromkeys(monos))
     return [m for m in uniq
             if not any(o != m and o.divides(m) for o in uniq)]
 
@@ -305,11 +302,11 @@ def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:
     gens = _chart_monomials(spec)
     index = {g: i for i, g in enumerate(gens)}
     edges = [(index[r.pair[0]], index[r.pair[1]]) for r in weak_pairs(spec)]
-    independent = [[gens[i] for i in chosen]
-                   for chosen in _maximal_independent_sets(len(gens), edges)]
-    key = lambda combo: tuple(vector_key(m.exponents) for m in combo)
-    return tuple(sorted((tuple(sorted(c, key=lambda m: vector_key(m.exponents)))
-                         for c in independent), key=key))
+    # gens is distinct and in vector_key order, so sorted index tuples
+    # order the sets as their monomials' vector_keys would
+    independent = sorted(tuple(sorted(chosen))
+                         for chosen in _maximal_independent_sets(len(gens), edges))
+    return tuple(tuple(gens[i] for i in combo) for combo in independent)
 
 
 def _maximal_independent_sets(count: int, edges) -> list[frozenset[int]]:

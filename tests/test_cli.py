@@ -15,6 +15,7 @@ import oracles
 import projd
 import pytest
 import yaml
+from projd.charts import chart_intersection_check
 from projd.cli import (
     COMMANDS,
     SUBCOMMANDS,
@@ -462,6 +463,18 @@ variables:
         assert out.splitlines() == [line]
 
 
+@pytest.mark.parametrize("fixture, argv, line", [
+    # x is not relevant on the plane
+    ("plane", ["companion", "x", "x"], "no degree-zero companion for (x, x)"),
+    # rank 0: x*x is of degree zero already, so k = 0
+    ("parity", ["companion", "x", "x"], "x * x has degree zero"),
+    ("plane", ["psi", "x*y", "(0)"], "psi_(x*y) maps (0) to {}"),
+])
+def test_cli_human_lines_of_empty_answers(tmp_path, fixture, argv, line):
+    code, out, err = run_cli([*argv, "--spec", write_spec(tmp_path, fixture)])
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_cli_sheaf_human(tmp_path):
     code, out, err = run_cli(["sheaf", "(2 | 0 mod 2)", "--spec",
                               write_spec(tmp_path, "torsion")])
@@ -647,6 +660,19 @@ def test_cli_intersect_reverse_inclusion_failure_exits_4(tmp_path, monkeypatch):
     assert "FAILED" not in out + err
 
 
+def test_cli_intersect_decomposition_failure_exits_4(tmp_path, monkeypatch):
+    # every fg-chart element decomposes over the f-chart and its inverted
+    # generators (diophantine._localize, steps 1-3); a target without one
+    # is a fault of the engine, never a FAILED verdict
+    monkeypatch.setattr("projd.charts.semigroup_member", lambda pool, target: None)
+    with pytest.raises(InvariantError, match="does not decompose"):
+        chart_intersection_check(plane_spec(), "xy", "xz")
+    code, out, err = run_cli(["intersect", "xy", "xz", "--spec", write_spec(tmp_path, "plane")])
+    assert code == 4
+    assert err.startswith("internal error: ")
+    assert "FAILED" not in out + err
+
+
 def test_cli_sheaf_disagreement_is_an_invariant_error(tmp_path, monkeypatch):
     import projd.sheaves
 
@@ -708,3 +734,14 @@ def test_fixture_corpus_mismatch_exits_4(monkeypatch):
     lines = []
     assert run_fixture_corpus(echo=lines.append) == 4
     assert any("MISMATCH" in line for line in lines)
+
+
+def test_fixture_corpus_error_exits_4(monkeypatch):
+    # an entry that raises is reported with its message, and the run goes on
+    gens = load_corpus()[0]
+    monkeypatch.setattr("projd.cli.load_corpus",
+                        lambda: [dict(gens, command="frobnicate"), gens])
+    lines = []
+    assert run_fixture_corpus(echo=lines.append) == 4
+    assert lines == ["plane frobnicate: ERROR unknown command 'frobnicate'",
+                     "plane gens: ok", "1 mismatching corpus entries"]
