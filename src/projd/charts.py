@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import AbstractSet, Iterable, Sequence, Union
 
 from projd.diophantine import (ConstrainedSemigroup, ExponentVector, InvariantError,
-                               semigroup_member, vector_key)
+                               semigroup_member)
 from projd.ringspec import InvalidInput, Monomial, ParseError, RingSpec
 
 
@@ -119,9 +119,8 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
     p = parse_prime(spec, p)
     if set(p.variables) & f.support:
         raise PrimeMeetsF(f"prime {p.render(spec.variables)} meets the chart monomial")
-    hit = {v for v in spec.semigroup(f.support).pool
-           if any(v[i] > 0 for i in p.variables)}
-    return tuple(sorted(hit, key=vector_key))
+    return tuple(v for v in spec.semigroup(f.support).sorted_pool
+                 if any(v[i] > 0 for i in p.variables))
 
 
 def _contains_irrelevant(gens: Sequence[Monomial], variables: AbstractSet[int]) -> bool:

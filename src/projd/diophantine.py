@@ -75,12 +75,13 @@ class ConstrainedSemigroup:
                                      and base.free_coords < self.free_coords):
             raise ValueError("a base has the same lattice and fewer free coordinates")
 
-    def constrained_coords(self) -> list[int]:
-        return [i for i in range(self.nvars) if i not in self.free_coords]
+    @cached_property
+    def constrained_coords(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.nvars) if i not in self.free_coords)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Exact membership: lattice equations plus sign constraints."""
-        if any(vec[i] < 0 for i in self.constrained_coords()):
+        if any(vec[i] < 0 for i in self.constrained_coords):
             return False
         return not any(hnf_reduce(self.kernel_basis, vec))
 
@@ -96,7 +97,7 @@ class ConstrainedSemigroup:
         kernel of the projection.
         """
         K = self.kernel_basis
-        conn = self.constrained_coords()
+        conn = self.constrained_coords
         if not conn:  # P has no rows: V is the identity
             return [], [], 0, [[int(i == j) for j in range(len(K))] for i in range(len(K))]
         U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
@@ -107,7 +108,7 @@ class ConstrainedSemigroup:
     def units(self) -> tuple[ExponentVector, ...]:
         """HNF basis of the invertible part: lattice vectors supported on F."""
         if self.base is not None:
-            conn = self.constrained_coords()
+            conn = self.constrained_coords
             inside = [g for g in self.base.generators if not any(g[i] for i in conn)]
             return row_hnf((*self.base.units, *inside), self.nvars)
         _, _, rank, V = self._smith
@@ -124,6 +125,12 @@ class ConstrainedSemigroup:
     def pool(self) -> tuple[ExponentVector, ...]:
         """Generators plus both signs of the unit basis."""
         return (*self.generators, *self.units, *(tuple(-a for a in u) for u in self.units))
+
+    @cached_property
+    def sorted_pool(self) -> tuple[ExponentVector, ...]:
+        """The pool in vector_key order.  It has no repeats: generators are
+        nonzero off free_coords, units are zero there and independent."""
+        return tuple(sorted(self.pool, key=vector_key))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,7 @@ def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     """
     K, units = sg.kernel_basis, sg.units
     start = (0,) * sg.nvars if a0 is None else a0
-    conn = sg.constrained_coords()
+    conn = sg.constrained_coords
     U, moduli, rank, V = sg._smith
     if len(units) != len(K) - rank:
         raise InvariantError(f"generators need a unit lattice of rank "
@@ -405,7 +412,7 @@ def _localize(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
     points by a search.  The unit lattice must have rank |F'| - r =
     rank L - |C'|; a smaller one is a fault of the engine.
     """
-    conn = sg.constrained_coords()
+    conn = sg.constrained_coords
     units = sg.units
     want = len(sg.kernel_basis) - len(conn)
     if len(units) != want:

@@ -14,7 +14,7 @@ arithmetic uses plain Python integers, so nothing overflows.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +186,23 @@ def _column_hnf(mat: Sequence[Sequence[int]], ncols: int):
 
 
 def solve_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int],
-                 ncols: Optional[int] = None) -> Optional[list[int]]:
+                 ncols: int) -> Optional[list[int]]:
     """One integer solution x of mat @ x = rhs, or None if none exists.
 
     [rhs | 0] reduces to [0 | -x] modulo _column_hnf exactly when rhs lies
     in the column lattice of mat.
     """
     m = len(mat)
-    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    rem = hnf_reduce(_column_hnf(mat, n), [*rhs, *[0] * n])
+    rem = hnf_reduce(_column_hnf(mat, ncols), [*rhs, *[0] * ncols])
     if any(rem[:m]):
         return None
     return [-a for a in rem[m:]]
 
 
-def kernel_basis(mat: Sequence[Sequence[int]], ncols: Optional[int] = None):
+def kernel_basis(mat: Sequence[Sequence[int]], ncols: int):
     """HNF basis (rows) of the integer kernel {x : mat @ x = 0}."""
     m = len(mat)
-    n = ncols if ncols is not None else (len(mat[0]) if m else 0)
-    return row_hnf([row[m:] for row in _column_hnf(mat, n) if not any(row[:m])], n)
+    return row_hnf([row[m:] for row in _column_hnf(mat, ncols) if not any(row[:m])], ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +317,10 @@ class FgAbGroup:
         """Element from free-presentation coordinates (canonical torsion)."""
         return GroupElement(self, vec[:self.rank], vec[self.rank:])
 
-    def standard_generators(self) -> list[GroupElement]:
-        return [self.from_lift([int(j == i) for j in range(self.dim)])
-                for i in range(self.dim)]
+    def standard_generators(self) -> Iterator[GroupElement]:
+        """The unit vectors e_i, free coordinates first, built one at a time."""
+        return (self.from_lift([int(j == i) for j in range(self.dim)])
+                for i in range(self.dim))
 
     def torsion_relation_rows(self) -> list[list[int]]:
         """Lattice relations m_j * e_(rank+j) of the free presentation."""

@@ -84,34 +84,15 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     >>> mu_surjective(R, "xy", "xz").weak
     False
     """
-    f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)
-    return _audit(spec, f, g, {}, {})
-
-
-def _audit(spec: RingSpec, f: Monomial, g: Monomial, off: dict,
-           targets: dict) -> WeakPairReport:
-    """mu_surjective of two relevant monomials.
-
-    off and targets are the tables of one call, filled on first use and
-    keyed by support: each chart's constrained coordinates, and each
-    product chart's targets.  Those are its distinct pool vectors in
-    vector_key order, each with the set of coordinates where it is
-    negative, so that rule A is a subset test.  Every pair looks up its
-    three charts through chart_algebra, where the bench trace counts them.
-    """
+    f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
+    # chart_algebra refuses an irrelevant monomial, and the bench trace
+    # counts each chart looked up there
     chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
     chart_fg = chart_algebra(spec, f * g)
-    F, G, FG = chart_f.free_coords, chart_g.free_coords, chart_fg.free_coords
-    for chart in (chart_f, chart_g):
-        if chart.free_coords not in off:
-            off[chart.free_coords] = chart.constrained_coords()
-    if FG not in targets:
-        targets[FG] = [(t, frozenset(i for i, a in enumerate(t) if a < 0))
-                       for t in sorted(set(chart_fg.pool), key=vector_key)]
     pool_f, pool_g = chart_f.pool, chart_g.pool
-    off_f, off_g = off[F], off[G]
-    for t, negative in targets[FG]:
-        if not (negative <= F or negative <= G
+    off_f, off_g = chart_f.constrained_coords, chart_g.constrained_coords
+    for t in chart_fg.sorted_pool:
+        if not (all(t[i] >= 0 for i in off_f) or all(t[i] >= 0 for i in off_g)
                 or _nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
                 or semigroup_member(pool_f + pool_g, t) is not None):
             return WeakPairReport((f, g), True, t)
@@ -145,9 +126,7 @@ def weak_pairs(spec: RingSpec) -> tuple[WeakPairReport, ...]:
     monomials, when present, otherwise the irrelevant-ideal generators.
     """
     gens = [g for g in _chart_monomials(spec) if g.support]
-    off, targets = {}, {}
-    reports = (_audit(spec, f, g, off, targets)
-               for f, g in itertools.combinations(gens, 2))
+    reports = (mu_surjective(spec, f, g) for f, g in itertools.combinations(gens, 2))
     return tuple(r for r in reports if r.weak)
 
 

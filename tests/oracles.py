@@ -662,7 +662,7 @@ def hilbert_basis_by_decomposition(sg):
     if not K:
         return (), ()
     k = len(K)
-    conn = sg.constrained_coords()
+    conn = sg.constrained_coords
     rows = []
     for idx, i in enumerate(conn):
         row = [K[j][i] for j in range(k)] + [-K[j][i] for j in range(k)]

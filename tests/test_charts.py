@@ -321,11 +321,13 @@ def test_chart_algebra_deterministic():
 def test_cached_charts_equal_fresh_ones(monkeypatch):
     from projd.cli import fixture_text, parse_ring_spec
 
-    # every semigroup whose units or pool are read, so that each caller can
-    # be checked to use the spec's own semigroup and to build none of its
-    # own; the pool is built once, so a later call reads no units
+    # every semigroup whose units, pool or sorted pool is read, so that each
+    # caller can be checked to use the spec's own semigroup and to build none
+    # of its own; the pool is built once, so a later call reads no units, and
+    # the sorted pool once, so a later call reads no pool
     read = []
     units, pool = ConstrainedSemigroup.units, ConstrainedSemigroup.pool
+    sorted_pool = ConstrainedSemigroup.sorted_pool
 
     def recorded(sg):
         read.append(sg)
@@ -335,8 +337,13 @@ def test_cached_charts_equal_fresh_ones(monkeypatch):
         read.append(sg)
         return pool.__get__(sg, ConstrainedSemigroup)
 
+    def recorded_sorted_pool(sg):
+        read.append(sg)
+        return sorted_pool.__get__(sg, ConstrainedSemigroup)
+
     monkeypatch.setattr(ConstrainedSemigroup, "units", property(recorded))
     monkeypatch.setattr(ConstrainedSemigroup, "pool", property(recorded_pool))
+    monkeypatch.setattr(ConstrainedSemigroup, "sorted_pool", property(recorded_sorted_pool))
 
     specs = [parse_ring_spec(fixture_text(name))
              for name in ("plane", "plane-b", "torsion", "quad", "five", "parity")]

@@ -142,7 +142,7 @@ def test_constrained_semigroup_contains_on_unreduced_bases():
         sg = ConstrainedSemigroup(n, tuple(map(tuple, rows)), lattice.free_coords)
         assert sg.kernel_basis == lattice.kernel_basis
         for vec in oracles.box(n, -2, 2):
-            signs = all(vec[i] >= 0 for i in sg.constrained_coords())
+            signs = all(vec[i] >= 0 for i in sg.constrained_coords)
             want = signs and oracles.in_lattice(lattice.kernel_basis, list(vec))
             assert sg.contains(vec) == want, (rows, vec)
             answers.add((signs, want))

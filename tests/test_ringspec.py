@@ -113,6 +113,24 @@ def test_effective_rejects_unreached_torsion():
     assert "mod 2" in str(err.value)
 
 
+def test_refusing_a_wide_ineffective_group_builds_one_generator():
+    # memory, not time: the first standard generator is already missing,
+    # so the refusal builds it alone (all 1,000 of them peak at 7.8 MiB)
+    import tracemalloc
+
+    from projd.cli import parse_ring_spec
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotEffective) as err:
+            parse_ring_spec("group: {rank: 1000, torsion: []}\nvariables: []\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(err.value) == f"grading misses the group element {(1,) + (0,) * 999}"
+
+
 def test_support_group_examples():
     R = plane_spec()
     full = R.support_group(R.monomial("xz"))

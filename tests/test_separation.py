@@ -16,7 +16,7 @@ from projd.charts import chart_algebra
 from projd.cli import execute
 from projd.diophantine import _minimal_lifts, minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
-from projd.ringspec import Monomial, NotEffective, NotRelevant, RingSpec
+from projd.ringspec import Monomial, NotEffective, NotRelevant, ParseError, RingSpec
 from projd.separation import (
     _maximal_independent_sets,
     classify_dependencies,
@@ -122,6 +122,16 @@ def test_mu_plane_examples():
     assert report.weak and report.witness == (-1, -1, 1)
     assert mu_surjective(R, "xy", "xz").weak is False
     assert mu_surjective(R, "xy", "yz").weak is False
+
+
+def test_mu_parses_both_monomials_before_checking_either():
+    # as intersect does: a malformed monomial is a ParseError even beside
+    # an irrelevant one, and relevance is checked once, by chart_algebra
+    R = plane_spec()
+    with pytest.raises(ParseError):
+        mu_surjective(R, "z", "q")
+    with pytest.raises(NotRelevant):
+        mu_surjective(R, "z", "xy")
 
 
 def test_mu_self_pair_never_weak():
@@ -621,6 +631,41 @@ def test_rule_a_settles_its_targets_before_rule_b(monkeypatch, rung, calls):
     degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3))
     execute(graded(2, [], degrees[:rung]), "separated", [])
     assert len(counted) == calls
+
+
+def test_weak_pairs_audit_through_mu_surjective(monkeypatch):
+    # one audit, the public one, so that a trace of mu_surjective sees every
+    # pair: the 45 pairs of L5's ten chart monomials
+    import projd.separation as separation
+
+    audited = []
+    audit = separation.mu_surjective
+
+    def counting(spec, f, g):
+        audited.append((f, g))
+        return audit(spec, f, g)
+
+    monkeypatch.setattr(separation, "mu_surjective", counting)
+    reports = weak_pairs(l5_spec())
+    assert len(audited) == 45
+    assert len(reports) == 15
+
+
+def test_sorted_pool_is_the_distinct_pool_in_graded_lex_order():
+    # the pool has no repeats, so sorting it needs no set: every support of
+    # L6 and of tor3 (with torsion), the 57 and 11 relevant ones and the 7
+    # and 5 irrelevant ones
+    for make, count in ((l6_spec, 57), (tor3_spec, 11)):
+        spec = make()
+        n = len(spec.variables)
+        relevant = 0
+        for k in range(n + 1):
+            for support in map(frozenset, itertools.combinations(range(n), k)):
+                relevant += spec.is_relevant(Monomial(tuple(int(i in support) for i in range(n))))
+                sg = spec.semigroup(support)
+                assert len(set(sg.pool)) == len(sg.pool), support
+                assert sg.sorted_pool == tuple(sorted(set(sg.pool), key=vector_key)), support
+        assert relevant == count
 
 
 def test_minimal_lifts_search_the_zero_coset_like_any_other():
