@@ -5,8 +5,8 @@ of variables carrying degree coordinates, and an optional monomial list
 B restricting the model.  Every command parses the file, delegates to
 one library operation, and emits either a short human rendering or a
 byte-stable JSON report {command, digest, payload}, in one write to
-stdout.  The parser is argparse's, one subparser per COMMANDS entry,
-built once at import.
+stdout.  The command line is read against COMMANDS by `parse_argv`,
+and each --help screen is rendered from it when asked for.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage (an
 unreadable --spec file among them), 3 invalid input (InvalidInput), 4
@@ -15,7 +15,6 @@ any other fault or a fixture mismatch.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -533,10 +532,11 @@ def _render_companion(payload: dict) -> list[str]:
 BOUND = object()
 DEFAULT_BOUND = 6
 
-# The one list of commands; dispatch, rendering and the argparse subparsers
-# all come from it.  name: (params, help, payload_fn, render_fn), where params
-# are the argument names in order, plus BOUND for a command that takes it,
-# and payload_fn(spec, *arguments[, bound]) returns the payload.
+# The one list of commands; dispatch, rendering, the command line and its
+# help screens all come from it.  name: (params, help, payload_fn,
+# render_fn), where params are the argument names in order, plus BOUND for
+# a command that takes it, and payload_fn(spec, *arguments[, bound])
+# returns the payload.
 COMMANDS = {
     "check": ((), "validate a ring-spec file", _payload_check, _render_check),
     "gens": ((), "minimal relevant monomial generators",
@@ -631,65 +631,178 @@ def run_fixture_corpus(echo=print) -> int:
 # ---------------------------------------------------------------------------
 # command line
 
-def _spec_bytes(path: str) -> bytes:
-    """The type of --spec: the file's bytes.  A file that cannot be read is
-    a usage error (exit 2), like a missing one, not a fault (exit 4)."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot read {path!r}: {exc.strerror or exc}") from exc
+class _Usage(Exception):
+    """A bad command line (exit 2); `command` is None at the top level."""
+
+    def __init__(self, command: Optional[str], message: str):
+        super().__init__(message)
+        self.command = command
 
 
-def _parser():
-    """The parser and its subparsers, one per COMMANDS entry: its params,
-    then --spec and --json.  Help is --help alone, with no -h."""
-    parser = argparse.ArgumentParser(
-        prog="projd", add_help=False, allow_abbrev=False,
-        description="Exact combinatorics of multigraded Proj models.")
-    parser.add_argument("--fixtures", action="store_true",
-                        help="run the built-in example corpus against stored "
-                             "expectations")
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                     title="commands")
-    for name, (params, help_text, _, _) in COMMANDS.items():
-        sub = commands.add_parser(name, help=help_text, description=help_text,
-                                  add_help=False, allow_abbrev=False)
-        for param in params:
-            if param is BOUND:
-                sub.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                                 help="total-degree cutoff for the listing "
-                                      "(default: %(default)s)")
+class _Help(Exception):
+    """--help, read before any usage error: exit 0 after the help of the
+    command given, or of `projd` (None)."""
+
+
+def _params(command: str) -> list[str]:
+    return [p for p in COMMANDS[command][0] if p is not BOUND]
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: projd [--fixtures] [--help] COMMAND ...\n"
+    bound = " [--bound BOUND]" if BOUND in COMMANDS[command][0] else ""
+    params = "".join(f" {p.upper()}" for p in _params(command))
+    return f"usage: projd {command}{bound} --spec FILE [--json] [--help]{params}\n"
+
+
+def _rows(rows, column: int, indent: int = 2) -> str:
+    """Help rows, name then help from `column` on; a name too wide for its
+    column puts its help on the next line."""
+    lines = []
+    for name, text in rows:
+        head = " " * indent + name
+        if not text:
+            lines.append(head)
+        elif len(head) + 2 <= column:
+            lines.append(head.ljust(column) + text)
+        else:
+            lines += [head, " " * column + text]
+    return "".join(line + "\n" for line in lines)
+
+
+def help_screen(command: Optional[str] = None) -> str:
+    """The --help screen of `command`, or of `projd` itself (None)."""
+    options = [("--help", "show this help message and exit")]
+    if command is None:
+        options.insert(0, ("--fixtures", "run the built-in example corpus "
+                                         "against stored expectations"))
+        commands = [(name, entry[1]) for name, entry in COMMANDS.items()]
+        column = min(4 + max(len(name) for name, _ in options + commands), 24)
+        return (f"{_usage(None)}\nExact combinatorics of multigraded Proj "
+                f"models.\n\noptions:\n{_rows(options, column)}\ncommands:\n"
+                f"  COMMAND\n{_rows(commands, column, indent=4)}")
+    params = [(p.upper(), "") for p in _params(command)]
+    options[:0] = [("--spec FILE", "ring-spec YAML file"),
+                   ("--json", "emit the machine-readable report")]
+    if BOUND in COMMANDS[command][0]:
+        options.insert(0, ("--bound BOUND", "total-degree cutoff for the "
+                                            f"listing (default: {DEFAULT_BOUND})"))
+    column = min(4 + max(len(name) for name, _ in options + params), 24)
+    screen = [_usage(command), f"{COMMANDS[command][1]}\n"]
+    if params:
+        screen.append("positional arguments:\n" + _rows(params, column))
+    screen.append("options:\n" + _rows(options, column))
+    return "\n".join(screen)
+
+
+def parse_argv(argv: Sequence[str]):
+    """Read a `projd` command line against COMMANDS.
+
+    Returns (fixtures, command, arguments, spec, json, bound): command is
+    None when none was given, arguments are the command's params in table
+    order, spec is the --spec file's bytes, and bound is DEFAULT_BOUND
+    unless --bound is given, or None for a command without BOUND.
+
+    Tokens are read left to right.  Up to a bare "--", a token that starts
+    with "--" is an option; every other token is the command, then its
+    params in order, then left over.  An option takes its value as
+    --opt=VALUE or from the next token.  The top level knows --fixtures
+    and --help; a command knows --spec, --json, --help, and --bound where
+    BOUND is among its params.  --help, or a bad option value, stops the
+    reading (_Help, _Usage); at the end a missing param or --spec, then
+    any unknown option or left-over token, is a _Usage error.
+    """
+    fixtures, command, names = False, None, []
+    arguments, spec, as_json, bound, extras = [], None, False, None, []
+    known, options_ended = {"--fixtures", "--help"}, False
+    tokens = iter(argv)
+    for token in tokens:
+        if options_ended or not token.startswith("--"):
+            if command is not None:
+                (arguments if len(arguments) < len(names) else extras).append(token)
+                continue
+            if token not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                raise _Usage(None, f"argument COMMAND: invalid choice: {token!r} "
+                                   f"(choose from {choices})")
+            command, names = token, _params(token)
+            known = {"--spec", "--json", "--help"}
+            if BOUND in COMMANDS[command][0]:
+                known.add("--bound")
+                bound = DEFAULT_BOUND
+            continue
+        if token == "--":
+            options_ended = True
+            continue
+        option, has_value, value = token.partition("=")
+        if option not in known:
+            extras.append(token)
+        elif option in ("--spec", "--bound"):
+            if not has_value:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    raise _Usage(command, f"argument {option}: expected one argument")
+            if option == "--bound":
+                try:
+                    bound = int(value)
+                except ValueError:
+                    raise _Usage(command, f"argument --bound: invalid int "
+                                          f"value: {value!r}") from None
             else:
-                sub.add_argument(param, metavar=param.upper())
-        sub.add_argument("--spec", required=True, type=_spec_bytes,
-                         metavar="FILE", help="ring-spec YAML file")
-        sub.add_argument("--json", action="store_true",
-                         help="emit the machine-readable report")
-    for each in (parser, *commands.choices.values()):
-        each.add_argument("--help", action="help",
-                          help="show this help message and exit")
-    return parser, commands
+                # a file that cannot be read is bad usage (exit 2), like a
+                # missing one, not a fault (exit 4)
+                try:
+                    spec = Path(value).read_bytes()
+                except OSError as exc:
+                    raise _Usage(command, f"argument --spec: cannot read "
+                                          f"{value!r}: {exc.strerror or exc}") from None
+        elif has_value:
+            raise _Usage(command, f"argument {option}: ignored explicit argument "
+                                  f"{value!r}")
+        elif option == "--help":
+            raise _Help(command)
+        elif option == "--json":
+            as_json = True
+        else:
+            fixtures = True
+    if command is not None:
+        missing = [p.upper() for p in names[len(arguments):]]
+        missing += ["--spec"] if spec is None else []
+        if missing:
+            raise _Usage(command, "the following arguments are required: "
+                                  + ", ".join(missing))
+    if extras:
+        raise _Usage(None, "unrecognized arguments: " + " ".join(extras))
+    return fixtures, command, arguments, spec, as_json, bound
 
 
-PARSER, SUBCOMMANDS = _parser()
-
-
-def _emit(options: argparse.Namespace) -> int:
-    """Run the parsed command on its spec file's bytes, write the report in
-    one write, and return the exit code."""
-    command, raw = options.command, options.spec
-    args = [vars(options)[p] for p in COMMANDS[command][0] if p is not BOUND]
+def _run(argv: Sequence[str]) -> int:
+    """One `projd` call: write its output, each report or screen in one
+    write, and return the exit code."""
     try:
-        payload = execute(parse_ring_spec(raw), command, args,
-                          getattr(options, "bound", None))
+        fixtures, command, arguments, raw, as_json, bound = parse_argv(argv)
+    except _Help as exc:
+        sys.stdout.write(help_screen(*exc.args))
+        return 0
+    except _Usage as exc:
+        prog = "projd" if exc.command is None else f"projd {exc.command}"
+        sys.stderr.write(f"{_usage(exc.command)}{prog}: error: {exc}\n")
+        return 2
+    if fixtures:
+        return run_fixture_corpus()
+    if command is None:
+        sys.stdout.write(help_screen())
+        return 2
+    try:
+        payload = execute(parse_ring_spec(raw), command, arguments, bound)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    if options.json:
+    if as_json:
         report = {"command": command,
                   "digest": hashlib.sha256(raw).hexdigest(),
                   "payload": payload}
@@ -708,15 +821,8 @@ def main(args: Optional[Sequence[str]] = None, prog_name=None):
     prog_name=...)` keep working; `prog_name` is ignored, the program is
     always `projd`.
     """
-    options = PARSER.parse_args(args)
     try:
-        if options.fixtures:
-            code = run_fixture_corpus()
-        elif options.command is None:
-            PARSER.print_help()
-            code = 2
-        else:
-            code = _emit(options)
+        code = _run(sys.argv[1:] if args is None else args)
         sys.stdout.flush()
     except BrokenPipeError:
         # no traceback, and no second failure when Python flushes stdout

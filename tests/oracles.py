@@ -768,3 +768,53 @@ def parse_ring_spec_by_pyyaml(text):
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return ring_spec_from_dict(data)
+
+
+def _spec_bytes(path: str) -> bytes:
+    """The type of --spec: the file's bytes.  A file that cannot be read is
+    a usage error (exit 2), like a missing one, not a fault (exit 4)."""
+    import argparse
+    from pathlib import Path
+
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path!r}: {exc.strerror or exc}") from exc
+
+
+def argparse_cli_parser():
+    """The parser and its subparsers, one per COMMANDS entry: its params,
+    then --spec and --json.  Help is --help alone, with no -h.
+
+    The argparse wiring that `cli.parse_argv` replaced, kept to check that
+    both read a command line alike."""
+    import argparse
+    from projd.cli import BOUND, COMMANDS, DEFAULT_BOUND
+
+    parser = argparse.ArgumentParser(
+        prog="projd", add_help=False, allow_abbrev=False,
+        description="Exact combinatorics of multigraded Proj models.")
+    parser.add_argument("--fixtures", action="store_true",
+                        help="run the built-in example corpus against stored "
+                             "expectations")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     title="commands")
+    for name, (params, help_text, _, _) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text, description=help_text,
+                                  add_help=False, allow_abbrev=False)
+        for param in params:
+            if param is BOUND:
+                sub.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                                 help="total-degree cutoff for the listing "
+                                      "(default: %(default)s)")
+            else:
+                sub.add_argument(param, metavar=param.upper())
+        sub.add_argument("--spec", required=True, type=_spec_bytes,
+                         metavar="FILE", help="ring-spec YAML file")
+        sub.add_argument("--json", action="store_true",
+                         help="emit the machine-readable report")
+    for each in (parser, *commands.choices.values()):
+        each.add_argument("--help", action="help",
+                          help="show this help message and exit")
+    return parser, commands

@@ -17,8 +17,8 @@ import pytest
 import yaml
 from projd.charts import chart_intersection_check
 from projd.cli import (
+    BOUND,
     COMMANDS,
-    SUBCOMMANDS,
     ParseError,
     execute,
     fixture_text,
@@ -27,6 +27,7 @@ from projd.cli import (
     laurent_text,
     load_corpus,
     main,
+    parse_argv,
     parse_degree,
     parse_prime,
     parse_ring_spec,
@@ -541,19 +542,21 @@ def test_cli_usage_error_exits_2(tmp_path):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert err, argv
-    # a report written to a pipe whose reader has gone: exit 1, and no
-    # traceback on stderr
+    # a report or a help screen written to a pipe whose reader has gone:
+    # exit 1, and no traceback on stderr
     src = str(Path(projd.__file__).resolve().parents[1])
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "projd.cli", "gens", "--spec", spec, "--json"],
-            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src))
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (1, b"")
+    for argv in (["gens", "--spec", spec, "--json"], ["--help"],
+                 ["chart", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "projd.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b""), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux procfs")
@@ -707,13 +710,130 @@ def test_cli_bad_monomial_and_bound_exit_3(tmp_path):
 
 
 def test_cli_help_screens_are_unchanged(monkeypatch):
-    # recorded at a fixed width: argparse wraps help to $COLUMNS
-    monkeypatch.setenv("COLUMNS", "80")
+    # the screens do not wrap to the terminal's width
     golden = json.loads((Path(__file__).parent / "cli_help.json").read_text())
-    assert set(golden) == {"projd", *COMMANDS} == {"projd", *SUBCOMMANDS.choices}
-    for name, text in golden.items():
-        argv = [] if name == "projd" else [name]
-        assert run_cli(argv + ["--help"]) == (0, text, ""), name
+    assert set(golden) == {"projd", *COMMANDS}
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name, text in golden.items():
+            argv = [] if name == "projd" else [name]
+            assert run_cli(argv + ["--help"]) == (0, text, ""), (columns, name)
+
+
+def argparse_reading(parser, argv):
+    """What the argparse parser of the CLI makes of `argv`: the tuple
+    `parse_argv` returns, or (exit code, stdout, stderr) when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            options = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    names = [] if options.command is None else [
+        p for p in COMMANDS[options.command][0] if p is not BOUND]
+    return (options.fixtures, options.command, [vars(options)[p] for p in names],
+            getattr(options, "spec", None), getattr(options, "json", False),
+            getattr(options, "bound", None))
+
+
+def corpus_argvs():
+    for entry in load_corpus():
+        path = str(resources.files("projd") / "fixtures" / f"{entry['fixture']}.yaml")
+        argv = [entry["command"], *entry.get("args", []), "--spec", path]
+        if "bound" in entry:
+            argv += ["--bound", str(entry["bound"])]
+        yield entry, path, argv
+
+
+def test_argv_reading_matches_argparse():
+    # every corpus call, then a seeded battery that moves --spec, --json
+    # and --bound before, between and after the params.  Left out on
+    # purpose: tokens that start with a single dash, such as -x or -1,2,
+    # which argparse refuses as unknown options and parse_argv passes on
+    # as params (test_single_dash_tokens_are_params), and a "--" before
+    # the command, which argparse takes for the command
+    parser, _ = oracles.argparse_cli_parser()
+    plane = str(resources.files("projd") / "fixtures" / "plane.yaml")
+    argvs = [argv for _, _, argv in corpus_argvs()]
+    argvs += [["--fixtures"], ["--fixtures", "--fixtures"],
+              ["--fixtures", "gens", "--spec", plane],
+              ["sheaf", "-1", "--spec", plane],
+              ["sections", "--bound", "-1", "-1", "--spec", plane],
+              ["chart", "--spec", plane, "--", "--x"],
+              ["gens", "--spec", plane, "--spec", plane, "--json", "--json"]]
+    rng = random.Random(29)
+    for entry, path, _ in corpus_argvs():
+        params = COMMANDS[entry["command"]][0]
+        for _ in range(6):
+            groups = [rng.choice([["--spec", path], [f"--spec={path}"]])]
+            groups += [["--json"]] * rng.randrange(3)
+            if BOUND in params:
+                bound = rng.choice([str(entry.get("bound", 6)), "-1", "0"])
+                groups.append(rng.choice([["--bound", bound], [f"--bound={bound}"]]))
+            slots = [[] for _ in range(len(entry.get("args", [])) + 1)]
+            for group in groups:
+                slots[rng.randrange(len(slots))] += group
+            argv = [entry["command"], *slots[0]]
+            for arg, slot in zip(entry.get("args", []), slots[1:]):
+                argv += [arg, *slot]
+            argvs.append(argv)
+    assert len(argvs) == 36 + 7 + 36 * 6
+    for argv in argvs:
+        assert parse_argv(argv) == argparse_reading(parser, argv), argv
+
+
+def test_bad_argv_exits_2_like_argparse(tmp_path):
+    # same exit code, no stdout and the same usage lines on stderr
+    parser, _ = oracles.argparse_cli_parser()
+    spec = write_spec(tmp_path, "plane")
+    for argv in (["frobnicate", "--spec", spec], ["--frobnicate"],
+                 ["gens", "--spec", spec, "--js"],
+                 ["gens"], ["gens", "--json"], ["gens", "--spec"],
+                 ["chart", "--spec", spec], ["intersect", "x", "--spec", spec],
+                 ["gens", "extra", "--spec", spec], ["chart", "x", "y", "--spec", spec],
+                 ["sections", "(1, 1)", "--bound", "x", "--spec", spec],
+                 ["sections", "(1, 1)", "--spec", spec, "--bound"],
+                 ["gens", "--spec", spec, "--bound", "3"],
+                 ["gens", "--json=1", "--spec", spec], ["--fixtures=1"],
+                 ["gens", "--spec", str(tmp_path / "missing.yaml")],
+                 ["gens", "--spec", str(tmp_path)],
+                 ["--fixtures", "gens"], ["--fixtures", "frobnicate"]):
+        code, out, err = argparse_reading(parser, argv)
+        assert (code, out) == (2, ""), argv
+        assert run_cli(argv) == (code, out, err), argv
+
+
+def test_single_dash_tokens_are_params():
+    # only a token that starts with "--" is an option; argparse refused
+    # these as unknown options
+    parser, _ = oracles.argparse_cli_parser()
+    plane = str(resources.files("projd") / "fixtures" / "plane.yaml")
+    for argv in (["sheaf", "-1,2", "--spec", plane],
+                 ["chart", "-x", "--spec", plane]):
+        assert parse_argv(argv)[2] == [argv[1]]
+        assert argparse_reading(parser, argv)[0] == 2
+    assert run_cli(["sheaf", "-1,2", "--spec", plane]) == (
+        0, "twist by (-1, 2): free: yes; invertible: yes; "
+           "witnesses y^3/z | z^2/x^3 | y^2/x\n", "")
+
+
+def test_cli_call_does_not_import_argparse():
+    # a fresh interpreter: the call's own work, not what a test runner
+    # imported before it
+    src = str(Path(projd.__file__).resolve().parents[1])
+    entry, path, argv = next(corpus_argvs())
+    script = ("import sys, projd.cli\n"
+              "try:\n"
+              f"    projd.cli.main.main(args={argv!r}, prog_name='projd')\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print('argparse' in sys.modules)\n")
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path_env))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_command_table_matches_the_corpus():
