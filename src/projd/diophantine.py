@@ -48,14 +48,13 @@ class ConstrainedSemigroup:
     use; the semigroup is generated by the generators and both signs of
     the units.
 
-    Without a base, both come from one Smith form of the projection of L
-    to the constrained coordinates: the units are its kernel, and the
-    generators the minimal points of its image (see _minimal_lifts).  A
-    base is a semigroup of the same lattice whose free set is a proper
-    subset of free_coords, and relevant: L projects onto a full-rank
-    lattice off it.  Then both are read off the base's units and
-    generators, with no search (see _localize).  The base takes no part
-    in comparison: the answer does not depend on it.
+    The units are the vectors of L that are zero off free_coords.  The
+    generators are found by a search (see _minimal_lifts), or, given a
+    base, read off the base's with none (see _localize).  A base is a
+    semigroup of the same lattice whose free set is a proper subset of
+    free_coords, and relevant: L projects onto a full-rank lattice off
+    it.  The base takes no part in comparison: the answer does not depend
+    on it.
     """
 
     nvars: int
@@ -92,9 +91,8 @@ class ConstrainedSemigroup:
         Returns (U, moduli, rank, V): U P V = S for the matrix P whose
         column k is basis vector k of L projected, moduli the diagonal of
         S padded with zeros to one entry per row, and rank the number of
-        its nonzero entries.  A column of V, as coefficients on the basis
-        of L, is a vector of L (see _lift); those past the rank span the
-        kernel of the projection.
+        its nonzero entries.  A column of V holds coefficients on the basis
+        of L.
         """
         K = self.kernel_basis
         conn = self.constrained_coords
@@ -106,13 +104,17 @@ class ConstrainedSemigroup:
 
     @cached_property
     def units(self) -> tuple[ExponentVector, ...]:
-        """HNF basis of the invertible part: lattice vectors supported on F."""
-        if self.base is not None:
-            conn = self.constrained_coords
-            inside = [g for g in self.base.generators if not any(g[i] for i in conn)]
-            return row_hnf((*self.base.units, *inside), self.nvars)
-        _, _, rank, V = self._smith
-        return row_hnf((_lift(self, c) for c in list(zip(*V))[rank:]), self.nvars)
+        """HNF basis of the invertible part: lattice vectors supported on F.
+
+        In a row HNF of L with the constrained columns first, the rows that
+        are zero on those columns span them.  With the columns put back
+        they are a row HNF already, as the free columns keep their order.
+        """
+        conn = self.constrained_coords
+        order = (*conn, *sorted(self.free_coords))
+        hnf = row_hnf([[v[i] for i in order] for v in self.kernel_basis], self.nvars)
+        back = sorted(range(self.nvars), key=order.__getitem__)  # column i is at back[i]
+        return tuple(tuple([r[p] for p in back]) for r in hnf if not any(r[:len(conn)]))
 
     @cached_property
     def generators(self) -> tuple[ExponentVector, ...]:
@@ -354,7 +356,8 @@ def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     if len(units) != len(K) - rank:
         raise InvariantError(f"generators need a unit lattice of rank "
                              f"{len(K) - rank}, got {len(units)}")
-    lifts = [_lift(sg, c) for c in list(zip(*V))[:rank]]
+    lifts = [[sum(map(mul, c, column)) for column in zip(*K)]
+             for c in list(zip(*V))[:rank]]
     shift = [sum(u * start[i] for u, i in zip(row, conn)) for row in U]
     rows, rhs, width = _congruences(U, moduli, shift, len(conn))
     sols = minimal_nonneg_solutions(rows, width, None if a0 is None else rhs)
@@ -370,22 +373,15 @@ def _minimal_lifts(sg: ConstrainedSemigroup, a0) -> tuple[ExponentVector, ...]:
     return tuple(sorted(out, key=vector_key))
 
 
-def _lift(sg: ConstrainedSemigroup, coeffs: Sequence[int]) -> ExponentVector:
-    """The vector of L with the given coefficients on its basis."""
-    return tuple(sum(map(mul, coeffs, column)) for column in zip(*sg.kernel_basis))
-
-
 def _localize(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
     """Generators of sg read off those of its base, with no search.
 
     This is the chart of fg as the chart of f with degree-zero elements
     inverted.  Write F for the free set of the base and F' for that of sg,
     S_F and S_F' for the two semigroups, C' for the coordinates off F' and
-    pi' for the projection to C'.  sg.units is the row HNF of the units of
-    S_F together with the generators of S_F supported inside F'.  The
-    generators are the generators of S_F whose projections are nonzero and
-    minimal, one per projection, made coset-minimal modulo sg.units and
-    sorted graded-lex.  This is exact:
+    pi' for the projection to C'.  The generators are those of S_F whose
+    projections are nonzero and minimal, one per projection, made
+    coset-minimal modulo sg.units and sorted graded-lex.  This is exact:
 
     1. F is relevant, so for every i in F' - F some m e_i (m > 0) is
        congruent modulo L to a vector on F.  Their sum is a vector u of L

@@ -325,6 +325,20 @@ def kernel_basis_by_smith(mat, ncols):
     return row_hnf([[V[i][j] for i in range(ncols)] for j in range(rank, ncols)], ncols)
 
 
+def units_by_smith_kernel(sg):
+    """sg.units, computed apart from it: the vectors of the lattice zero
+    off the free coordinates, as the kernel of the projection to the
+    others, taken by kernel_basis_by_smith on the basis coefficients and
+    lifted through the basis."""
+    from projd.fgab import row_hnf
+
+    basis, n = sg.kernel_basis, sg.nvars
+    conn = [i for i in range(n) if i not in sg.free_coords]
+    coeffs = kernel_basis_by_smith([[v[i] for v in basis] for i in conn], len(basis))
+    return row_hnf([[sum(c * v[i] for c, v in zip(row, basis)) for i in range(n)]
+                    for row in coeffs], n)
+
+
 def lattice_intersection(rows1, rows2, width):
     """HNF basis of the intersection of two row spans inside Z^width: the
     kernel of [rows1^T | -rows2^T] mapped through rows1."""
@@ -658,7 +672,7 @@ def hilbert_basis_by_decomposition(sg):
     from projd.diophantine import _coset_minimal, vector_key
 
     K = sg.kernel_basis
-    units = sg.units
+    units = units_by_smith_kernel(sg)
     if not K:
         return (), ()
     k = len(K)
@@ -721,7 +735,7 @@ def shifted_generators_by_membership(spec, free_coords, d):
         return ((0,) * len(spec.variables),)
     sg = _fresh_semigroup(spec, free_coords)
     candidates = _degree_row_candidates(spec, free_coords, list(d.lift()))
-    return _drop_by_membership(candidates, sg, sg.units)
+    return _drop_by_membership(candidates, sg, units_by_smith_kernel(sg))
 
 
 def hilbert_basis_by_degree_rows(spec, free_coords):
@@ -729,8 +743,9 @@ def hilbert_basis_by_degree_rows(spec, free_coords):
     over the split exponent layout, reduced like the twist generators."""
     free_coords = frozenset(free_coords)
     sg = _fresh_semigroup(spec, free_coords)
-    return sg.units, _drop_by_membership(_degree_row_candidates(spec, free_coords),
-                                         sg, sg.units)
+    units = units_by_smith_kernel(sg)
+    return units, _drop_by_membership(_degree_row_candidates(spec, free_coords),
+                                      sg, units)
 
 
 def grading_of_lattice(basis, n):

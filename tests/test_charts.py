@@ -441,6 +441,36 @@ def test_localized_charts_match_the_standalone_search():
     assert seen["checks"] >= 2500, seen
 
 
+def test_units_match_the_smith_kernel_of_the_projection():
+    # units are read off one Hermite form; the oracle takes the kernel of
+    # the projection to the constrained coordinates from a Smith form.
+    # Every support, relevant or not: those of L6 and tor3 built in two
+    # orders, so that a chart is built both before and after its base, and
+    # those of the drawn gradings above
+    G, T = FgAbGroup(2), FgAbGroup(2, [3])
+    l6 = RingSpec(G, [f"x{i}" for i in range(6)], [G.element(d) for d in (
+        (1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3))])
+    tor3 = RingSpec(T, [f"x{i}" for i in range(4)], [T.element(f, (t,)) for f, t in (
+        ((1, 0), 1), ((0, 1), 2), ((1, 1), 0), ((1, 2), 1))])
+    rng = random.Random(26)
+    specs = [(l6, 2), (tor3, 2)] + [(_drawn_grading(rng), 1) for _ in range(150)]
+    seen = {"supports": 0, "localized": 0, "units": 0}
+    for spec, orders in specs:
+        n = len(spec.variables)
+        supports = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        for order in (supports, supports[::-1])[:orders]:
+            if order is not supports:
+                spec = RingSpec(spec.group, spec.variables, spec.degrees)
+            for support in order:
+                sg = spec.semigroup(support)
+                assert sg.units == oracles.units_by_smith_kernel(sg), (spec.degrees, support)
+                seen["supports"] += 1
+                seen["localized"] += sg.base is not None
+                seen["units"] += bool(sg.units)
+    assert seen["supports"] >= 2700, seen
+    assert min(seen["localized"], seen["units"]) >= 1000, seen
+
+
 def test_a_support_localizes_from_its_first_basis_in_any_build_order():
     # {0, 1, 2, 3} of L5 holds the bases {0, 1} and {1, 2} among others;
     # its chart is localized from the first, whatever was built before it

@@ -25,6 +25,7 @@ from projd.separation import (
     separated_submodels,
     weak_pairs,
 )
+from projd.sheaves import is_invertible
 
 
 def plane_spec():
@@ -610,6 +611,38 @@ def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, bases):
     execute(spec, "separated", [])
     assert len(searched) == len(set(searched)) == bases
     assert set(searched) == {g.support for g in spec.irrelevant_generators()}
+
+
+@pytest.mark.parametrize("make, degrees, bases", [
+    (l5_spec, [(1, 1), (2, 3)], 10),
+    (r3a_spec, [(1, 1, 1), (2, 1, 0)], 17),
+    (tor3_spec, [(1, 0, 1), (2, 2, 0)], 6),
+    (l6_spec, [(1, 1), (2, 3)], 15),
+], ids=["L5", "r3a", "tor3", "L6"])
+def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees, bases):
+    # work, not time: units are read off a Hermite form, so a twist, which
+    # reads the units of the basis charts alone, takes no Smith form (these
+    # degrees took 7 and 8, 16 and 16, 4 and 4, 10 and 11 when the units
+    # came from one), and `separated` takes one per basis chart, for its
+    # generator search
+    import projd.diophantine as diophantine
+
+    calls = []
+    smith = diophantine.smith_normal_form
+
+    def counted(mat):
+        calls.append(mat)
+        return smith(mat)
+
+    monkeypatch.setattr(diophantine, "smith_normal_form", counted)
+    for d in degrees:
+        spec = make()
+        r = spec.group.rank
+        is_invertible(spec, spec.group.element(d[:r], d[r:]))
+    assert calls == []
+    spec = make()
+    is_separated(spec)
+    assert len(calls) == len(spec.irrelevant_generators()) == bases
 
 
 @pytest.mark.parametrize("rung, calls", [(5, 50), (8, 747)], ids=["L5", "L8"])
