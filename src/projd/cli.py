@@ -21,10 +21,7 @@ import os
 import re
 import sys
 from importlib import resources
-from pathlib import Path
 from typing import Optional, Sequence
-
-import yaml
 
 from projd.charts import (
     chart_algebra,
@@ -73,29 +70,137 @@ def _int_list(value, where, length=None) -> list[int]:
     return out
 
 
-# Newline and printable ASCII other than "!" and "?".  Outside this set
-# libyaml accepts texts that PyYAML rejects (a tab between tokens, "?" in a
-# flow collection, a "!," tag); inside it, whenever libyaml accepts a text,
-# PyYAML reads the same value (test_libyaml_route_matches_pyyaml).
-_LIBYAML_AGREES = re.compile(r'[\n "->@-~]*')
+# A spec in the flow grammar that every fixture and example uses reads
+# straight into the value `yaml.safe_load` gives it; PyYAML, imported only
+# when needed, reads every other text (test_reader_route_matches_pyyaml).
+# Newline and printable ASCII: no tab, carriage return or other text that
+# PyYAML reads in its own way.
+_SPEC_CHARS = re.compile(r"[\n -~]*")
+# A flow line's tokens: an indicator, ": ", a run of other characters (a
+# scalar, checked against _INTEGER and _NAME), or a ":" no space follows.
+# Spaces between tokens are dropped.
+_TOKENS = re.compile(r"[\[\]{},]|: |[^ \[\]{},:]+|:")
+_INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_*^]*")
+# plain names that PyYAML reads as a bool or as null
+_YAML_WORDS = frozenset("yes Yes YES no No NO true True TRUE false False FALSE "
+                        "on On ON off Off OFF null Null NULL".split())
+# PyYAML refuses a key whose ":" is more than 1024 characters past its start
+_KEY_LIMIT = 1024
+
+
+class _Unsure(Exception):
+    """The spec reader cannot be sure of PyYAML's reading."""
+
+
+def _scalar(token: str, key: bool = False):
+    if key and len(token) >= _KEY_LIMIT:
+        raise _Unsure
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past the int() digit limit: PyYAML's error
+            raise _Unsure from None
+    if _NAME.fullmatch(token) and token not in _YAML_WORDS:
+        return token
+    raise _Unsure
+
+
+def _flow_node(tokens: list[str], i: int):
+    """The node that starts at tokens[i], and the index past it."""
+    token = tokens[i]
+    if token not in ("[", "{"):
+        return _scalar(token), i + 1
+    close = "]" if token == "[" else "}"
+    node = [] if token == "[" else {}
+    i += 1
+    if tokens[i] == close:
+        return node, i + 1
+    while True:
+        if token == "[":
+            value, i = _flow_node(tokens, i)
+            node.append(value)
+        else:
+            key = _scalar(tokens[i], key=True)
+            if tokens[i + 1] != ": ":
+                raise _Unsure
+            node[key], i = _flow_node(tokens, i + 2)  # a repeated key: the last
+        if tokens[i] == close:
+            return node, i + 1
+        if tokens[i] != ",":
+            raise _Unsure
+        i += 1
+
+
+def _line_node(text: str):
+    """The flow node that is all of `text`."""
+    if " :" in text:  # spaces before a ":" count toward PyYAML's key limit
+        raise _Unsure
+    tokens = _TOKENS.findall(text)
+    node, end = _flow_node(tokens, 0)
+    if end != len(tokens):
+        raise _Unsure
+    return node
+
+
+def _read_spec_text(text: str) -> Optional[dict]:
+    """`yaml.safe_load(text)` for a spec in the flow grammar, else None.
+
+    The grammar: lines "key: NODE" at column 0, and "key:" followed by
+    "- NODE" lines at one indentation; NODE a flow mapping {k: v, ...}, a
+    flow sequence [v, ...], a decimal integer -?(0|[1-9][0-9]*) or a name
+    [A-Za-z_][A-Za-z0-9_*^]* that PyYAML reads as a string, each node on
+    one line; blank lines, comment lines and " # ..." after a node.  A
+    repeated key keeps its last value, as in PyYAML.  None for any other
+    text, and for any text whose reading by PyYAML it is not sure of.
+    """
+    if not _SPEC_CHARS.fullmatch(text):
+        return None
+    data, items, indent = {}, None, None
+    try:
+        for line in text.split("\n"):
+            body = line.split(" #", 1)[0].rstrip(" ")
+            stripped = body.lstrip(" ")
+            if not stripped or stripped[0] == "#":
+                continue
+            depth = len(body) - len(stripped)
+            if stripped[:2] == "- ":  # an entry of the last key's sequence
+                if items is None or indent not in (None, depth):
+                    return None
+                indent = depth
+                items.append(_line_node(stripped[2:]))
+                continue
+            if depth or items == []:  # a key with no entries is PyYAML's null
+                return None
+            token = _TOKENS.match(body)
+            key, rest = _scalar(token.group(), key=True), body[token.end():]
+            if rest == ":":
+                items, indent = [], None
+                data[key] = items
+            elif rest[:2] == ": ":
+                items = None
+                data[key] = _line_node(rest[2:])
+            else:
+                return None
+    except (_Unsure, IndexError, RecursionError):  # IndexError: a node left open
+        return None
+    return data if data and items != [] else None
 
 
 def _load_yaml(text: str):
-    """PyYAML's safe reading of `text`, its value or its error, sped up by libyaml.
+    """PyYAML's safe reading of `text`, with its errors as ParseError."""
+    import yaml
 
-    The C scanner reads only texts that pass the screen above; any text
-    it refuses, or whose value fails to construct, is read again by
-    PyYAML, so errors keep PyYAML's marks and wording.  Both routes use
-    PyYAML's constructor and resolver.  PyYAML built without libyaml
-    takes the PyYAML route alone.
-    """
-    loader = getattr(yaml, "CSafeLoader", None)
-    if loader is not None and _LIBYAML_AGREES.fullmatch(text):
-        try:
-            return yaml.load(text, Loader=loader)
-        except (yaml.YAMLError, ValueError):
-            pass
-    return yaml.safe_load(text)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = (f"line {mark.line + 1}, column {mark.column + 1}"
+                 if mark else "document")
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise ParseError(f"{where}: {problem}") from exc
+    except ValueError as exc:  # a scalar such as !!int x
+        raise ParseError(str(exc)) from exc
 
 
 def parse_ring_spec(source) -> RingSpec:
@@ -113,16 +218,10 @@ def parse_ring_spec(source) -> RingSpec:
     """
     try:
         text = source.decode("utf-8") if isinstance(source, bytes) else source
-        data = _load_yaml(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = (f"line {mark.line + 1}, column {mark.column + 1}"
-                 if mark else "document")
-        problem = getattr(exc, "problem", None) or str(exc)
-        raise ParseError(f"{where}: {problem}") from exc
-    except ValueError as exc:  # bytes that are not UTF-8, or a scalar such as !!int x
+    except ValueError as exc:  # bytes that are not UTF-8
         raise ParseError(str(exc)) from exc
-    return ring_spec_from_dict(data)
+    data = _read_spec_text(text)
+    return ring_spec_from_dict(_load_yaml(text) if data is None else data)
 
 
 def ring_spec_from_dict(data) -> RingSpec:
@@ -753,7 +852,8 @@ def parse_argv(argv: Sequence[str]):
                 # a file that cannot be read is bad usage (exit 2), like a
                 # missing one, not a fault (exit 4)
                 try:
-                    spec = Path(value).read_bytes()
+                    with open(value, "rb") as file:
+                        spec = file.read()
                 except OSError as exc:
                     raise _Usage(command, f"argument --spec: cannot read "
                                           f"{value!r}: {exc.strerror or exc}") from None
@@ -799,8 +899,8 @@ def _run(argv: Sequence[str]) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a MemoryError has no message: name its type
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     if as_json:
         report = {"command": command,

@@ -32,10 +32,11 @@ from projd.cli import (
     parse_prime,
     parse_ring_spec,
     run_fixture_corpus,
+    _read_spec_text,
 )
 from projd.diophantine import ConstrainedSemigroup, InvariantError
 from projd.fgab import FgAbGroup
-from projd.ringspec import BadConicalIdeal, Monomial, NotEffective
+from projd.ringspec import BadConicalIdeal, Monomial, NotEffective, RingSpec
 
 FIXTURES = ["plane", "torsion", "quad", "five", "parity", "plane-b"]
 
@@ -177,16 +178,17 @@ BENCH_STYLE_SPECS = [
     "  - {name: x3, degree: {free: [1, 1, 1], torsion: []}}\n",
 ]
 
-# YAML syntax, plus what libyaml and PyYAML read differently: tab, "?",
-# "!", carriage return, non-ASCII, and characters that cannot start a token
+# YAML syntax, plus what the spec reader leaves to PyYAML: tab, "?", "!",
+# carriage return, non-ASCII, and characters that cannot start a token
 EDIT_ALPHABET = " \t\n\r?!%@`:,-#&*|>'\"{}[]01xé"
 
 
 def _edited(rng, text):
     """`text` with one to three characters inserted, replaced or deleted.
 
-    Half the edits fall right after a flow indicator, where the two
-    scanners differ most (libyaml rejects "key:{", PyYAML accepts it).
+    Half the edits fall right after a flow indicator, where spacing
+    decides PyYAML's reading ("key:{" is a key and a mapping, "key:1" one
+    scalar).
     """
     chars = list(text)
     for _ in range(rng.randint(1, 3)):
@@ -212,61 +214,118 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
-def test_libyaml_route_matches_pyyaml(monkeypatch):
+def _reader_agrees(text):
+    """Whether the spec reader read `text` (not None); what it reads must
+    be `yaml.safe_load`'s value, types and key order included, and the
+    spec or error must be what PyYAML alone gives."""
+    data = _read_spec_text(text)
+    if data is not None:
+        assert repr(data) == repr(yaml.safe_load(text)), text
+    assert (_outcome(parse_ring_spec, text)
+            == _outcome(oracles.parse_ring_spec_by_pyyaml, text)), text
+    return data is not None
+
+
+def test_reader_route_matches_pyyaml():
     # every edited text must read as PyYAML alone reads it: the same
     # RingSpec, or the same error with the same line, column and problem
-    verdicts = []  # libyaml's verdict on each text it was given
-
-    class RecordingLoader(yaml.CSafeLoader):
-        def get_single_data(self):
-            try:
-                data = super().get_single_data()
-            except (yaml.YAMLError, ValueError):
-                verdicts.append(False)
-                raise
-            verdicts.append(True)
-            return data
-
-    readings = {}  # PyYAML reads each text once, for both sides
-    safe_load = yaml.safe_load
-
-    def read_once(text):
-        if text not in readings:
-            try:
-                readings[text] = safe_load(text), None
-            except (yaml.YAMLError, ValueError) as exc:
-                readings[text] = None, exc
-        value, error = readings[text]
-        if error is not None:
-            raise error
-        return value
-
-    monkeypatch.setattr(yaml, "CSafeLoader", RecordingLoader)
-    monkeypatch.setattr(yaml, "safe_load", read_once)
     rng = random.Random(5)
     bases = [fixture_text(name) for name in FIXTURES] + BENCH_STYLE_SPECS
     texts = 3000
-    libyaml_read = only_libyaml_rejects = 0
-    for _ in range(texts):
-        text = _edited(rng, rng.choice(bases))
-        asked = len(verdicts)
-        assert (_outcome(parse_ring_spec, text)
-                == _outcome(oracles.parse_ring_spec_by_pyyaml, text)), text
-        if len(verdicts) > asked and verdicts[-1]:
-            libyaml_read += 1
-        elif len(verdicts) > asked:  # libyaml refused; did PyYAML accept?
-            only_libyaml_rejects += readings[text][1] is None
-    assert libyaml_read >= 200 and texts - libyaml_read >= 200
-    assert only_libyaml_rejects >= 50
+    read = sum(_reader_agrees(_edited(rng, rng.choice(bases))) for _ in range(texts))
+    assert read >= 300 and texts - read >= 2000
 
 
-def test_spec_loading_without_libyaml(monkeypatch):
-    # PyYAML built without its C extension has no CSafeLoader
+# Scalars PyYAML reads as something other than a string or a decimal
+# integer, or not at all, and names and integers it reads as the reader does
+ADVERSARIAL_SCALARS = [
+    "yes", "Yes", "YES", "no", "No", "on", "On", "ON", "off", "OFF", "true",
+    "False", "null", "Null", "NULL", "~", "y", "n", "Y", "N", "010", "+1",
+    "1_0", "0x1F", "0o17", "0b1", "1:30", ".5", "1.0", "1e3", ".inf", "'x'",
+    '"x"', "*x", "&a", "!x", "<<", "=", "x^2*y", "x*y", "_x", "-0", "-1", "0",
+    "2", "x0", "-x", "2001-12-14",
+]
+
+
+def _adversarial_spec(rng):
+    """A spec in the reader's grammar with some scalars, spacings and
+    comments drawn from what PyYAML reads differently."""
+    def scalar(default):
+        return rng.choice(ADVERSARIAL_SCALARS) if rng.random() < 0.015 else str(default)
+
+    def colon():
+        return rng.choice([": "] * 90 + [":  "] * 6 + [":   ", ":", " : "])
+
+    def comma():
+        return rng.choice([", "] * 16 + [","] * 2 + [",   ", " , "])
+
+    def flow(entries, mapping):
+        if mapping:
+            entries = [f"{scalar(k)}{colon()}{v}" for k, v in entries]
+        text = comma().join(entries)
+        return "{" + text + "}" if mapping else "[" + text + "]"
+
+    def comment():
+        return rng.choice([""] * 16 + ["  # c", " # x: [1, 2]", " #", "# c"])
+
+    torsion = rng.choice([[], [2], [2, 3]])
+    lines = [f"group{colon()}" + flow(
+        [("rank", scalar(2)), ("torsion", flow([scalar(t) for t in torsion], False))],
+        True) + comment(), "variables:" + comment()]
+    for i, free in enumerate([(1, 0), (0, 1), (1, 1)]):
+        degree = flow([("free", flow([scalar(c) for c in free], False)),
+                       ("torsion", flow([scalar(i % t) for t in torsion], False))],
+                      True)
+        entries = [("name", scalar(f"x{i}")), ("degree", degree)]
+        if rng.random() < 0.1:  # a repeated key: PyYAML keeps the last value
+            entries.insert(rng.randrange(3), (rng.choice(["name", "degree"]),
+                                              scalar("y")))
+        lines.append("  - " + flow(entries, True) + comment())
+    if rng.random() < 0.05:  # "variables:" with no entries: PyYAML's null
+        del lines[2:]
+    if rng.random() < 0.5:
+        lines.append(f"B{colon()}" + flow([scalar("x0*x2"), scalar("x1*x2")], False)
+                     + comment())
+    if rng.random() < 0.1:
+        lines.append(rng.choice(lines[:1] + lines[-1:]))
+    return "\n".join(lines) + "\n"
+
+
+def test_reader_matches_pyyaml_on_adversarial_scalars():
+    rng = random.Random(32)
+    texts = [_adversarial_spec(rng) for _ in range(600)]
+    read = [text for text in texts if _reader_agrees(text)]
+    assert len(read) >= 150 and len(texts) - len(read) >= 250
+    # the battery reaches specs that build, from both routes
+    assert sum(isinstance(_outcome(parse_ring_spec, text), RingSpec)
+               for text in read) >= 100
+
+
+def test_reader_keeps_pyyaml_limits():
+    # PyYAML refuses a key whose ":" is more than 1024 characters past its
+    # start, and an integer past int()'s digit limit; the reader reads the
+    # key just within the limit and leaves the rest to PyYAML
+    plane = fixture_text("plane")
+    for text, read in [
+            (f"{'k' * 1023}: 1\n" + plane, True),
+            (f"{'k' * 1030}: 1\n" + plane, False),
+            (f"B: {{{'k' * 1030}: 1}}\n" + plane, False),
+            (f"B: {{{'9' * 1030}: 1}}\n" + plane, False),
+            (f"B: {{k{' ' * 1030}: 1}}\n" + plane, False),
+            (plane.replace("torsion: []}", f"torsion: [{'9' * 5000}]}}", 1), False)]:
+        assert _reader_agrees(text) == read
+
+
+def test_spec_loading_without_yaml(monkeypatch):
+    # every packaged fixture and every spec as the benchmark writes it is
+    # in the reader's grammar: it reads with PyYAML blocked, to the same
+    # spec; a text outside the grammar is PyYAML's, and needs it
     texts = [fixture_text(name) for name in FIXTURES] + BENCH_STYLE_SPECS
-    texts.append("group: {rank: 1, torsion:[]}\nvariables: [{name: x\n")
-    expected = [_outcome(parse_ring_spec, text) for text in texts]
-    monkeypatch.delattr(yaml, "CSafeLoader")
-    assert [_outcome(parse_ring_spec, text) for text in texts] == expected
+    expected = [_outcome(oracles.parse_ring_spec_by_pyyaml, text) for text in texts]
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    assert [parse_ring_spec(text) for text in texts] == expected
+    with pytest.raises(ImportError):
+        parse_ring_spec("group:\n  rank: 1\n  torsion: []\nvariables: []\n")
 
 
 def test_duplicate_variable_name_rejected():
@@ -603,9 +662,9 @@ def test_cli_relevance_error_lines(tmp_path, argv, line):
     assert (code, err, out) == (3, line + "\n", "")
 
 
-# Each text reaches PyYAML: a tab, "?" or a "!," tag that libyaml would
-# accept, an unclosed flow mapping, CRLF line ends, and a text ("key:{")
-# that libyaml rejects and PyYAML accepts.
+# Each text is outside the spec reader's grammar and is read by PyYAML: a
+# tab, a "?", an unclosed flow mapping, a "!," tag, CRLF line ends, and a
+# ":" with no space after it ("key:{"), which PyYAML accepts.
 @pytest.mark.parametrize("text, code, stdout, stderr", [
     ("group: {rank: 1, torsion: []}\nvariables:\n"
      "  - {name: x, degree: {free: [\t1], torsion: []}}\n", 3, "",
@@ -638,6 +697,16 @@ def test_cli_internal_error_exits_4(tmp_path, monkeypatch):
     code, out, err = run_cli(["gens", "--spec", write_spec(tmp_path, "plane")])
     assert code == 4
     assert "internal error: invariant broken" in err
+
+
+def test_cli_internal_error_without_message_names_its_type(tmp_path, monkeypatch):
+    # str(MemoryError()) is empty; the line names the exception instead
+    def out_of_memory(spec, command, args, bound=None):
+        raise MemoryError()
+
+    monkeypatch.setattr("projd.cli.execute", out_of_memory)
+    assert run_cli(["gens", "--spec", write_spec(tmp_path, "plane")]) == (
+        4, "", "internal error: MemoryError\n")
 
 
 def test_cli_library_value_error_exits_4(tmp_path, monkeypatch):
@@ -818,22 +887,27 @@ def test_single_dash_tokens_are_params():
 
 
 def test_cli_call_does_not_import_argparse():
-    # a fresh interpreter: the call's own work, not what a test runner
-    # imported before it
+    # a fresh interpreter per fixture: the call's own work, not what a test
+    # runner or an earlier call imported.  Neither argparse nor PyYAML: the
+    # command line is read from COMMANDS and each fixture by the spec reader
     src = str(Path(projd.__file__).resolve().parents[1])
-    entry, path, argv = next(corpus_argvs())
-    script = ("import sys, projd.cli\n"
-              "try:\n"
-              f"    projd.cli.main.main(args={argv!r}, prog_name='projd')\n"
-              "except SystemExit as exc:\n"
-              "    assert exc.code == 0, exc.code\n"
-              "print('argparse' in sys.modules)\n")
     path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path_env))
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    argvs = {}
+    for entry, _, argv in corpus_argvs():
+        argvs.setdefault(entry["fixture"], argv)
+    assert sorted(argvs) == sorted(FIXTURES)
+    for argv in argvs.values():
+        script = ("import sys, projd.cli\n"
+                  "try:\n"
+                  f"    projd.cli.main.main(args={argv!r}, prog_name='projd')\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n"
+                  "print(sorted({'argparse', 'yaml'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path_env))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", argv
 
 
 def test_command_table_matches_the_corpus():
