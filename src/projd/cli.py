@@ -201,6 +201,8 @@ def _load_yaml(text: str):
         raise ParseError(f"{where}: {problem}") from exc
     except ValueError as exc:  # a scalar such as !!int x
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:  # PyYAML composes nested nodes recursively
+        raise ParseError("document: nested too deeply") from exc
 
 
 def parse_ring_spec(source) -> RingSpec:

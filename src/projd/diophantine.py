@@ -68,8 +68,9 @@ class ConstrainedSemigroup:
                 raise ValueError("kernel basis vector of wrong length")
         if any(i < 0 or i >= self.nvars for i in self.free_coords):
             raise ValueError("free coordinate out of range")
-        object.__setattr__(self, "kernel_basis", row_hnf(self.kernel_basis, self.nvars))
         base = self.base
+        if base is None or self.kernel_basis != base.kernel_basis:  # a base's is a row HNF
+            object.__setattr__(self, "kernel_basis", row_hnf(self.kernel_basis, self.nvars))
         if base is not None and not (base.kernel_basis == self.kernel_basis
                                      and base.free_coords < self.free_coords):
             raise ValueError("a base has the same lattice and fewer free coordinates")
@@ -187,11 +188,14 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     """The search behind minimal_nonneg_solutions: (solutions, cut).
 
     Only rhs None is homogeneous: a given zero rhs has the one minimal
-    solution 0.  Besides the Contejean-Devie rules, one cap stops the
-    search early.  A vector t has the key (t_p, |t[:p]|) for a lead column
-    p = least_by < ncols, and (0, |t[:ncols]|) otherwise.  A vector whose
-    key exceeds the cap is never explored, and cut says whether any was
-    that is neither a repeat nor dominated.  Once cut is set, a step past the
+    solution 0, and a homogeneous system with no rows has the unit
+    vectors, each a solution and minimal: both are answered with no
+    search, the unit vectors kept or picked by the keys and cap below.
+    Besides the Contejean-Devie rules, one cap stops the search early.  A
+    vector t has the key (t_p, |t[:p]|) for a lead column p = least_by <
+    ncols, and (0, |t[:ncols]|) otherwise.  A vector whose key exceeds the
+    cap is never explored, and cut says whether any was that is neither a
+    repeat nor dominated.  Once cut is set, a step past the
     cap is dropped before it is built: the least mode stops building the
     extensions of its last level at the first one it cuts.  The cap is
     (0, bound) for a bounded search.  In the least mode (least_by given,
@@ -212,6 +216,13 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     """
     if rhs is not None and not any(rhs):
         return [(0,) * ncols], False
+    p = ncols if least_by is None else min(least_by, ncols)
+    if rhs is None and not rows:  # no equation: the unit vectors, keyed as below
+        keyed = sorted(((int(j == p), int(j < p)), (0,) * j + (1,) + (0,) * (ncols - j - 1))
+                       for j in range(ncols))
+        kept = [x for key, x in keyed if bound is None or key <= (0, bound)]
+        cut = len(kept) < ncols
+        return (kept[:1] if least_by is not None else sorted(kept, key=vector_key)), cut
     homogeneous = rhs is None
     columns = [tuple(row[j] for row in rows) for j in range(ncols)]
     if not homogeneous:
@@ -221,7 +232,6 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     # columns, so it is zero exactly when every dot is.
     gram = [tuple(sum(map(mul, c, d)) for d in columns) for c in columns]
     # t + e_j has the key of t plus (j == lead, j < p)
-    p = ncols if least_by is None else min(least_by, ncols)
     lead = p if p < ncols else -1
 
     cut = False
@@ -465,7 +475,9 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
 
     Zeros inserted at fixed positions keep both the norm and the lex
     order, so the least answer of the shrunken search, scattered back, is
-    the least answer over all of gens.
+    the least answer over all of gens.  When the caps drop every vector, a
+    nonzero target has no decomposition, and None is returned with no
+    search: on the bench gradings, every witness of a weak pair ends here.
 
     >>> semigroup_member([(1, 1, -1)], (2, 2, -2))
     (2,)
@@ -495,6 +507,8 @@ def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:
         if not capped:
             break
         keep = [j for j in keep if j not in capped]
+    if not keep and any(target):
+        return None
     rows = [[gens[j][i] for j in keep] for i in range(len(target))]
     sols = minimal_nonneg_solutions(rows, len(keep), rhs=list(target),
                                     least_by=len(keep))

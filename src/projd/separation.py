@@ -101,7 +101,13 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:
     """t - p >= 0 on the coordinates off for some p in pool: rule B."""
-    return any(all(t[i] >= p[i] for i in off) for p in pool)
+    for p in pool:
+        for i in off:
+            if t[i] < p[i]:
+                break
+        else:
+            return True
+    return False
 
 
 def _minimal_divisibility(monos: Sequence[Monomial]) -> list[Monomial]:

@@ -635,6 +635,16 @@ def test_cli_validation_error_exits_3(tmp_path):
     assert "error:" in err
 
 
+def test_cli_deeply_nested_spec_exits_3(tmp_path):
+    # the spec reader declines it, and PyYAML's composer runs past the
+    # recursion limit: that is bad input, not a fault of the engine
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("group: {rank: 1, torsion: " + "[" * 1200 + "]" * 1200 + "}\n")
+    code, out, err = run_cli(["check", "--spec", str(deep)])
+    assert (code, out) == (3, "")
+    assert "nested too deeply" in err and "internal error" not in err
+
+
 def test_cli_irrelevant_chart_exits_3(tmp_path):
     code, out, err = run_cli(["chart", "x", "--spec", write_spec(tmp_path, "plane")])
     assert code == 3

@@ -666,6 +666,70 @@ def test_pruned_member_matches_the_unpruned_search():
     assert min(kinds.values()) >= 50, kinds
 
 
+def test_cap_refuted_member_matches_the_unpruned_search(monkeypatch):
+    # when the sign caps drop every column, a nonzero target is refused
+    # with no search; the answer is still that of one search over the
+    # whole pool.  Half the draws plant a coordinate where every vector is
+    # positive and the target is 0, so the caps empty the pool there
+    import projd.diophantine as diophantine
+
+    searches = []
+    search = diophantine.minimal_nonneg_solutions
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(diophantine, "minimal_nonneg_solutions", counted)
+    rng = random.Random(331)
+    refuted = searched = 0
+    for k in range(600):
+        n = rng.randint(1, 4)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 8))]
+        target = [rng.randint(-3, 3) for _ in range(n)]
+        if k % 2:
+            i = rng.randrange(n)
+            pool = [g[:i] + (rng.randint(1, 2),) + g[i + 1:] for g in pool]
+            target[i] = 0
+        target = tuple(target)
+        searches.clear()
+        got = semigroup_member(pool, target)
+        assert got == oracles.semigroup_member_by_search(pool, target), (pool, target)
+        if any(target) and not searches:
+            assert got is None and target not in pool, (pool, target)
+            refuted += 1
+        searched += bool(searches)
+    assert refuted >= 200 and searched >= 200, (refuted, searched)
+
+
+def test_equation_free_systems_answer_the_unit_vectors():
+    # with no equation every unit vector is a minimal solution: the
+    # answer comes with no search, in the plain, bounded and least modes
+    from projd.diophantine import _contejean_devie
+
+    for n in range(6):
+        units = sorted(((0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)),
+                       key=vector_key)
+        (got, _), built = _lines_run(_contejean_devie, "gram = [",
+                                     lambda: _contejean_devie([], n))
+        assert built == 0
+        assert got == units == minimal_nonneg_solutions([], n)
+        assert (got, False) == oracles.contejean_devie_by_generators([], n)
+        for bound in (0, 1, n + 2):
+            want = oracles.contejean_devie_by_generators([], n, bound=bound)
+            assert _contejean_devie([], n, bound=bound) == want, (n, bound)
+            assert want == (units if bound else [], n > 0 and not bound)
+            sols, reached = bounded_minimal_solutions([], n, [], bound)
+            want = oracles.contejean_devie_by_generators([], n, [], bound=bound)
+            assert (sols, not reached) == want == ([(0,) * n], False)
+        least = oracles.contejean_devie_by_generators([], n, least_only=True)[0]
+        assert minimal_nonneg_solutions([], n, least_by=n) == least[:1]
+        for p in range(n):
+            want = min(units, key=lambda s: (s[p], vector_key(s[:p]), s))
+            assert minimal_nonneg_solutions([], n, least_by=p) == [want], (n, p)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_pool_cases, st.booleans())
 def test_least_mode_is_the_first_graded_lex_solution(case, homogeneous):

@@ -740,6 +740,29 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
+@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 10, 35), (r3a_spec, 19, 56)])
+def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make, searches,
+                                                              hnfs):
+    # work, not time: a witness that the sign caps refute and an
+    # equation-free chart search call no solver (25 and 55 calls before),
+    # and a localized chart keeps its base's Hermite form (50 and 78
+    # row_hnf calls before)
+    import projd.diophantine as diophantine
+    from projd.cli import execute
+
+    calls = {"minimal_nonneg_solutions": 0, "row_hnf": 0}
+    for name in calls:
+        fn = getattr(diophantine, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(diophantine, name, counted)
+    execute(make(), "separated", [])
+    assert calls == {"minimal_nonneg_solutions": searches, "row_hnf": hnfs}
+
+
 def _counting_searches(monkeypatch):
     """Record every target that the audit hands to semigroup_member."""
     import projd.separation as separation
