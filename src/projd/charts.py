@@ -11,8 +11,7 @@ are glued along the charts of products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import AbstractSet, Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence
 
 from projd.diophantine import (ConstrainedSemigroup, ExponentVector, InvariantError,
                                semigroup_member)
@@ -126,32 +125,6 @@ def psi_image(spec: RingSpec, f, p) -> tuple[ExponentVector, ...]:
 def _contains_irrelevant(gens: Sequence[Monomial], variables: AbstractSet[int]) -> bool:
     """The prime on these variables contains every irrelevant-ideal generator."""
     return bool(gens) and all(g.support & variables for g in gens)
-
-
-def psi_collision_scan(spec: RingSpec, f) -> Union[str, tuple[MonomialPrime, MonomialPrime]]:
-    """First pair of primes with equal images on the f-chart, else "injective".
-
-    Scans every monomial prime avoiding supp(f) that does not contain the
-    whole irrelevant ideal, in size-then-index order.
-    """
-    f = spec.monomial(f)
-    n = len(spec.variables)
-    gens = spec.irrelevant_generators()
-    outside = [i for i in range(n) if i not in f.support]
-    primes = []
-    for size in range(len(outside) + 1):
-        for combo in combinations(outside, size):
-            if not _contains_irrelevant(gens, set(combo)):
-                primes.append(MonomialPrime(combo))
-    # the earliest prime sharing its image with a later one opens the first
-    # image class (in scan order) of size two or more
-    classes: dict[tuple[ExponentVector, ...], list[MonomialPrime]] = {}
-    for p in primes:
-        classes.setdefault(psi_image(spec, f, p), []).append(p)
-    for same in classes.values():
-        if len(same) > 1:
-            return (same[0], same[1])
-    return "injective"
 
 
 def cover_decomposition(spec: RingSpec, h) -> tuple[Monomial, ...]:

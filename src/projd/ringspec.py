@@ -307,20 +307,6 @@ def validate_effective(spec: RingSpec) -> None:
             raise NotEffective(f"grading misses the group element {g}")
 
 
-def veronese_scaled_spec(spec: RingSpec, n: int) -> RingSpec:
-    """Same variables with every degree multiplied by n.
-
-    Scaling can break effectiveness (the scaled degrees may span a proper
-    subgroup), so the result is built unchecked; relevance of monomials
-    is preserved either way.
-    """
-    if n < 1:
-        raise ValueError("scaling factor must be positive")
-    degrees = [n * d for d in spec.degrees]
-    return RingSpec(spec.group, spec.variables, degrees,
-                    conical_ideal=spec.conical_ideal, check_effective=False)
-
-
 def _degree_rows(spec: RingSpec, d: GroupElement, extra=()):
     """The degree equations deg(a) + sum c_j e_j = d as (rows, rhs, width).
 

@@ -36,15 +36,6 @@ class SheafReport:
 
 
 @dataclass(frozen=True)
-class TwistProductReport:
-    """Surjectivity audit of the multiplication of two twists on a chart."""
-
-    surjective: bool
-    decompositions: tuple[tuple[ExponentVector, ExponentVector, ExponentVector,
-                                ExponentVector], ...]
-
-
-@dataclass(frozen=True)
 class GlobalSectionsReport:
     monomials: tuple[Monomial, ...]
     complete: bool
@@ -115,38 +106,6 @@ def twist_module_generators(spec: RingSpec, f, d: GroupElement) -> tuple[Exponen
     """Minimal generators of the degree-d chart module over the chart algebra."""
     f = spec.relevant_monomial(f)
     return shifted_minimal_generators(spec, f.support, d)
-
-
-def twist_product_surjective(spec: RingSpec, f, d: GroupElement,
-                             e: GroupElement) -> TwistProductReport:
-    """Whether products of d- and e-sections span the (d+e)-sections on f.
-
-    Each generator of the (d+e)-module must split as a d-generator plus an
-    e-generator plus a degree-zero chart element; the witness quadruples
-    are (target, d-part, e-part, chart remainder).
-    """
-    f = spec.relevant_monomial(f)
-    gens_d = twist_module_generators(spec, f, d)
-    gens_e = twist_module_generators(spec, f, e)
-    targets = twist_module_generators(spec, f, d + e)
-    sg = spec.semigroup(f.support)
-    decompositions = []
-    surjective = True
-    for b in targets:
-        found = None
-        for gd in gens_d:
-            for ge in gens_e:
-                rest = tuple(t - p - q for t, p, q in zip(b, gd, ge))
-                if sg.contains(rest):
-                    found = (b, gd, ge, rest)
-                    break
-            if found:
-                break
-        if found is None:
-            surjective = False
-        else:
-            decompositions.append(found)
-    return TwistProductReport(surjective, tuple(decompositions))
 
 
 def _bounded_exponents(n: int, bound: int):

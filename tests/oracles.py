@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: exhaustive box enumeration, rational
 Gaussian elimination, textbook determinants.  The point is independence from
-the library's own lattice machinery.
+the library's own lattice machinery.  It also holds the checks of paper
+claims that no projd command runs: the prime-collision scan, the
+Veronese-scaled spec and the twist-product audit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -434,6 +437,34 @@ def first_equal_pair(items, images):
     return None
 
 
+def psi_collision_scan(spec, f):
+    """First pair of primes with equal images on the f-chart, else "injective".
+
+    Scans every monomial prime avoiding supp(f) that does not contain the
+    whole irrelevant ideal, in size-then-index order.
+    """
+    from projd.charts import MonomialPrime, _contains_irrelevant, psi_image
+
+    f = spec.monomial(f)
+    n = len(spec.variables)
+    gens = spec.irrelevant_generators()
+    outside = [i for i in range(n) if i not in f.support]
+    primes = []
+    for size in range(len(outside) + 1):
+        for combo in itertools.combinations(outside, size):
+            if not _contains_irrelevant(gens, set(combo)):
+                primes.append(MonomialPrime(combo))
+    # the earliest prime sharing its image with a later one opens the first
+    # image class (in scan order) of size two or more
+    classes = {}
+    for p in primes:
+        classes.setdefault(psi_image(spec, f, p), []).append(p)
+    for same in classes.values():
+        if len(same) > 1:
+            return (same[0], same[1])
+    return "injective"
+
+
 def bounded_degree_scan(spec, d, bound):
     """Every exponent vector of total degree <= bound and degree d, graded-lex."""
     n = len(spec.variables)
@@ -462,6 +493,22 @@ def relevance_via_components(spec, mono):
     hnf = row_hnf(rows, spec.group.dim)
     free_rank = sum(1 for row in hnf if any(row[: spec.group.rank]))
     return free_rank == spec.group.rank
+
+
+def veronese_scaled_spec(spec, n):
+    """Same variables with every degree multiplied by n.
+
+    Scaling can break effectiveness (the scaled degrees may span a proper
+    subgroup), so the result is built unchecked; relevance of monomials
+    is preserved either way.
+    """
+    from projd.ringspec import RingSpec
+
+    if n < 1:
+        raise ValueError("scaling factor must be positive")
+    degrees = [n * d for d in spec.degrees]
+    return RingSpec(spec.group, spec.variables, degrees,
+                    conical_ideal=spec.conical_ideal, check_effective=False)
 
 
 def irrelevant_generators_scan(spec):
@@ -736,6 +783,48 @@ def shifted_generators_by_membership(spec, free_coords, d):
     sg = _fresh_semigroup(spec, free_coords)
     candidates = _degree_row_candidates(spec, free_coords, list(d.lift()))
     return _drop_by_membership(candidates, sg, units_by_smith_kernel(sg))
+
+
+@dataclass(frozen=True)
+class TwistProductReport:
+    """Surjectivity audit of the multiplication of two twists on a chart."""
+
+    surjective: bool
+    # (target, d-part, e-part, chart remainder) exponent-vector quadruples
+    decompositions: tuple
+
+
+def twist_product_surjective(spec, f, d, e):
+    """Whether products of d- and e-sections span the (d+e)-sections on f.
+
+    Each generator of the (d+e)-module must split as a d-generator plus an
+    e-generator plus a degree-zero chart element; the witness quadruples
+    are (target, d-part, e-part, chart remainder).
+    """
+    from projd.sheaves import twist_module_generators
+
+    f = spec.relevant_monomial(f)
+    gens_d = twist_module_generators(spec, f, d)
+    gens_e = twist_module_generators(spec, f, e)
+    targets = twist_module_generators(spec, f, d + e)
+    sg = spec.semigroup(f.support)
+    decompositions = []
+    surjective = True
+    for b in targets:
+        found = None
+        for gd in gens_d:
+            for ge in gens_e:
+                rest = tuple(t - p - q for t, p, q in zip(b, gd, ge))
+                if sg.contains(rest):
+                    found = (b, gd, ge, rest)
+                    break
+            if found:
+                break
+        if found is None:
+            surjective = False
+        else:
+            decompositions.append(found)
+    return TwistProductReport(surjective, tuple(decompositions))
 
 
 def hilbert_basis_by_degree_rows(spec, free_coords):

@@ -10,20 +10,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from oracles import box, lattice_tester, rational_solve, relevance_via_components
-from projd.charts import chart_algebra, psi_collision_scan
+from oracles import (box, lattice_tester, psi_collision_scan, rational_solve,
+                     relevance_via_components, veronese_scaled_spec)
+from projd.charts import chart_algebra
 from projd.diophantine import (
     ConstrainedSemigroup,
     hilbert_basis,
     semigroup_member,
 )
 from projd.fgab import FgAbGroup, subgroup_index
-from projd.ringspec import (
-    Monomial,
-    NotEffective,
-    RingSpec,
-    veronese_scaled_spec,
-)
+from projd.ringspec import Monomial, NotEffective, RingSpec
 from projd.separation import (
     classify_dependencies,
     is_separated,

@@ -6,13 +6,13 @@ import random
 
 import oracles
 import pytest
+from oracles import psi_collision_scan
 from projd.charts import (
     MonomialPrime,
     PrimeMeetsF,
     chart_algebra,
     chart_intersection_check,
     cover_decomposition,
-    psi_collision_scan,
     psi_image,
     v_plus,
 )

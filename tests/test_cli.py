@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -949,3 +952,43 @@ def test_fixture_corpus_error_exits_4(monkeypatch):
     assert run_fixture_corpus(echo=lines.append) == 4
     assert lines == ["plane frobnicate: ERROR unknown command 'frobnicate'",
                      "plane gens: ok", "1 mismatching corpus entries"]
+
+
+def test_every_public_function_is_reached_by_a_command_or_named_in_the_readme():
+    # src/ holds what the CLI runs or the README promises: a function that
+    # only the tests call belongs in tests/oracles.py
+    public = {}
+    for name in ("fgab", "diophantine", "ringspec", "charts", "separation",
+                 "sheaves", "cli"):
+        module = importlib.import_module(f"projd.{name}")
+        for attr, value in vars(module).items():
+            if (inspect.isfunction(value) and value.__module__ == module.__name__
+                    and not attr.startswith("_")):
+                public[value.__code__] = f"{module.__name__}.{attr}"
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert projd.cli._run(["--fixtures"]) == 0
+            for entry in load_corpus():
+                path = resources.files("projd") / "fixtures" / f"{entry['fixture']}.yaml"
+                argv = [entry["command"], *entry.get("args", []), "--spec", str(path)]
+                if "bound" in entry:
+                    argv += ["--bound", str(entry["bound"])]
+                assert projd.cli._run(argv) == 0, argv
+            assert projd.cli._run(["--help"]) == 0
+            for command in COMMANDS:
+                assert projd.cli._run([command, "--help"]) == 0
+    finally:
+        sys.setprofile(previous)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    unreached = sorted(name for code, name in public.items()
+                       if code not in reached and name != "projd.cli.main"
+                       and not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", readme))
+    assert unreached == []

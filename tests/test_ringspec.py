@@ -6,7 +6,8 @@ import random
 
 import pytest
 from oracles import (companion_by_listing, companion_by_power_scan,
-                     irrelevant_generators_scan, relevance_via_components)
+                     irrelevant_generators_scan, relevance_via_components,
+                     veronese_scaled_spec)
 from projd.diophantine import minimal_nonneg_solutions
 from projd.fgab import FgAbGroup, subgroup_index, subgroup_member
 from projd.ringspec import (
@@ -18,7 +19,6 @@ from projd.ringspec import (
     degree_zero_companion,
     parse_monomial,
     validate_effective,
-    veronese_scaled_spec,
 )
 
 

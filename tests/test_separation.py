@@ -266,6 +266,29 @@ def test_rank_zero_always_separated():
     assert separated_submodels(R) == (R.irrelevant_generators(),)
 
 
+def test_doubled_origin_line_is_not_separated():
+    # k[x, y] with deg x = 1, deg y = -1: its Proj is the affine line with a
+    # doubled origin, the smallest non-separated model, glued along xy
+    G = FgAbGroup(1)
+    R = RingSpec(G, ["x", "y"], [G.element((1,)), G.element((-1,))])
+    verdict = is_separated(R)
+    assert verdict.separated is False
+    assert verdict.dependency_class == "nontrivial-irreducible"
+    assert [(renders(R, r.pair), r.witness) for r in verdict.weak_pairs] == \
+        [(("y", "x"), (-1, -1))]  # the witness is 1/(xy)
+    assert classify_dependencies(R).witness == (1, 1)
+    assert [renders(R, sub) for sub in separated_submodels(R)] == [("y",), ("x",)]
+    for f in ("x", "y"):
+        chart = chart_algebra(R, f)
+        assert (chart.units, chart.generators) == ((), ((1, 1),))
+    xy = chart_algebra(R, "x*y")
+    assert (xy.units, xy.generators) == (((1, 1),), ())
+    report = is_invertible(R, G.element((1,)))
+    assert report.invertible
+    assert [(m.render(R.variables), unit) for m, unit in report.chart_units] == \
+        [("y", (0, -1)), ("x", (1, 0))]
+
+
 def test_classify_line():
     R = line_spec()
     report = classify_dependencies(R)

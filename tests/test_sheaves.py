@@ -8,6 +8,7 @@ import time
 import oracles
 import projd.fgab
 import pytest
+from oracles import twist_product_surjective
 from projd.diophantine import hilbert_basis, semigroup_member
 from projd.fgab import FgAbGroup, kernel_basis, solve_linear, subgroup_member
 from projd.ringspec import Monomial, NotEffective, NotRelevant, RingSpec
@@ -18,7 +19,6 @@ from projd.sheaves import (
     is_invertible,
     shifted_minimal_generators,
     twist_module_generators,
-    twist_product_surjective,
     unit_of_degree,
 )
 
