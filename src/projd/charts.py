@@ -10,11 +10,10 @@ are glued along the charts of products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from projd.diophantine import (ConstrainedSemigroup, ExponentVector, InvariantError,
-                               semigroup_member)
+                               _frozen, semigroup_member)
 from projd.ringspec import InvalidInput, Monomial, ParseError, RingSpec
 
 
@@ -22,14 +21,24 @@ class PrimeMeetsF(InvalidInput):
     """The prime contains a variable of the localizing monomial."""
 
 
-@dataclass(frozen=True)
 class MonomialPrime:
     """Prime ideal generated by a set of variables; () is the zero ideal."""
 
-    variables: tuple[int, ...]
+    def __init__(self, variables: tuple[int, ...]):
+        self.__dict__["variables"] = tuple(sorted(set(variables)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(sorted(set(self.variables))))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variables == other.variables
+
+    def __hash__(self):
+        return hash(self.variables)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(variables={self.variables!r})"
+
+    __setattr__ = __delattr__ = _frozen
 
     def render(self, names: Sequence[str]) -> str:
         if not self.variables:
@@ -70,8 +79,7 @@ def chart_algebra(spec: RingSpec, f) -> ConstrainedSemigroup:
     return spec.semigroup(spec.relevant_monomial(f).support)
 
 
-@dataclass(frozen=True)
-class ChartIntersectionReport:
+class ChartIntersectionReport(NamedTuple):
     """The product chart rebuilt from one factor's chart."""
 
     inverted: tuple[ExponentVector, ...]

@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from importlib import resources
 from typing import Optional, Sequence
 
 from projd.charts import (
@@ -692,11 +691,13 @@ def human_lines(command: str, payload: dict) -> list[str]:
 # fixture corpus
 
 def fixture_text(name: str) -> str:
+    from importlib import resources  # package data only: kept off other calls
     path = resources.files("projd") / "fixtures" / f"{name}.yaml"
     return path.read_text(encoding="utf-8")
 
 
 def load_corpus() -> list[dict]:
+    from importlib import resources
     path = resources.files("projd") / "fixtures" / "expected" / "corpus.json"
     return json.loads(path.read_text(encoding="utf-8"))
 

@@ -18,7 +18,6 @@ Smith form, one auxiliary column per modulus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, le, mul
 from typing import Optional, Sequence
@@ -33,12 +32,18 @@ class InvariantError(RuntimeError):
     its input.  Raised explicitly so that it survives ``python -O``."""
 
 
+def _frozen(self, name, *value):
+    """__setattr__ and __delattr__ of an immutable value class.  Its
+    __init__ writes the fields to the instance __dict__, as
+    functools.cached_property writes the values it caches."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 def vector_key(vec: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Graded-lex sort key: L1 norm first, then entries."""
     return (sum(map(abs, vec)), tuple(vec))
 
 
-@dataclass(frozen=True)
 class ConstrainedSemigroup:
     """Vectors of a lattice with signs constrained off the free coordinates.
 
@@ -57,23 +62,36 @@ class ConstrainedSemigroup:
     on it.
     """
 
-    nvars: int
-    kernel_basis: tuple[ExponentVector, ...]
-    free_coords: frozenset[int] = field(default_factory=frozenset)
-    base: Optional[ConstrainedSemigroup] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        for v in self.kernel_basis:
-            if len(v) != self.nvars:
+    def __init__(self, nvars: int, kernel_basis: tuple[ExponentVector, ...],
+                 free_coords: frozenset[int] = frozenset(),
+                 base: Optional[ConstrainedSemigroup] = None):
+        for v in kernel_basis:
+            if len(v) != nvars:
                 raise ValueError("kernel basis vector of wrong length")
-        if any(i < 0 or i >= self.nvars for i in self.free_coords):
+        if any(i < 0 or i >= nvars for i in free_coords):
             raise ValueError("free coordinate out of range")
-        base = self.base
-        if base is None or self.kernel_basis != base.kernel_basis:  # a base's is a row HNF
-            object.__setattr__(self, "kernel_basis", row_hnf(self.kernel_basis, self.nvars))
-        if base is not None and not (base.kernel_basis == self.kernel_basis
-                                     and base.free_coords < self.free_coords):
+        if base is None or kernel_basis != base.kernel_basis:  # a base's is a row HNF
+            kernel_basis = row_hnf(kernel_basis, nvars)
+        if base is not None and not (base.kernel_basis == kernel_basis
+                                     and base.free_coords < free_coords):
             raise ValueError("a base has the same lattice and fewer free coordinates")
+        self.__dict__.update(nvars=nvars, kernel_basis=kernel_basis,
+                             free_coords=free_coords, base=base)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nvars, self.kernel_basis, self.free_coords)
+                == (other.nvars, other.kernel_basis, other.free_coords))
+
+    def __hash__(self):
+        return hash((self.nvars, self.kernel_basis, self.free_coords))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(nvars={self.nvars!r}, "
+                f"kernel_basis={self.kernel_basis!r}, free_coords={self.free_coords!r})")
+
+    __setattr__ = __delattr__ = _frozen
 
     @cached_property
     def constrained_coords(self) -> tuple[int, ...]:

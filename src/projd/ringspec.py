@@ -10,12 +10,11 @@ generate the irrelevant ideal, and each one carries a chart.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from projd.diophantine import (ConstrainedSemigroup, ExponentVector, _congruences,
-                               minimal_nonneg_solutions, vector_key)
+                               _frozen, minimal_nonneg_solutions, vector_key)
 from projd.fgab import (
     FgAbGroup,
     GroupElement,
@@ -45,15 +44,26 @@ class BadConicalIdeal(InvalidInput):
     """A chosen ideal generator is not a relevant monomial."""
 
 
-@dataclass(frozen=True)
 class Monomial:
     """Exponent vector of a monomial, tied to a variable list by position."""
 
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
+    def __init__(self, exponents: tuple[int, ...]):
+        if any(e < 0 for e in exponents):
             raise ValueError("monomial exponents must be nonnegative")
+        self.__dict__["exponents"] = exponents
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self):
+        return hash(self.exponents)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(exponents={self.exponents!r})"
+
+    __setattr__ = __delattr__ = _frozen
 
     @cached_property
     def support(self) -> frozenset[int]:

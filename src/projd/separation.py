@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from projd.charts import chart_algebra
 from projd.diophantine import ExponentVector, semigroup_member, vector_key
@@ -28,8 +27,7 @@ from projd.fgab import hnf_reduce
 from projd.ringspec import Monomial, RingSpec
 
 
-@dataclass(frozen=True)
-class WeakPairReport:
+class WeakPairReport(NamedTuple):
     """Surjectivity audit of the multiplication map onto a product chart."""
 
     pair: tuple[Monomial, Monomial]
@@ -37,8 +35,7 @@ class WeakPairReport:
     witness: Optional[ExponentVector]
 
 
-@dataclass(frozen=True)
-class DependencyReport:
+class DependencyReport(NamedTuple):
     """Reducibility class of the variable-degree relations, with its witness.
 
     Both come from one echelon form of the kernel lattice (see
@@ -49,8 +46,7 @@ class DependencyReport:
     witness: Optional[ExponentVector]
 
 
-@dataclass(frozen=True)
-class SeparationVerdict:
+class SeparationVerdict(NamedTuple):
     separated: bool
     weak_pairs: tuple[WeakPairReport, ...]
     dependency_class: str

@@ -10,8 +10,7 @@ paths and cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from projd.diophantine import (
     ExponentVector,
@@ -26,8 +25,7 @@ from projd.fgab import GroupElement, subgroup_member
 from projd.ringspec import InvalidInput, Monomial, RingSpec
 
 
-@dataclass(frozen=True)
-class SheafReport:
+class SheafReport(NamedTuple):
     """Invertibility audit of a twist, chart by chart; freeness agrees."""
 
     invertible: bool
@@ -35,8 +33,7 @@ class SheafReport:
     obstruction: Optional[Monomial]
 
 
-@dataclass(frozen=True)
-class GlobalSectionsReport:
+class GlobalSectionsReport(NamedTuple):
     monomials: tuple[Monomial, ...]
     complete: bool
 

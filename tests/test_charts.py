@@ -20,7 +20,8 @@ from projd.diophantine import ConstrainedSemigroup, hilbert_basis
 from projd.fgab import FgAbGroup, subgroup_index
 from projd.ringspec import (InvalidInput, Monomial, NotEffective, NotRelevant, ParseError,
                             RingSpec)
-from projd.sheaves import unit_of_degree
+from projd.separation import classify_dependencies, is_separated
+from projd.sheaves import global_sections, is_invertible, unit_of_degree
 
 
 def plane_spec():
@@ -493,3 +494,67 @@ def test_a_base_shares_the_lattice_and_frees_fewer_coordinates():
                 ConstrainedSemigroup(3, K, frozenset({0, 1}))):
         with pytest.raises(ValueError):
             ConstrainedSemigroup(3, K, frozenset({0, 2}), bad)
+
+
+def test_value_classes_keep_their_dataclass_semantics():
+    # reprs recorded when these classes were frozen dataclasses; the reports
+    # are NamedTuples and the value classes plain classes since
+    spec = plane_spec()
+    base = ConstrainedSemigroup(3, ((1, 1, -1),))
+    localized = ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0}), base)
+    d = spec.group.element((1, 1))
+    reprs = {
+        Monomial((1, 0, 2)): "Monomial(exponents=(1, 0, 2))",
+        MonomialPrime((2, 0, 2)): "MonomialPrime(variables=(0, 2))",
+        chart_algebra(spec, "xy"):
+            "ConstrainedSemigroup(nvars=3, kernel_basis=((1, 1, -1),), "
+            "free_coords=frozenset({0, 1}))",
+        localized:
+            "ConstrainedSemigroup(nvars=3, kernel_basis=((1, 1, -1),), "
+            "free_coords=frozenset({0}))",
+        is_separated(spec):
+            "SeparationVerdict(separated=False, weak_pairs=(WeakPairReport("
+            "pair=(Monomial(exponents=(0, 1, 1)), Monomial(exponents=(1, 0, 1))), "
+            "weak=True, witness=(-1, -1, 1)),), "
+            "dependency_class='nontrivial-irreducible')",
+        classify_dependencies(spec):
+            "DependencyReport(klass='nontrivial-irreducible', witness=(1, 1, -1))",
+        chart_intersection_check(spec, "xz", "yz"):
+            "ChartIntersectionReport(inverted=((1, 1, -1),), "
+            "decompositions=(((1, 1, -1), (1, 0)), ((-1, -1, 1), (0, 1))))",
+        is_invertible(spec, d):
+            "SheafReport(invertible=True, chart_units=("
+            "(Monomial(exponents=(0, 1, 1)), (0, 0, 1)), "
+            "(Monomial(exponents=(1, 0, 1)), (0, 0, 1)), "
+            "(Monomial(exponents=(1, 1, 0)), (1, 1, 0))), obstruction=None)",
+        global_sections(spec, d, 2):
+            "GlobalSectionsReport(monomials=(Monomial(exponents=(0, 0, 1)), "
+            "Monomial(exponents=(1, 1, 0))), complete=True)",
+    }
+    assert localized.base is base
+    assert chart_algebra(spec, "xyz").base is not None
+    for value, text in reprs.items():
+        assert repr(value) == text
+    # equal values hash equal; the base takes no part in equality
+    assert localized == ConstrainedSemigroup(3, ((-1, -1, 1),), frozenset({0}))
+    assert hash(localized) == hash(ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0})))
+    assert Monomial((1, 2)) == Monomial((1, 2)) != Monomial((2, 1))
+    assert hash(Monomial((1, 2))) == hash(Monomial((1, 2)))
+    assert MonomialPrime((2, 0, 2)) == MonomialPrime((0, 2))
+    assert hash(MonomialPrime((2, 0, 2))) == hash(MonomialPrime((0, 2)))
+    assert MonomialPrime((2, 0, 2)).variables == (0, 2)
+    assert Monomial((0, 2)) != MonomialPrime((0, 2)) and Monomial((1,)) != (1,)
+    # the constructors take keywords and the old defaults
+    assert ConstrainedSemigroup(nvars=3, kernel_basis=((1, 1, -1),)).free_coords == frozenset()
+    assert Monomial(exponents=(1,)).exponents == (1,)
+    with pytest.raises(ValueError):
+        Monomial((1, -1))
+    # fields are read-only; cached properties still fill in
+    for value, name in ((Monomial((1, 0)), "exponents"), (MonomialPrime(()), "variables"),
+                        (localized, "free_coords"), (localized, "base")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert Monomial((1, 0, 2)).support == frozenset({0, 2})
+    assert localized.units == ()

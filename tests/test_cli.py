@@ -902,7 +902,9 @@ def test_single_dash_tokens_are_params():
 def test_cli_call_does_not_import_argparse():
     # a fresh interpreter per fixture: the call's own work, not what a test
     # runner or an earlier call imported.  Neither argparse nor PyYAML: the
-    # command line is read from COMMANDS and each fixture by the spec reader
+    # command line is read from COMMANDS and each fixture by the spec reader.
+    # Nor dataclasses and the inspect it pulls in, a start-up cost of about
+    # 8 ms: the value classes and reports are spelled without them
     src = str(Path(projd.__file__).resolve().parents[1])
     path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = {}
@@ -915,12 +917,23 @@ def test_cli_call_does_not_import_argparse():
                   f"    projd.cli.main.main(args={argv!r}, prog_name='projd')\n"
                   "except SystemExit as exc:\n"
                   "    assert exc.code == 0, exc.code\n"
-                  "print(sorted({'argparse', 'yaml'} & set(sys.modules)))\n")
+                  "print(sorted({'argparse', 'yaml', 'dataclasses', 'inspect'}"
+                  " & set(sys.modules)))\n")
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=path_env))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]", argv
+    # python -S: no site hook may import importlib.resources first, so this
+    # sees that only --fixtures, which reads package data, loads it
+    script = (f"import sys\nsys.path.insert(0, {src!r})\nimport projd.cli\n"
+              "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))\n"
+              "projd.cli.main(['--fixtures'])\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "fixture corpus: all entries match")
 
 
 def test_command_table_matches_the_corpus():
