@@ -187,9 +187,16 @@ def _read_spec_text(text: str) -> Optional[dict]:
 
 
 def _load_yaml(text: str):
-    """PyYAML's safe reading of `text`, with its errors as ParseError."""
-    import yaml
+    """PyYAML's safe reading of `text`, with its errors as ParseError.
 
+    PyYAML is an optional extra: without it, a text outside the flow
+    grammar of _read_spec_text is bad input, not a fault."""
+    try:
+        import yaml
+    except ImportError as exc:
+        raise ParseError("document: outside the flow grammar that projd reads itself, "
+                         "and PyYAML, which reads other YAML, is not installed "
+                         "(pip install 'projd[yaml]')") from exc
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from projd.charts import chart_algebra
-from projd.diophantine import ExponentVector, semigroup_member, vector_key
+from projd.diophantine import (ConstrainedSemigroup, ExponentVector, InvariantError,
+                               semigroup_member, vector_key)
 from projd.fgab import hnf_reduce
 from projd.ringspec import Monomial, RingSpec
 
@@ -55,19 +57,37 @@ class SeparationVerdict(NamedTuple):
 def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     """Audit the multiplication map of the pair (f, g).
 
-    Every generator and unit t of the product chart must decompose over
-    the union of the two factor pools; the first t in vector_key order
-    with no decomposition is the weakness witness, and the audit stops
-    there.  With F = supp f and G = supp g, every t lies in the degree-zero
-    lattice L, and the f-pool generates S_f, the vectors of L that are
-    >= 0 off F.  Two sign tests settle most targets without a search:
+    With F = supp f, G = supp g and P = F | G, the map is onto, that is
+    S_P = S_f + S_g for the fg-chart S_P, exactly when the unit lattice of
+    the fg-chart (L meet Z^P, spec.semigroup(P).units) holds a vector w
+    with w >= 0 on F - G and w < 0 on G - F; _glue_vector decides that
+    from the units alone.  S_f is the set of vectors of the degree-zero
+    lattice L that are >= 0 off F, and F is relevant:
+
+    * if w exists, u = -w is a vector of L supported inside P, >= 0 off F
+      and > 0 on P - F, so S_P = S_f + N w (steps 1-2 of
+      diophantine._localize); and w >= 0 off G puts w in S_g.
+    * if the map is onto, take such a u0 (step 1 of _localize) and write
+      -u0 = a + b with a in S_f and b in S_g.  Off P both are >= 0 and
+      add up to 0, so b is supported inside P.  It is >= 0 on F - G, off
+      G, and on G - F it is -u0 - a <= -u0 < 0, as a >= 0 off F: w = b.
+
+    Whether w exists is a question about the rational span of the units,
+    (L tensor Q) meet Q^P, so weakness depends only on the free parts of
+    the degrees.
+
+    A weak pair also reports its witness: the first generator or unit t
+    of the fg-chart, in vector_key order, with no decomposition over the
+    two factor pools.  Only that search reads the pools.  Two sign tests
+    settle most targets before semigroup_member runs:
 
     * rule A: t >= 0 off F puts t in S_f itself; likewise with g and G.
     * rule B: t - p >= 0 off F for some p in the g-pool puts t - p in S_f,
       so t = p + (t - p) lies in S_g + S_f; likewise with the roles
       swapped.  Rule A is rule B with p = 0.
 
-    Only the targets that neither rule settles go to semigroup_member.
+    A pair without w whose every target decomposes breaks the criterion:
+    that raises InvariantError.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -82,9 +102,11 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     """
     f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
     # chart_algebra refuses an irrelevant monomial, and the bench trace
-    # counts each chart looked up there
+    # counts each chart looked up there; each builds only what is read
     chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
     chart_fg = chart_algebra(spec, f * g)
+    if _glue_vector(chart_fg, f.support, g.support) is not None:
+        return WeakPairReport((f, g), False, None)
     pool_f, pool_g = chart_f.pool, chart_g.pool
     off_f, off_g = chart_f.constrained_coords, chart_g.constrained_coords
     for t in chart_fg.sorted_pool:
@@ -92,7 +114,100 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
                 or _nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
                 or semigroup_member(pool_f + pool_g, t) is not None):
             return WeakPairReport((f, g), True, t)
-    return WeakPairReport((f, g), False, None)
+    raise InvariantError(f"no vector glues the charts of {f.render(spec.variables)} "
+                         f"and {g.render(spec.variables)}, yet every target decomposes")
+
+
+def _glue_vector(chart_fg: ConstrainedSemigroup, f_support, g_support
+                 ) -> Optional[ExponentVector]:
+    """A unit w of chart_fg with w >= 0 on F - G and w < 0 on G - F, for
+    the supports F and G, or None if there is none.
+
+    Only the units are read.  A rational solution c of the sign
+    conditions on w = sum c_j units_j, times a positive integer, is an
+    integer one, so the question is decided over c by _cone_point, in
+    integers.  With no coordinate in G - F, w = 0 qualifies; with one
+    unit row u, w is a multiple of u, so u or -u qualifies if any does.
+    """
+    only_f, only_g = f_support - g_support, g_support - f_support
+    if not only_g:
+        return (0,) * chart_fg.nvars
+    units = chart_fg.units
+    if len(units) == 1:
+        for w in (units[0], tuple(-a for a in units[0])):
+            if all(w[i] >= 0 for i in only_f) and all(w[i] < 0 for i in only_g):
+                return w
+        return None
+    rows = [(tuple([u[i] for u in units]), False) for i in only_f]
+    rows += [(tuple([-u[i] for u in units]), True) for i in only_g]
+    c = _cone_point(rows, len(units))
+    if c is None:
+        return None
+    w = [0] * chart_fg.nvars
+    for k, u in zip(c, units):
+        w = [a + k * b for a, b in zip(w, u)]
+    return tuple(w)
+
+
+def _cone_point(rows, width: int) -> Optional[list[int]]:
+    """An integer c with r . c >= 0 for each (r, False) in rows and
+    r . c > 0 for each (r, True), or None if there is none.
+
+    Fourier-Motzkin elimination, fraction-free, of c_0, c_1, ... in turn.
+    Eliminating c_j keeps the rows with r_j = 0 and adds -s_j r + r_j s
+    for each r with r_j > 0 and s with s_j < 0, strict if either is: the
+    new system has a solution exactly when the old one has one for some
+    c_j (Motzkin).  Rows are kept divided by their gcd, once each, strict
+    if any copy is; a row that is zero everywhere is false only when
+    strict.  Back substitution, last eliminated first, picks each c_j
+    between the bounds that the rows with r_j != 0 put on it: the values
+    picked so far are first scaled by twice the lcm of those |r_j|, which
+    keeps every row true and makes every bound an even integer, so their
+    midpoint is an integer.  The system is homogeneous, so c is divided
+    by its gcd.  Elimination can square the number of rows at each step.
+    The audit of two irrelevant-ideal generators poses at most r = rank D
+    unknowns (|F| = |G| = r, so |P| - r <= r); a declared B may pose more.
+    """
+    system: dict[tuple[int, ...], bool] = {}
+    for r, strict in rows:
+        if any(r):
+            system[r] = system.get(r, False) or strict
+        elif strict:
+            return None
+    stages = []
+    for j in range(width):
+        above, below, kept = [], [], {}
+        for r, strict in system.items():
+            if r[j] > 0:
+                above.append((r, strict))
+            elif r[j] < 0:
+                below.append((r, strict))
+            else:
+                kept[r] = strict
+        stages.append(above + below)
+        for r, r_strict in above:
+            for s, s_strict in below:
+                v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
+                k = math.gcd(*v)
+                if k:
+                    v = tuple([a // k for a in v])
+                    kept[v] = kept.get(v, False) or r_strict or s_strict
+                elif r_strict or s_strict:
+                    return None
+        system = kept
+    c = [0] * width
+    for j in reversed(range(width)):
+        if not stages[j]:
+            continue
+        scale = 2 * math.lcm(*[abs(r[j]) for r, _ in stages[j]])
+        c = [scale * v for v in c]
+        bounds = [(r[j] > 0, -sum(map(mul, r, c)) // r[j]) for r, _ in stages[j]]
+        low = max((b for lower, b in bounds if lower), default=None)
+        high = min((b for lower, b in bounds if not lower), default=None)
+        c[j] = (low + 1 if high is None else high - 1 if low is None
+                else (low + high) // 2)
+    k = math.gcd(*c)
+    return [v // k for v in c] if k else c
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:
@@ -278,11 +393,17 @@ def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:
 
     These are the maximal independent sets of the weak-pair graph on the
     chart monomials that weak_pairs audits, deterministically ordered; a
-    constant monomial, which weak_pairs skips, joins every set.
+    constant monomial, which weak_pairs skips, joins every set.  The
+    chart monomials are relevant (RingSpec checks a declared B), so each
+    edge is the unit test of mu_surjective on the product chart.
     """
     gens = _chart_monomials(spec)
-    index = {g: i for i, g in enumerate(gens)}
-    edges = [(index[r.pair[0]], index[r.pair[1]]) for r in weak_pairs(spec)]
+    # the pairs that weak_pairs reports, by the criterion of mu_surjective
+    # alone: no chart generator, pool or witness is built
+    edges = [(i, j) for (i, f), (j, g) in itertools.combinations(enumerate(gens), 2)
+             if f.support and g.support
+             and _glue_vector(spec.semigroup(f.support | g.support),
+                              f.support, g.support) is None]
     # gens is distinct and in vector_key order, so sorted index tuples
     # order the sets as their monomials' vector_keys would
     independent = sorted(tuple(sorted(chosen))

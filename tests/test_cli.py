@@ -319,16 +319,23 @@ def test_reader_keeps_pyyaml_limits():
         assert _reader_agrees(text) == read
 
 
-def test_spec_loading_without_yaml(monkeypatch):
+def test_spec_loading_without_yaml(monkeypatch, tmp_path):
     # every packaged fixture and every spec as the benchmark writes it is
     # in the reader's grammar: it reads with PyYAML blocked, to the same
-    # spec; a text outside the grammar is PyYAML's, and needs it
+    # spec; a text outside the grammar is PyYAML's, and without PyYAML,
+    # an optional extra, it is bad input (exit 3) that names both
     texts = [fixture_text(name) for name in FIXTURES] + BENCH_STYLE_SPECS
     expected = [_outcome(oracles.parse_ring_spec_by_pyyaml, text) for text in texts]
     monkeypatch.setitem(sys.modules, "yaml", None)
     assert [parse_ring_spec(text) for text in texts] == expected
-    with pytest.raises(ImportError):
-        parse_ring_spec("group:\n  rank: 1\n  torsion: []\nvariables: []\n")
+    block = "group:\n  rank: 1\n  torsion: []\nvariables: []\n"
+    with pytest.raises(ParseError) as err:
+        parse_ring_spec(block)
+    assert "flow grammar" in str(err.value) and "PyYAML" in str(err.value)
+    path = tmp_path / "block.yaml"
+    path.write_text(block)
+    code, out, stderr = run_cli(["gens", "--spec", str(path)])
+    assert (code, out) == (3, "") and "PyYAML" in stderr
 
 
 def test_duplicate_variable_name_rejected():

@@ -18,6 +18,8 @@ from projd.diophantine import _minimal_lifts, minimal_nonneg_solutions, vector_k
 from projd.fgab import FgAbGroup
 from projd.ringspec import Monomial, NotEffective, NotRelevant, ParseError, RingSpec
 from projd.separation import (
+    _chart_monomials,
+    _glue_vector,
     _maximal_independent_sets,
     classify_dependencies,
     is_separated,
@@ -668,12 +670,14 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
     assert len(calls) == len(spec.irrelevant_generators()) == bases
 
 
-@pytest.mark.parametrize("rung, calls", [(5, 50), (8, 747)], ids=["L5", "L8"])
+@pytest.mark.parametrize("rung, calls", [(5, 30), (8, 256)], ids=["L5", "L8"])
 def test_rule_a_settles_its_targets_before_rule_b(monkeypatch, rung, calls):
     # work, not time: rule A's subset test on the negative coordinates
     # settles these targets before rule B runs.  Without its negative <= F
-    # half L5 and L8 take 107 and 1,587 calls; counting zero entries as
-    # negative, 178 and 2,627
+    # half L5 and L8 took 107 and 1,587 calls; counting zero entries as
+    # negative, 178 and 2,627.  Those counts, and 50 and 747 with rule A,
+    # are of the scan of every pair; now only a weak pair scans, up to its
+    # witness
     import projd.separation as separation
 
     counted = []
@@ -763,13 +767,15 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
-@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 10, 35), (r3a_spec, 19, 56)])
+@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 10, 35), (r3a_spec, 17, 56)])
 def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make, searches,
                                                               hnfs):
     # work, not time: a witness that the sign caps refute and an
     # equation-free chart search call no solver (25 and 55 calls before),
     # and a localized chart keeps its base's Hermite form (50 and 78
-    # row_hnf calls before)
+    # row_hnf calls before).  A pair that is not weak scans no target, so
+    # the two membership searches r3a ran on targets of such pairs that no
+    # sign rule settles are gone (19 calls before)
     import projd.diophantine as diophantine
     from projd.cli import execute
 
@@ -843,10 +849,24 @@ def _random_gradings(rng, count):
     return out
 
 
+def _check_glue_vector(spec, f, g, w):
+    """w is what mu_surjective's criterion asks of a pair that is not weak:
+    a degree-zero vector supported inside supp(fg), >= 0 on supp f - supp g
+    and < 0 on supp g - supp f."""
+    F, G = f.support, g.support
+    assert oracles.in_lattice(spec.kernel, w), (f, g, w)
+    assert all(w[i] == 0 for i in range(len(w)) if i not in F | G), (f, g, w)
+    assert all(w[i] >= 0 for i in F - G) and all(w[i] < 0 for i in G - F), (f, g, w)
+
+
 def test_mu_matches_the_search_of_every_target(monkeypatch):
-    # the former audit searched every target; the sign rules must give the
-    # same weak flags and witnesses, and leave exactly the targets that
-    # neither rule settles to the search
+    # the former audit searched every target; the unit test and the sign
+    # rules must give the same weak flags and witnesses.  A pair that is
+    # not weak runs no search and carries a glue vector w; a weak pair
+    # searches exactly the targets up to its witness that neither rule
+    # settles.  On these gradings each such search of a weak pair is its
+    # witness, and the pairs that are not weak skip targets that only a
+    # search would settle
     from projd.cli import fixture_text, parse_ring_spec
 
     specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
@@ -855,7 +875,7 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
     searched = _counting_searches(monkeypatch)
     rules = {"A": 0, "B": 0, None: 0}
     weak_flags = set()
-    found_by_search = 0
+    skipped = 0
     for spec in specs:
         gens = [g for g in spec.irrelevant_generators() if g.support]
         for f, g in itertools.combinations(gens, 2):
@@ -867,16 +887,128 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
             audited = [t for t, _ in decompositions] + ([witness] if weak else [])
             pool_f, pool_g = chart_algebra(spec, f).pool, chart_algebra(spec, g).pool
             fired = [_settling_rule(t, f, g, pool_f, pool_g) for t in audited]
-            assert calls == [t for t, rule in zip(audited, fired) if rule is None]
-            for rule in fired:
-                rules[rule] += 1
+            w = _glue_vector(spec.semigroup(f.support | g.support), f.support, g.support)
+            if weak:
+                assert w is None
+                assert calls == [t for t, rule in zip(audited, fired) if rule is None]
+                for rule in fired:
+                    rules[rule] += 1
+            else:
+                _check_glue_vector(spec, f, g, w)
+                assert calls == []
+                skipped += fired.count(None)
             weak_flags.add(weak)
-            found_by_search += len(calls) - weak
-    assert min(rules.values()) > 0 and found_by_search > 0
+    assert min(rules.values()) > 0 and skipped > 0
     assert weak_flags == {True, False}
     assert any(spec.group.torsion == (6,) for spec in drawn)
     assert any(spec.group.rank == 3 for spec in drawn)
     assert any(min(d.free) < 0 for spec in drawn for d in spec.degrees)
+
+
+# the ten gradings of the benchmark's gluing workload: rank, torsion,
+# degrees as free coordinates then torsion
+GLUING_GRADINGS = [
+    (2, [], [(1, 0), (0, 1), (1, 1)]),
+    (2, [], [(1, 0), (0, 1), (1, 1), (1, 2)]),
+    (2, [], [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)]),
+    (2, [], [(1, 0), (1, 0), (0, 1), (2, 1)]),
+    (2, [], [(1, 0), (1, 0), (0, 1), (0, 1)]),
+    (2, [], [(1, 0), (1, 0), (1, 0), (0, 1), (0, 1)]),
+    (3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+    (3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0)]),
+    (2, [2], [(1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 2, 1)]),
+    (2, [3], [(1, 0, 1), (0, 1, 2), (1, 1, 0), (1, 2, 1)]),
+]
+
+
+def _weak_graph_by_search(spec):
+    """The chart monomials and the weak-pair edges between their indices,
+    each pair audited by oracles.mu_audit_by_search."""
+    gens = _chart_monomials(spec)
+    edges = [(i, j) for (i, f), (j, g) in itertools.combinations(enumerate(gens), 2)
+             if f.support and g.support and oracles.mu_audit_by_search(spec, f, g)[0]]
+    return gens, edges
+
+
+def test_submodels_match_the_scan_of_the_searched_weak_graph():
+    # separated_submodels reads the weak graph off the unit test alone; the
+    # oracle audits every target of every pair and scans every subset
+    from projd.cli import fixture_text, parse_ring_spec
+
+    specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
+    specs += [graded(*grading) for grading in GLUING_GRADINGS]
+    specs += _random_gradings(random.Random(14), 60)
+    for spec in specs:
+        gens, edges = _weak_graph_by_search(spec)
+        found = oracles.maximal_independent_sets_scan(len(gens), edges)
+        expected = tuple(tuple(gens[i] for i in sorted(s))
+                         for s in sorted(tuple(sorted(s)) for s in found))
+        assert separated_submodels(spec) == expected, spec
+
+
+def test_weak_graph_ignores_the_torsion():
+    # the unit test asks about the rational span of the units, which the
+    # torsion does not change; the searched audit agrees on every drawn
+    # grading with torsion and on the bench's two
+    drawn = [spec for spec in _random_gradings(random.Random(14), 60)
+             if spec.group.torsion]
+    drawn += [graded(*grading) for grading in GLUING_GRADINGS if grading[1]]
+    assert len(drawn) > 20
+    for spec in drawn:
+        r = spec.group.rank
+        free = RingSpec(FgAbGroup(r), spec.variables,
+                        [FgAbGroup(r).element(d.free) for d in spec.degrees])
+        assert _weak_graph_by_search(spec) == _weak_graph_by_search(free), spec
+        assert separated_submodels(spec) == separated_submodels(free), spec
+
+
+def _audit_spec():
+    from pathlib import Path
+
+    from projd.cli import parse_ring_spec
+
+    return parse_ring_spec((Path(__file__).parent / "audit-z3-z6.yaml").read_bytes())
+
+
+def test_audit_grading_submodels_build_no_chart_generators(monkeypatch):
+    # work, not time: on the Z^3 + Z/6 audit grading, where the audit of
+    # every target ran out of memory, `submodels` reads only the units of
+    # each product chart
+    import projd.diophantine as diophantine
+    import projd.separation as separation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator search or membership search ran")
+
+    for name in ("_minimal_lifts", "_localize", "minimal_nonneg_solutions"):
+        monkeypatch.setattr(diophantine, name, refuse)
+    monkeypatch.setattr(separation, "semigroup_member", refuse)
+    spec = _audit_spec()
+    payload = execute(spec, "submodels", [])
+    assert len(payload["submodels"]) > 1
+    assert all(chart.__dict__.keys().isdisjoint({"generators", "pool"})
+               for chart in spec._semigroups.values())
+
+
+def test_audit_grading_weak_pairs_carry_their_evidence():
+    # every witness has no decomposition over the two pools, and every
+    # pair that is not weak has a glue vector w that is checked here
+    from projd.diophantine import semigroup_member
+
+    spec = _audit_spec()
+    weak = {r.pair: r.witness for r in weak_pairs(spec)}
+    gens = [g for g in _chart_monomials(spec) if g.support]
+    assert 0 < len(weak) < len(gens) * (len(gens) - 1) // 2
+    for f, g in itertools.combinations(gens, 2):
+        w = _glue_vector(spec.semigroup(f.support | g.support), f.support, g.support)
+        if (f, g) in weak:
+            assert w is None
+            t = weak[f, g]
+            assert t in chart_algebra(spec, f * g).pool
+            pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
+            assert semigroup_member(pool, t) is None, (f, g, t)
+        else:
+            _check_glue_vector(spec, f, g, w)
 
 
 def test_l6_gluing_answers_within_a_minute():
