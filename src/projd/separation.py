@@ -78,16 +78,32 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
 
     A weak pair also reports its witness: the first generator or unit t
     of the fg-chart, in vector_key order, with no decomposition over the
-    two factor pools.  Only that search reads the pools.  Two sign tests
-    settle most targets before semigroup_member runs:
+    two factor pools.  Three tests settle most targets, in this order,
+    before semigroup_member runs; only rule B and the search read the
+    pools, so a pool is built only for a target that the first two leave:
 
     * rule A: t >= 0 off F puts t in S_f itself; likewise with g and G.
+    * the functional: a row lambda in Q^r, r = rank D, with mu = lambda A
+      for the free degree matrix A, such that mu = 0 on F & G, mu <= 0 on
+      F - G, mu >= 0 on G - F and
+          sum over G - F of t_i mu_i + sum off P of t_i max(0, mu_i) < 0,
+      puts t outside S_f + S_g, so t is the witness.  Suppose t = a + b
+      with a in S_f and b in S_g.  Then b lies in L, so mu . b = 0, and
+      b >= 0 on F - G, b = t - a <= t on G - F and 0 <= b <= t off P, as
+      a >= 0 off F.  Term by term mu_i b_i is <= 0 on F - G, <= t_i mu_i
+      on G - F and <= t_i max(0, mu_i) off P, so 0 = mu . b is below the
+      sum above, which is < 0.  By Farkas' lemma (Schrijver, Theory of
+      Linear and Integer Programming, 1986, section 7) lambda exists
+      exactly when t lies outside the rational cone C_f + C_g, where C_f
+      = {a in L tensor Q : a >= 0 off F}; _outside_cones asks.
     * rule B: t - p >= 0 off F for some p in the g-pool puts t - p in S_f,
       so t = p + (t - p) lies in S_g + S_f; likewise with the roles
       swapped.  Rule A is rule B with p = 0.
 
-    A pair without w whose every target decomposes breaks the criterion:
-    that raises InvariantError.
+    The functional settles only targets that do not decompose, so the
+    first target left undecomposed, the witness, is the one the search of
+    every target finds.  A pair without w whose every target decomposes
+    breaks the criterion: that raises InvariantError.
 
     >>> from projd.fgab import FgAbGroup
     >>> G = FgAbGroup(2)
@@ -107,12 +123,15 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     chart_fg = chart_algebra(spec, f * g)
     if _glue_vector(chart_fg, f.support, g.support) is not None:
         return WeakPairReport((f, g), False, None)
-    pool_f, pool_g = chart_f.pool, chart_g.pool
     off_f, off_g = chart_f.constrained_coords, chart_g.constrained_coords
+    columns = [d.free for d in spec.degrees]
     for t in chart_fg.sorted_pool:
-        if not (all(t[i] >= 0 for i in off_f) or all(t[i] >= 0 for i in off_g)
-                or _nonneg_after(t, pool_g, off_f) or _nonneg_after(t, pool_f, off_g)
-                or semigroup_member(pool_f + pool_g, t) is not None):
+        if all(t[i] >= 0 for i in off_f) or all(t[i] >= 0 for i in off_g):
+            continue
+        if (_outside_cones(columns, t, f.support, g.support)
+                or not (_nonneg_after(t, chart_g.pool, off_f)
+                        or _nonneg_after(t, chart_f.pool, off_g)
+                        or semigroup_member(chart_f.pool + chart_g.pool, t) is not None)):
             return WeakPairReport((f, g), True, t)
     raise InvariantError(f"no vector glues the charts of {f.render(spec.variables)} "
                          f"and {g.render(spec.variables)}, yet every target decomposes")
@@ -149,9 +168,64 @@ def _glue_vector(chart_fg: ConstrainedSemigroup, f_support, g_support
     return tuple(w)
 
 
+def _outside_cones(columns, t: ExponentVector, f_support, g_support) -> bool:
+    """Whether a functional lambda . A puts t outside C_f + C_g (see
+    mu_surjective), for the free degree columns of A and a target t of
+    the fg-chart.
+
+    The sign conditions on mu = lambda A are rows in lambda, one per
+    column of A on F and one per column on G: mu <= 0 on F and mu >= 0
+    on G.  The last condition, a max over the signs of mu on Z = supp t -
+    P, holds exactly when it holds with each subset of Z in place of the
+    coordinates where mu > 0, as t >= 0 off P: 2^|Z| strict rows.
+    """
+    rows = [(tuple([-a for a in columns[i]]), False) for i in f_support]
+    rows += [(columns[i], False) for i in g_support]
+    base = [0] * len(columns[0])
+    for i in g_support - f_support:
+        base = [a + t[i] * b for a, b in zip(base, columns[i])]
+    sums = [base]
+    for i, e in enumerate(t):
+        if e and i not in f_support and i not in g_support:
+            sums += [[a + e * b for a, b in zip(s, columns[i])] for s in sums]
+    rows += [(tuple([-a for a in s]), True) for s in sums]
+    return _eliminate(rows, len(columns[0])) is not None
+
+
 def _cone_point(rows, width: int) -> Optional[list[int]]:
     """An integer c with r . c >= 0 for each (r, False) in rows and
     r . c > 0 for each (r, True), or None if there is none.
+
+    The system is eliminated by _eliminate.  Back substitution, last
+    eliminated first, picks each c_j between the bounds that the rows with
+    r_j != 0 put on it: the values picked so far are first scaled by twice
+    the lcm of those |r_j|, which keeps every row true and makes every
+    bound an even integer, so their midpoint is an integer.  The system is
+    homogeneous, so c is divided by its gcd.
+    """
+    stages = _eliminate(rows, width)
+    if stages is None:
+        return None
+    c = [0] * width
+    for j in reversed(range(width)):
+        if not stages[j]:
+            continue
+        scale = 2 * math.lcm(*[abs(r[j]) for r in stages[j]])
+        c = [scale * v for v in c]
+        bounds = [(r[j] > 0, -sum(map(mul, r, c)) // r[j]) for r in stages[j]]
+        low = max((b for lower, b in bounds if lower), default=None)
+        high = min((b for lower, b in bounds if not lower), default=None)
+        c[j] = (low + 1 if high is None else high - 1 if low is None
+                else (low + high) // 2)
+    k = math.gcd(*c)
+    return [v // k for v in c] if k else c
+
+
+def _eliminate(rows, width: int) -> Optional[list[list[tuple[int, ...]]]]:
+    """Whether the system of _cone_point has a solution: for each j, the
+    rows with r_j != 0 when c_j is eliminated, or None if it has none.
+    The refuter of mu_surjective asks only this, and back substitution
+    costs more than the elimination on its systems.
 
     Fourier-Motzkin elimination, fraction-free, of c_0, c_1, ... in turn.
     Eliminating c_j keeps the rows with r_j = 0 and adds -s_j r + r_j s
@@ -159,14 +233,10 @@ def _cone_point(rows, width: int) -> Optional[list[int]]:
     new system has a solution exactly when the old one has one for some
     c_j (Motzkin).  Rows are kept divided by their gcd, once each, strict
     if any copy is; a row that is zero everywhere is false only when
-    strict.  Back substitution, last eliminated first, picks each c_j
-    between the bounds that the rows with r_j != 0 put on it: the values
-    picked so far are first scaled by twice the lcm of those |r_j|, which
-    keeps every row true and makes every bound an even integer, so their
-    midpoint is an integer.  The system is homogeneous, so c is divided
-    by its gcd.  Elimination can square the number of rows at each step.
-    The audit of two irrelevant-ideal generators poses at most r = rank D
-    unknowns (|F| = |G| = r, so |P| - r <= r); a declared B may pose more.
+    strict.  Elimination can square the number of rows at each step.  The
+    unit test of two irrelevant-ideal generators poses at most r = rank D
+    unknowns (|F| = |G| = r, so |P| - r <= r), a declared B may pose more,
+    and the refuter poses exactly r.
     """
     system: dict[tuple[int, ...], bool] = {}
     for r, strict in rows:
@@ -184,7 +254,7 @@ def _cone_point(rows, width: int) -> Optional[list[int]]:
                 below.append((r, strict))
             else:
                 kept[r] = strict
-        stages.append(above + below)
+        stages.append([r for r, _ in above + below])
         for r, r_strict in above:
             for s, s_strict in below:
                 v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
@@ -195,19 +265,7 @@ def _cone_point(rows, width: int) -> Optional[list[int]]:
                 elif r_strict or s_strict:
                     return None
         system = kept
-    c = [0] * width
-    for j in reversed(range(width)):
-        if not stages[j]:
-            continue
-        scale = 2 * math.lcm(*[abs(r[j]) for r, _ in stages[j]])
-        c = [scale * v for v in c]
-        bounds = [(r[j] > 0, -sum(map(mul, r, c)) // r[j]) for r, _ in stages[j]]
-        low = max((b for lower, b in bounds if lower), default=None)
-        high = min((b for lower, b in bounds if not lower), default=None)
-        c[j] = (low + 1 if high is None else high - 1 if low is None
-                else (low + high) // 2)
-    k = math.gcd(*c)
-    return [v // k for v in c] if k else c
+    return stages
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:

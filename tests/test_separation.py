@@ -21,6 +21,7 @@ from projd.separation import (
     _chart_monomials,
     _glue_vector,
     _maximal_independent_sets,
+    _outside_cones,
     classify_dependencies,
     is_separated,
     mu_surjective,
@@ -616,11 +617,14 @@ def test_every_relevant_chart_matches_the_degree_row_search():
             assert localized == count - len(spec.irrelevant_generators())
 
 
-@pytest.mark.parametrize("rung, bases", [(5, 10), (9, 36)], ids=["L5", "L9"])
-def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, bases):
+@pytest.mark.parametrize("rung, searches", [(5, 6), (9, 30)], ids=["L5", "L9"])
+def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, searches):
     # work, not time: every product chart is localized from a chart already
-    # built, so the generator search runs once per basis chart (25 and 246
-    # searches when every product chart ran its own)
+    # built, so the generator search runs at most once per basis chart (25
+    # and 246 searches when every product chart ran its own).  A factor
+    # pool is built only for a target that rule A and the functional leave,
+    # so some basis charts are never searched (10 and 36 searches when
+    # every weak pair built both pools)
     import projd.diophantine as diophantine
 
     searched = []
@@ -634,22 +638,24 @@ def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, bases):
     degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
     spec = graded(2, [], degrees[:rung])
     execute(spec, "separated", [])
-    assert len(searched) == len(set(searched)) == bases
-    assert set(searched) == {g.support for g in spec.irrelevant_generators()}
+    assert len(searched) == len(set(searched)) == searches
+    assert set(searched) <= {g.support for g in spec.irrelevant_generators()}
 
 
-@pytest.mark.parametrize("make, degrees, bases", [
-    (l5_spec, [(1, 1), (2, 3)], 10),
-    (r3a_spec, [(1, 1, 1), (2, 1, 0)], 17),
-    (tor3_spec, [(1, 0, 1), (2, 2, 0)], 6),
-    (l6_spec, [(1, 1), (2, 3)], 15),
+@pytest.mark.parametrize("make, degrees, searches", [
+    (l5_spec, [(1, 1), (2, 3)], 6),
+    (r3a_spec, [(1, 1, 1), (2, 1, 0)], 10),
+    (tor3_spec, [(1, 0, 1), (2, 2, 0)], 3),
+    (l6_spec, [(1, 1), (2, 3)], 10),
 ], ids=["L5", "r3a", "tor3", "L6"])
-def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees, bases):
+def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees, searches):
     # work, not time: units are read off a Hermite form, so a twist, which
     # reads the units of the basis charts alone, takes no Smith form (these
     # degrees took 7 and 8, 16 and 16, 4 and 4, 10 and 11 when the units
-    # came from one), and `separated` takes one per basis chart, for its
-    # generator search
+    # came from one), and `separated` takes one per basis chart whose
+    # generators it searches: those of the pools that the functional does
+    # not spare (10, 17, 6 and 15, one per basis chart, when every weak pair
+    # built both pools)
     import projd.diophantine as diophantine
 
     calls = []
@@ -667,17 +673,20 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
     assert calls == []
     spec = make()
     is_separated(spec)
-    assert len(calls) == len(spec.irrelevant_generators()) == bases
+    searched = [g for g in spec.irrelevant_generators()
+                if "generators" in spec.semigroup(g.support).__dict__]
+    assert len(calls) == len(searched) == searches
 
 
-@pytest.mark.parametrize("rung, calls", [(5, 30), (8, 256)], ids=["L5", "L8"])
+@pytest.mark.parametrize("rung, calls", [(5, 0), (8, 6)], ids=["L5", "L8"])
 def test_rule_a_settles_its_targets_before_rule_b(monkeypatch, rung, calls):
     # work, not time: rule A's subset test on the negative coordinates
     # settles these targets before rule B runs.  Without its negative <= F
     # half L5 and L8 took 107 and 1,587 calls; counting zero entries as
     # negative, 178 and 2,627.  Those counts, and 50 and 747 with rule A,
-    # are of the scan of every pair; now only a weak pair scans, up to its
-    # witness
+    # are of the scan of every pair; 30 and 256 of the scan of the weak
+    # pairs alone, up to each witness.  Now the functional runs between the
+    # two rules and refutes most witnesses before rule B is asked
     import projd.separation as separation
 
     counted = []
@@ -767,7 +776,8 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
-@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 10, 35), (r3a_spec, 17, 56)])
+@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 6, 31), (r3a_spec, 10, 49)],
+                         ids=["L5", "r3a"])
 def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make, searches,
                                                               hnfs):
     # work, not time: a witness that the sign caps refute and an
@@ -775,7 +785,10 @@ def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make,
     # and a localized chart keeps its base's Hermite form (50 and 78
     # row_hnf calls before).  A pair that is not weak scans no target, so
     # the two membership searches r3a ran on targets of such pairs that no
-    # sign rule settles are gone (19 calls before)
+    # sign rule settles are gone (19 calls before).  The functional refutes
+    # every witness here, so only the basis charts that localize a product
+    # chart are searched (10 and 35, 17 and 56 calls when every weak pair
+    # built both factor pools)
     import projd.diophantine as diophantine
     from projd.cli import execute
 
@@ -807,13 +820,14 @@ def _counting_searches(monkeypatch):
     return searched
 
 
-def test_l5_weak_pairs_search_once_per_weak_pair(monkeypatch):
-    # the sign rules settle every target that decomposes; what is left
-    # is one witness per weak pair
+def test_l5_weak_pairs_run_no_membership_search(monkeypatch):
+    # the sign rules settle every target that decomposes, and the
+    # functional refutes the witness of each of the 15 weak pairs, which
+    # took one membership search each before it ran
     searched = _counting_searches(monkeypatch)
     reports = weak_pairs(l5_spec())
     assert len(reports) == 15
-    assert searched == [r.witness for r in reports]
+    assert searched == []
 
 
 def _settling_rule(t, f, g, pool_f, pool_g):
@@ -832,13 +846,14 @@ def _settling_rule(t, f, g, pool_f, pool_g):
     return None
 
 
-def _random_gradings(rng, count):
-    """Effective gradings of rank 1-3 over Z/1, Z/2, Z/3 or Z/6 on rank + 1
-    or rank + 2 variables, free degree entries -1..3."""
+def _random_gradings(rng, count, torsions=([], [2], [3], [6])):
+    """Effective gradings of rank 1-3 over a torsion part drawn from
+    torsions (by default Z/1, Z/2, Z/3 or Z/6) on rank + 1 or rank + 2
+    variables, free degree entries -1..3."""
     out = []
     while len(out) < count:
         r = rng.randint(1, 3)
-        G = FgAbGroup(r, rng.choice([[], [2], [3], [6]]))
+        G = FgAbGroup(r, rng.choice(torsions))
         n = rng.randint(r + 1, r + 2)
         free = [tuple(rng.randint(-1, 3) for _ in range(r)) for _ in range(n)]
         degrees = [G.element(f, tuple(rng.randrange(m) for m in G.torsion)) for f in free]
@@ -860,20 +875,21 @@ def _check_glue_vector(spec, f, g, w):
 
 
 def test_mu_matches_the_search_of_every_target(monkeypatch):
-    # the former audit searched every target; the unit test and the sign
-    # rules must give the same weak flags and witnesses.  A pair that is
-    # not weak runs no search and carries a glue vector w; a weak pair
-    # searches exactly the targets up to its witness that neither rule
-    # settles.  On these gradings each such search of a weak pair is its
-    # witness, and the pairs that are not weak skip targets that only a
-    # search would settle
+    # the former audit searched every target; the unit test, the sign
+    # rules and the functional must give the same weak flags and
+    # witnesses.  A pair that is not weak runs no search and carries a
+    # glue vector w; a weak pair searches exactly the targets up to its
+    # witness that rule A, the functional and rule B, in that order, all
+    # leave.  On these gradings the functional refutes every witness, and
+    # the pairs that are not weak skip targets that only a search would
+    # settle
     from projd.cli import fixture_text, parse_ring_spec
 
     specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
     drawn = _random_gradings(random.Random(14), 60)
     specs += [l5_spec(), r3a_spec(), tor3_spec()] + drawn
     searched = _counting_searches(monkeypatch)
-    rules = {"A": 0, "B": 0, None: 0}
+    rules = {"A": 0, "functional": 0, "B": 0, None: 0}
     weak_flags = set()
     skipped = 0
     for spec in specs:
@@ -890,6 +906,10 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
             w = _glue_vector(spec.semigroup(f.support | g.support), f.support, g.support)
             if weak:
                 assert w is None
+                columns = [d.free for d in spec.degrees]
+                fired = ["functional" if rule != "A"
+                         and _outside_cones(columns, t, f.support, g.support) else rule
+                         for t, rule in zip(audited, fired)]
                 assert calls == [t for t, rule in zip(audited, fired) if rule is None]
                 for rule in fired:
                     rules[rule] += 1
@@ -898,8 +918,8 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
                 assert calls == []
                 skipped += fired.count(None)
             weak_flags.add(weak)
-    assert min(rules.values()) > 0 and skipped > 0
-    assert weak_flags == {True, False}
+    assert rules[None] == 0 and min(rules["A"], rules["functional"], rules["B"]) > 0
+    assert skipped > 0 and weak_flags == {True, False}
     assert any(spec.group.torsion == (6,) for spec in drawn)
     assert any(spec.group.rank == 3 for spec in drawn)
     assert any(min(d.free) < 0 for spec in drawn for d in spec.degrees)
@@ -960,6 +980,90 @@ def test_weak_graph_ignores_the_torsion():
                         [FgAbGroup(r).element(d.free) for d in spec.degrees])
         assert _weak_graph_by_search(spec) == _weak_graph_by_search(free), spec
         assert separated_submodels(spec) == separated_submodels(free), spec
+
+
+def test_functional_refutes_only_targets_without_a_decomposition():
+    # soundness of the functional on every target of every weak pair's
+    # product chart, not only on the witness: a target that it puts outside
+    # C_f + C_g has no decomposition over the two factor pools either
+    from projd.cli import fixture_text, parse_ring_spec
+    from projd.diophantine import semigroup_member
+
+    drawn = _random_gradings(random.Random(37), 60, ([], [2], [3], [6], [2, 2]))
+    specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
+    specs += [graded(*grading) for grading in GLUING_GRADINGS] + drawn
+    refuted = left = 0
+    for spec in specs:
+        columns = [d.free for d in spec.degrees]
+        for (f, g), _, _ in weak_pairs(spec):
+            pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
+            for t in chart_algebra(spec, f * g).sorted_pool:
+                if _outside_cones(columns, t, f.support, g.support):
+                    assert semigroup_member(pool, t) is None, (spec, f, g, t)
+                    refuted += 1
+                else:
+                    left += 1
+    assert refuted > 0 and left > 0
+    assert {spec.group.torsion for spec in drawn} >= {(2,), (3,), (6,), (2, 2)}
+    assert any(spec.group.rank == 3 for spec in drawn)
+    assert any(min(d.free) < 0 < max(d.free) for spec in drawn for d in spec.degrees)
+
+
+def test_a_witness_inside_the_cone_falls_back_to_the_search(monkeypatch):
+    # L7's pair (x4x6, x3x5) has a witness inside C_f + C_g: the functional
+    # leaves it, and the membership search refutes it, as the audit of
+    # every target does.  L8 and L9 have 1 and 4 such witnesses, the only
+    # targets that `separated` searches there
+    searched = _counting_searches(monkeypatch)
+    degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+    spec = graded(2, [], degrees[:7])
+    f, g = spec.monomial("x4*x6"), spec.monomial("x3*x5")
+    witness = (0, 0, 0, -1, -3, 1, 2)
+    assert not _outside_cones([d.free for d in spec.degrees], witness, f.support, g.support)
+    assert mu_surjective(spec, f, g).witness == witness
+    assert oracles.mu_audit_by_search(spec, f, g)[:2] == (True, witness)
+    assert searched[-1] == witness
+    for rung, count in ((8, 1), (9, 4)):
+        spec = graded(2, [], degrees[:rung])
+        columns = [d.free for d in spec.degrees]
+        searched.clear()
+        left = [r.witness for r in weak_pairs(spec)
+                if not _outside_cones(columns, r.witness, r.pair[0].support, r.pair[1].support)]
+        assert searched == left and len(left) == count
+
+
+def test_l9_functional_poses_rank_d_unknowns(monkeypatch):
+    # work, not time: on L9 `separated` each system of the functional has
+    # r = rank D = 2 unknowns, and rows for the four coordinates of P and
+    # the sign patterns off P.  Posed over a basis of the kernel L instead,
+    # the systems made `separated` nine to ten times slower (L8 124 ->
+    # 1,639 ms, L9 272 -> 2,554 ms); a functional that is zero off P, with
+    # no max terms, refutes none of L9's 210 witnesses and 3 of r3a's 36
+    import collections
+
+    import projd.separation as separation
+
+    sizes = collections.Counter()
+    asking = []
+    solve, refute = separation._eliminate, separation._outside_cones
+
+    def counted_solve(rows, width):
+        if asking:
+            sizes[width, len(rows)] += 1
+        return solve(rows, width)
+
+    def counted_refute(*args):
+        asking.append(True)
+        try:
+            return refute(*args)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(separation, "_eliminate", counted_solve)
+    monkeypatch.setattr(separation, "_outside_cones", counted_refute)
+    degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+    execute(graded(2, [], degrees), "separated", [])
+    assert sizes == {(2, 5): 72, (2, 6): 143, (2, 8): 1}
 
 
 def _audit_spec():
