@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from projd.charts import chart_algebra
-from projd.diophantine import (ConstrainedSemigroup, ExponentVector, InvariantError,
-                               semigroup_member, vector_key)
+from projd.diophantine import ExponentVector, InvariantError, semigroup_member, vector_key
 from projd.fgab import hnf_reduce
 from projd.ringspec import Monomial, RingSpec
 
@@ -58,11 +56,10 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     """Audit the multiplication map of the pair (f, g).
 
     With F = supp f, G = supp g and P = F | G, the map is onto, that is
-    S_P = S_f + S_g for the fg-chart S_P, exactly when the unit lattice of
-    the fg-chart (L meet Z^P, spec.semigroup(P).units) holds a vector w
-    with w >= 0 on F - G and w < 0 on G - F; _glue_vector decides that
-    from the units alone.  S_f is the set of vectors of the degree-zero
-    lattice L that are >= 0 off F, and F is relevant:
+    S_P = S_f + S_g for the fg-chart S_P, exactly when the degree-zero
+    lattice L holds a vector w supported inside P, a unit of the fg-chart,
+    with w >= 0 on F - G and w < 0 on G - F.  S_f is the set of vectors
+    of L that are >= 0 off F, and F is relevant:
 
     * if w exists, u = -w is a vector of L supported inside P, >= 0 off F
       and > 0 on P - F, so S_P = S_f + N w (steps 1-2 of
@@ -72,9 +69,20 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
       add up to 0, so b is supported inside P.  It is >= 0 on F - G, off
       G, and on G - F it is -u0 - a <= -u0 < 0, as a >= 0 off F: w = b.
 
-    Whether w exists is a question about the rational span of the units,
-    (L tensor Q) meet Q^P, so weakness depends only on the free parts of
-    the degrees.
+    Whether w exists is a question about the rational span (L tensor Q)
+    meet Q^P, the vectors supported inside P that the free degree matrix
+    A maps to 0, so weakness depends only on the free parts of the
+    degrees.  _weak asks the dual question: w exists exactly when no row
+    lambda in Q^r, r = rank D, makes mu = lambda A <= 0 on F, >= 0 on G
+    and sum over G - F of mu_i > 0.  If both existed, mu . w = lambda A w
+    = 0, yet term by term mu_i w_i is 0 on F & G, where mu = 0, <= 0 on
+    F - G and on G - F, and < 0 where mu_i > 0 on G - F, as w < 0 there.
+    If w does not exist, the system A w = 0 on Q^P, w >= 0 on F - G,
+    w < 0 on G - F has no solution, and by Motzkin's transposition
+    theorem (Schrijver, Theory of Linear and Integer Programming, 1986,
+    section 7) some nu in Q^r makes nu A 0 on F & G, >= 0 on F - G and
+    <= 0 on G - F but not 0 there: lambda = -nu.  With G - F empty, w = 0
+    qualifies and the sum is 0.
 
     A weak pair also reports its witness: the first generator or unit t
     of the fg-chart, in vector_key order, with no decomposition over the
@@ -83,19 +91,18 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     pools, so a pool is built only for a target that the first two leave:
 
     * rule A: t >= 0 off F puts t in S_f itself; likewise with g and G.
-    * the functional: a row lambda in Q^r, r = rank D, with mu = lambda A
-      for the free degree matrix A, such that mu = 0 on F & G, mu <= 0 on
-      F - G, mu >= 0 on G - F and
+    * the functional: a row lambda in Q^r with mu = lambda A, such that
+      mu = 0 on F & G, mu <= 0 on F - G, mu >= 0 on G - F and
           sum over G - F of t_i mu_i + sum off P of t_i max(0, mu_i) < 0,
       puts t outside S_f + S_g, so t is the witness.  Suppose t = a + b
       with a in S_f and b in S_g.  Then b lies in L, so mu . b = 0, and
       b >= 0 on F - G, b = t - a <= t on G - F and 0 <= b <= t off P, as
       a >= 0 off F.  Term by term mu_i b_i is <= 0 on F - G, <= t_i mu_i
       on G - F and <= t_i max(0, mu_i) off P, so 0 = mu . b is below the
-      sum above, which is < 0.  By Farkas' lemma (Schrijver, Theory of
-      Linear and Integer Programming, 1986, section 7) lambda exists
-      exactly when t lies outside the rational cone C_f + C_g, where C_f
-      = {a in L tensor Q : a >= 0 off F}; _outside_cones asks.
+      sum above, which is < 0.  By Farkas' lemma (Schrijver, section 7)
+      lambda exists exactly when t lies outside the rational cone C_f +
+      C_g, where C_f = {a in L tensor Q : a >= 0 off F}; _outside_cones
+      asks.
     * rule B: t - p >= 0 off F for some p in the g-pool puts t - p in S_f,
       so t = p + (t - p) lies in S_g + S_f; likewise with the roles
       swapped.  Rule A is rule B with p = 0.
@@ -121,10 +128,10 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     # counts each chart looked up there; each builds only what is read
     chart_f, chart_g = chart_algebra(spec, f), chart_algebra(spec, g)
     chart_fg = chart_algebra(spec, f * g)
-    if _glue_vector(chart_fg, f.support, g.support) is not None:
+    columns = [d.free for d in spec.degrees]
+    if not _weak(columns, f.support, g.support):
         return WeakPairReport((f, g), False, None)
     off_f, off_g = chart_f.constrained_coords, chart_g.constrained_coords
-    columns = [d.free for d in spec.degrees]
     for t in chart_fg.sorted_pool:
         if all(t[i] >= 0 for i in off_f) or all(t[i] >= 0 for i in off_g):
             continue
@@ -137,35 +144,23 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
                          f"and {g.render(spec.variables)}, yet every target decomposes")
 
 
-def _glue_vector(chart_fg: ConstrainedSemigroup, f_support, g_support
-                 ) -> Optional[ExponentVector]:
-    """A unit w of chart_fg with w >= 0 on F - G and w < 0 on G - F, for
-    the supports F and G, or None if there is none.
+def _sign_rows(columns, f_support, g_support) -> list[tuple[tuple[int, ...], bool]]:
+    """The rows in lambda of mu = lambda A <= 0 on F and mu >= 0 on G, for
+    the free degree columns of A: the conditions that _weak and
+    _outside_cones share."""
+    rows = [(tuple([-a for a in columns[i]]), False) for i in f_support]
+    return rows + [(columns[i], False) for i in g_support]
 
-    Only the units are read.  A rational solution c of the sign
-    conditions on w = sum c_j units_j, times a positive integer, is an
-    integer one, so the question is decided over c by _cone_point, in
-    integers.  With no coordinate in G - F, w = 0 qualifies; with one
-    unit row u, w is a multiple of u, so u or -u qualifies if any does.
-    """
-    only_f, only_g = f_support - g_support, g_support - f_support
-    if not only_g:
-        return (0,) * chart_fg.nvars
-    units = chart_fg.units
-    if len(units) == 1:
-        for w in (units[0], tuple(-a for a in units[0])):
-            if all(w[i] >= 0 for i in only_f) and all(w[i] < 0 for i in only_g):
-                return w
-        return None
-    rows = [(tuple([u[i] for u in units]), False) for i in only_f]
-    rows += [(tuple([-u[i] for u in units]), True) for i in only_g]
-    c = _cone_point(rows, len(units))
-    if c is None:
-        return None
-    w = [0] * chart_fg.nvars
-    for k, u in zip(c, units):
-        w = [a + k * b for a, b in zip(w, u)]
-    return tuple(w)
+
+def _weak(columns, f_support, g_support) -> bool:
+    """Whether the supports F and G make a weak pair: whether a functional
+    lambda . A, for the free degree columns of A, meets the sign rows and
+    has a positive sum over G - F (see mu_surjective)."""
+    total = [0] * len(columns[0])
+    for i in g_support - f_support:
+        total = [a + b for a, b in zip(total, columns[i])]
+    rows = _sign_rows(columns, f_support, g_support) + [(tuple(total), True)]
+    return _eliminate(rows, len(total))
 
 
 def _outside_cones(columns, t: ExponentVector, f_support, g_support) -> bool:
@@ -173,14 +168,11 @@ def _outside_cones(columns, t: ExponentVector, f_support, g_support) -> bool:
     mu_surjective), for the free degree columns of A and a target t of
     the fg-chart.
 
-    The sign conditions on mu = lambda A are rows in lambda, one per
-    column of A on F and one per column on G: mu <= 0 on F and mu >= 0
-    on G.  The last condition, a max over the signs of mu on Z = supp t -
-    P, holds exactly when it holds with each subset of Z in place of the
-    coordinates where mu > 0, as t >= 0 off P: 2^|Z| strict rows.
+    To the sign rows it adds the last condition, a max over the signs of
+    mu on Z = supp t - P.  That holds exactly when it holds with each
+    subset of Z in place of the coordinates where mu > 0, as t >= 0 off
+    P: 2^|Z| strict rows.
     """
-    rows = [(tuple([-a for a in columns[i]]), False) for i in f_support]
-    rows += [(columns[i], False) for i in g_support]
     base = [0] * len(columns[0])
     for i in g_support - f_support:
         base = [a + t[i] * b for a, b in zip(base, columns[i])]
@@ -188,63 +180,31 @@ def _outside_cones(columns, t: ExponentVector, f_support, g_support) -> bool:
     for i, e in enumerate(t):
         if e and i not in f_support and i not in g_support:
             sums += [[a + e * b for a, b in zip(s, columns[i])] for s in sums]
+    rows = _sign_rows(columns, f_support, g_support)
     rows += [(tuple([-a for a in s]), True) for s in sums]
-    return _eliminate(rows, len(columns[0])) is not None
+    return _eliminate(rows, len(base))
 
 
-def _cone_point(rows, width: int) -> Optional[list[int]]:
-    """An integer c with r . c >= 0 for each (r, False) in rows and
-    r . c > 0 for each (r, True), or None if there is none.
-
-    The system is eliminated by _eliminate.  Back substitution, last
-    eliminated first, picks each c_j between the bounds that the rows with
-    r_j != 0 put on it: the values picked so far are first scaled by twice
-    the lcm of those |r_j|, which keeps every row true and makes every
-    bound an even integer, so their midpoint is an integer.  The system is
-    homogeneous, so c is divided by its gcd.
-    """
-    stages = _eliminate(rows, width)
-    if stages is None:
-        return None
-    c = [0] * width
-    for j in reversed(range(width)):
-        if not stages[j]:
-            continue
-        scale = 2 * math.lcm(*[abs(r[j]) for r in stages[j]])
-        c = [scale * v for v in c]
-        bounds = [(r[j] > 0, -sum(map(mul, r, c)) // r[j]) for r in stages[j]]
-        low = max((b for lower, b in bounds if lower), default=None)
-        high = min((b for lower, b in bounds if not lower), default=None)
-        c[j] = (low + 1 if high is None else high - 1 if low is None
-                else (low + high) // 2)
-    k = math.gcd(*c)
-    return [v // k for v in c] if k else c
-
-
-def _eliminate(rows, width: int) -> Optional[list[list[tuple[int, ...]]]]:
-    """Whether the system of _cone_point has a solution: for each j, the
-    rows with r_j != 0 when c_j is eliminated, or None if it has none.
-    The refuter of mu_surjective asks only this, and back substitution
-    costs more than the elimination on its systems.
+def _eliminate(rows, width: int) -> bool:
+    """Whether some c in Q^width has r . c >= 0 for each (r, False) in rows
+    and r . c > 0 for each (r, True).
 
     Fourier-Motzkin elimination, fraction-free, of c_0, c_1, ... in turn.
     Eliminating c_j keeps the rows with r_j = 0 and adds -s_j r + r_j s
     for each r with r_j > 0 and s with s_j < 0, strict if either is: the
     new system has a solution exactly when the old one has one for some
     c_j (Motzkin).  Rows are kept divided by their gcd, once each, strict
-    if any copy is; a row that is zero everywhere is false only when
-    strict.  Elimination can square the number of rows at each step.  The
-    unit test of two irrelevant-ideal generators poses at most r = rank D
-    unknowns (|F| = |G| = r, so |P| - r <= r), a declared B may pose more,
-    and the refuter poses exactly r.
+    if any copy is.  A row that is zero everywhere is dropped, or refutes
+    the system when strict, so no row is left once every c_j is
+    eliminated.  Elimination can square the number of rows at each step;
+    _weak and _outside_cones pose r = rank D unknowns.
     """
     system: dict[tuple[int, ...], bool] = {}
     for r, strict in rows:
         if any(r):
             system[r] = system.get(r, False) or strict
         elif strict:
-            return None
-    stages = []
+            return False
     for j in range(width):
         above, below, kept = [], [], {}
         for r, strict in system.items():
@@ -254,7 +214,6 @@ def _eliminate(rows, width: int) -> Optional[list[list[tuple[int, ...]]]]:
                 below.append((r, strict))
             else:
                 kept[r] = strict
-        stages.append([r for r, _ in above + below])
         for r, r_strict in above:
             for s, s_strict in below:
                 v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
@@ -263,9 +222,9 @@ def _eliminate(rows, width: int) -> Optional[list[list[tuple[int, ...]]]]:
                     v = tuple([a // k for a in v])
                     kept[v] = kept.get(v, False) or r_strict or s_strict
                 elif r_strict or s_strict:
-                    return None
+                    return False
         system = kept
-    return stages
+    return True
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:
@@ -453,15 +412,13 @@ def separated_submodels(spec: RingSpec) -> tuple[tuple[Monomial, ...], ...]:
     chart monomials that weak_pairs audits, deterministically ordered; a
     constant monomial, which weak_pairs skips, joins every set.  The
     chart monomials are relevant (RingSpec checks a declared B), so each
-    edge is the unit test of mu_surjective on the product chart.
+    edge is the weakness test of mu_surjective, _weak, which reads only
+    the free degree matrix: no chart, unit, pool or witness is built.
     """
     gens = _chart_monomials(spec)
-    # the pairs that weak_pairs reports, by the criterion of mu_surjective
-    # alone: no chart generator, pool or witness is built
+    columns = [d.free for d in spec.degrees]
     edges = [(i, j) for (i, f), (j, g) in itertools.combinations(enumerate(gens), 2)
-             if f.support and g.support
-             and _glue_vector(spec.semigroup(f.support | g.support),
-                              f.support, g.support) is None]
+             if f.support and g.support and _weak(columns, f.support, g.support)]
     # gens is distinct and in vector_key order, so sorted index tuples
     # order the sets as their monomials' vector_keys would
     independent = sorted(tuple(sorted(chosen))

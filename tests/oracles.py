@@ -4,7 +4,8 @@ Everything here is deliberately naive: exhaustive box enumeration, rational
 Gaussian elimination, textbook determinants.  The point is independence from
 the library's own lattice machinery.  It also holds the checks of paper
 claims that no projd command runs: the prime-collision scan, the
-Veronese-scaled spec and the twist-product audit.
+Veronese-scaled spec and the twist-product audit; and the primal form of
+the weak-pair criterion, a glue vector found in a product chart's units.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 def det(mat):
@@ -393,6 +395,109 @@ def mu_audit_by_search(spec, f, g):
             return True, target, tuple(decompositions)
         decompositions.append((target, coeffs))
     return False, None, tuple(decompositions)
+
+
+def glue_vector_by_units(chart_fg, f_support, g_support):
+    """A unit w of chart_fg with w >= 0 on F - G and w < 0 on G - F, for
+    the supports F and G, or None if there is none: the primal form of
+    the weakness criterion of separation.mu_surjective, which asks the
+    dual form over the free degree matrix.
+
+    Only the units are read.  A rational solution c of the sign
+    conditions on w = sum c_j units_j, times a positive integer, is an
+    integer one, so the question is decided over c by _cone_point, in
+    integers.  With no coordinate in G - F, w = 0 qualifies; with one
+    unit row u, w is a multiple of u, so u or -u qualifies if any does.
+    """
+    only_f, only_g = f_support - g_support, g_support - f_support
+    if not only_g:
+        return (0,) * chart_fg.nvars
+    units = chart_fg.units
+    if len(units) == 1:
+        for w in (units[0], tuple(-a for a in units[0])):
+            if all(w[i] >= 0 for i in only_f) and all(w[i] < 0 for i in only_g):
+                return w
+        return None
+    rows = [(tuple([u[i] for u in units]), False) for i in only_f]
+    rows += [(tuple([-u[i] for u in units]), True) for i in only_g]
+    c = _cone_point(rows, len(units))
+    if c is None:
+        return None
+    w = [0] * chart_fg.nvars
+    for k, u in zip(c, units):
+        w = [a + k * b for a, b in zip(w, u)]
+    return tuple(w)
+
+
+def _cone_point(rows, width):
+    """An integer c with r . c >= 0 for each (r, False) in rows and
+    r . c > 0 for each (r, True), or None if there is none.
+
+    The system is eliminated by _eliminate_in_stages.  Back substitution,
+    last eliminated first, picks each c_j between the bounds that the rows
+    with r_j != 0 put on it: the values picked so far are first scaled by
+    twice the lcm of those |r_j|, which keeps every row true and makes
+    every bound an even integer, so their midpoint is an integer.  The
+    system is homogeneous, so c is divided by its gcd.
+    """
+    stages = _eliminate_in_stages(rows, width)
+    if stages is None:
+        return None
+    c = [0] * width
+    for j in reversed(range(width)):
+        if not stages[j]:
+            continue
+        scale = 2 * math.lcm(*[abs(r[j]) for r in stages[j]])
+        c = [scale * v for v in c]
+        bounds = [(r[j] > 0, -sum(map(mul, r, c)) // r[j]) for r in stages[j]]
+        low = max((b for lower, b in bounds if lower), default=None)
+        high = min((b for lower, b in bounds if not lower), default=None)
+        c[j] = (low + 1 if high is None else high - 1 if low is None
+                else (low + high) // 2)
+    k = math.gcd(*c)
+    return [v // k for v in c] if k else c
+
+
+def _eliminate_in_stages(rows, width):
+    """For each j, the rows with r_j != 0 when c_j is eliminated from the
+    system of _cone_point, or None if it has no solution.
+
+    Fourier-Motzkin elimination, fraction-free, of c_0, c_1, ... in turn.
+    Eliminating c_j keeps the rows with r_j = 0 and adds -s_j r + r_j s
+    for each r with r_j > 0 and s with s_j < 0, strict if either is: the
+    new system has a solution exactly when the old one has one for some
+    c_j (Motzkin).  Rows are kept divided by their gcd, once each, strict
+    if any copy is; a row that is zero everywhere is false only when
+    strict.
+    """
+    system = {}
+    for r, strict in rows:
+        if any(r):
+            system[r] = system.get(r, False) or strict
+        elif strict:
+            return None
+    stages = []
+    for j in range(width):
+        above, below, kept = [], [], {}
+        for r, strict in system.items():
+            if r[j] > 0:
+                above.append((r, strict))
+            elif r[j] < 0:
+                below.append((r, strict))
+            else:
+                kept[r] = strict
+        stages.append([r for r, _ in above + below])
+        for r, r_strict in above:
+            for s, s_strict in below:
+                v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
+                k = math.gcd(*v)
+                if k:
+                    v = tuple([a // k for a in v])
+                    kept[v] = kept.get(v, False) or r_strict or s_strict
+                elif r_strict or s_strict:
+                    return None
+        system = kept
+    return stages
 
 
 def maximal_independent_sets_scan(count, edges):

@@ -19,7 +19,6 @@ from projd.fgab import FgAbGroup
 from projd.ringspec import Monomial, NotEffective, NotRelevant, ParseError, RingSpec
 from projd.separation import (
     _chart_monomials,
-    _glue_vector,
     _maximal_independent_sets,
     _outside_cones,
     classify_dependencies,
@@ -776,7 +775,7 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
-@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 6, 31), (r3a_spec, 10, 49)],
+@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 6, 31), (r3a_spec, 10, 48)],
                          ids=["L5", "r3a"])
 def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make, searches,
                                                               hnfs):
@@ -788,7 +787,9 @@ def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make,
     # sign rule settles are gone (19 calls before).  The functional refutes
     # every witness here, so only the basis charts that localize a product
     # chart are searched (10 and 35, 17 and 56 calls when every weak pair
-    # built both factor pools)
+    # built both factor pools).  Weakness is decided over the free degree
+    # matrix, so a pair that is not weak reads no units of its product
+    # chart: r3a ran 49 row_hnf calls when the units decided it
     import projd.diophantine as diophantine
     from projd.cli import execute
 
@@ -864,6 +865,25 @@ def _random_gradings(rng, count, torsions=([], [2], [3], [6])):
     return out
 
 
+def _declared_models(rng, count):
+    """Drawn gradings, torsion Z/4 and Z/2 + Z/2 among them, each with a
+    declared B of three to five relevant monomials: an irrelevant-ideal
+    generator times another, times a variable or times a variable's
+    square, so supports wider than r = rank D and exponents above 1."""
+    out = []
+    for spec in _random_gradings(rng, count, ([], [2], [4], [2, 2], [6])):
+        n, gens = len(spec.variables), spec.irrelevant_generators()
+        B = []
+        for _ in range(rng.randint(3, 5)):
+            g, power, v = rng.choice(gens), rng.randrange(3), rng.randrange(n)
+            if power:
+                B.append(g * Monomial(tuple(power if i == v else 0 for i in range(n))))
+            else:
+                B.append(g * rng.choice(gens))
+        out.append(declaring(spec, B))
+    return out
+
+
 def _check_glue_vector(spec, f, g, w):
     """w is what mu_surjective's criterion asks of a pair that is not weak:
     a degree-zero vector supported inside supp(fg), >= 0 on supp f - supp g
@@ -875,25 +895,28 @@ def _check_glue_vector(spec, f, g, w):
 
 
 def test_mu_matches_the_search_of_every_target(monkeypatch):
-    # the former audit searched every target; the unit test, the sign
+    # the former audit searched every target; the weakness test, the sign
     # rules and the functional must give the same weak flags and
-    # witnesses.  A pair that is not weak runs no search and carries a
-    # glue vector w; a weak pair searches exactly the targets up to its
-    # witness that rule A, the functional and rule B, in that order, all
-    # leave.  On these gradings the functional refutes every witness, and
-    # the pairs that are not weak skip targets that only a search would
-    # settle
+    # witnesses.  A pair is weak exactly when the product chart's units
+    # hold no glue vector w (the reference oracle).  A pair that is not
+    # weak runs no search; a weak pair searches exactly the targets up to
+    # its witness that rule A, the functional and rule B, in that order,
+    # all leave.  On these gradings the functional refutes every witness,
+    # and the pairs that are not weak skip targets that only a search
+    # would settle.  The declared models pose wider and unequal supports
+    # than the irrelevant-ideal generators, where |F| = |G| = r
     from projd.cli import fixture_text, parse_ring_spec
 
     specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
     drawn = _random_gradings(random.Random(14), 60)
-    specs += [l5_spec(), r3a_spec(), tor3_spec()] + drawn
+    declared = _declared_models(random.Random(5), 150)
+    specs += [l5_spec(), r3a_spec(), tor3_spec()] + drawn + declared
     searched = _counting_searches(monkeypatch)
     rules = {"A": 0, "functional": 0, "B": 0, None: 0}
     weak_flags = set()
     skipped = 0
     for spec in specs:
-        gens = [g for g in spec.irrelevant_generators() if g.support]
+        gens = [g for g in _chart_monomials(spec) if g.support]
         for f, g in itertools.combinations(gens, 2):
             searched.clear()
             report = mu_surjective(spec, f, g)
@@ -903,9 +926,10 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
             audited = [t for t, _ in decompositions] + ([witness] if weak else [])
             pool_f, pool_g = chart_algebra(spec, f).pool, chart_algebra(spec, g).pool
             fired = [_settling_rule(t, f, g, pool_f, pool_g) for t in audited]
-            w = _glue_vector(spec.semigroup(f.support | g.support), f.support, g.support)
+            w = oracles.glue_vector_by_units(spec.semigroup(f.support | g.support),
+                                             f.support, g.support)
+            assert (w is None) == report.weak, (spec, f, g)
             if weak:
-                assert w is None
                 columns = [d.free for d in spec.degrees]
                 fired = ["functional" if rule != "A"
                          and _outside_cones(columns, t, f.support, g.support) else rule
@@ -923,6 +947,13 @@ def test_mu_matches_the_search_of_every_target(monkeypatch):
     assert any(spec.group.torsion == (6,) for spec in drawn)
     assert any(spec.group.rank == 3 for spec in drawn)
     assert any(min(d.free) < 0 for spec in drawn for d in spec.degrees)
+    assert {spec.group.torsion for spec in declared} >= {(4,), (2, 2)}
+    assert any(spec.group.rank == 3 for spec in declared)
+    models = [_chart_monomials(spec) for spec in declared]
+    assert any(len(m.support) > spec.group.rank
+               for spec, gens in zip(declared, models) for m in gens)
+    assert any(max(m.exponents) > 1 for gens in models for m in gens)
+    assert sum(len(weak_pairs(spec)) for spec in declared) > 60
 
 
 # the ten gradings of the benchmark's gluing workload: rank, torsion,
@@ -943,21 +974,30 @@ GLUING_GRADINGS = [
 
 def _weak_graph_by_search(spec):
     """The chart monomials and the weak-pair edges between their indices,
-    each pair audited by oracles.mu_audit_by_search."""
+    each pair audited by oracles.mu_audit_by_search, which agrees with
+    oracles.glue_vector_by_units on each."""
     gens = _chart_monomials(spec)
-    edges = [(i, j) for (i, f), (j, g) in itertools.combinations(enumerate(gens), 2)
-             if f.support and g.support and oracles.mu_audit_by_search(spec, f, g)[0]]
+    edges = []
+    for (i, f), (j, g) in itertools.combinations(enumerate(gens), 2):
+        if f.support and g.support:
+            weak = oracles.mu_audit_by_search(spec, f, g)[0]
+            w = oracles.glue_vector_by_units(spec.semigroup(f.support | g.support),
+                                             f.support, g.support)
+            assert (w is None) == weak, (spec, f, g)
+            if weak:
+                edges.append((i, j))
     return gens, edges
 
 
 def test_submodels_match_the_scan_of_the_searched_weak_graph():
-    # separated_submodels reads the weak graph off the unit test alone; the
-    # oracle audits every target of every pair and scans every subset
+    # separated_submodels reads the weak graph off the weakness test
+    # alone; the oracle audits every target of every pair and scans every
+    # subset
     from projd.cli import fixture_text, parse_ring_spec
 
     specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
     specs += [graded(*grading) for grading in GLUING_GRADINGS]
-    specs += _random_gradings(random.Random(14), 60)
+    specs += _random_gradings(random.Random(14), 60) + _declared_models(random.Random(5), 150)
     for spec in specs:
         gens, edges = _weak_graph_by_search(spec)
         found = oracles.maximal_independent_sets_scan(len(gens), edges)
@@ -967,9 +1007,9 @@ def test_submodels_match_the_scan_of_the_searched_weak_graph():
 
 
 def test_weak_graph_ignores_the_torsion():
-    # the unit test asks about the rational span of the units, which the
-    # torsion does not change; the searched audit agrees on every drawn
-    # grading with torsion and on the bench's two
+    # the weakness test reads only the free parts of the degrees, as the
+    # units' rational span ignores the torsion; the searched audit agrees
+    # on every drawn grading with torsion and on the bench's two
     drawn = [spec for spec in _random_gradings(random.Random(14), 60)
              if spec.group.torsion]
     drawn += [graded(*grading) for grading in GLUING_GRADINGS if grading[1]]
@@ -1076,27 +1116,30 @@ def _audit_spec():
 
 def test_audit_grading_submodels_build_no_chart_generators(monkeypatch):
     # work, not time: on the Z^3 + Z/6 audit grading, where the audit of
-    # every target ran out of memory, `submodels` reads only the units of
-    # each product chart
+    # every target ran out of memory, `submodels` reads only the free
+    # degree matrix: it builds no chart at all, so no unit, generator or
+    # pool (it read the units of each product chart before)
     import projd.diophantine as diophantine
+    import projd.ringspec as ringspec
     import projd.separation as separation
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a generator search or membership search ran")
+        raise AssertionError("a chart, generator search or membership search was built")
 
     for name in ("_minimal_lifts", "_localize", "minimal_nonneg_solutions"):
         monkeypatch.setattr(diophantine, name, refuse)
+    monkeypatch.setattr(ringspec, "ConstrainedSemigroup", refuse)
     monkeypatch.setattr(separation, "semigroup_member", refuse)
     spec = _audit_spec()
     payload = execute(spec, "submodels", [])
     assert len(payload["submodels"]) > 1
-    assert all(chart.__dict__.keys().isdisjoint({"generators", "pool"})
-               for chart in spec._semigroups.values())
+    assert spec._semigroups == {}
 
 
 def test_audit_grading_weak_pairs_carry_their_evidence():
-    # every witness has no decomposition over the two pools, and every
-    # pair that is not weak has a glue vector w that is checked here
+    # every witness has no decomposition over the two pools, and a pair
+    # is not weak exactly when the reference oracle finds a glue vector w
+    # in the product chart's units, which is checked here
     from projd.diophantine import semigroup_member
 
     spec = _audit_spec()
@@ -1104,9 +1147,10 @@ def test_audit_grading_weak_pairs_carry_their_evidence():
     gens = [g for g in _chart_monomials(spec) if g.support]
     assert 0 < len(weak) < len(gens) * (len(gens) - 1) // 2
     for f, g in itertools.combinations(gens, 2):
-        w = _glue_vector(spec.semigroup(f.support | g.support), f.support, g.support)
+        w = oracles.glue_vector_by_units(spec.semigroup(f.support | g.support),
+                                         f.support, g.support)
+        assert (w is None) == ((f, g) in weak), (f, g)
         if (f, g) in weak:
-            assert w is None
             t = weak[f, g]
             assert t in chart_algebra(spec, f * g).pool
             pool = chart_algebra(spec, f).pool + chart_algebra(spec, g).pool
