@@ -16,7 +16,6 @@ from projd.diophantine import (
     ExponentVector,
     InvariantError,
     _coset_minimal,
-    _minimal_lifts,
     bounded_minimal_solutions,
     minimal_nonneg_solutions,
     vector_key,
@@ -81,28 +80,6 @@ def is_invertible(spec: RingSpec, d: GroupElement) -> SheafReport:
     if is_free(spec, d) != (obstruction is None):
         raise InvariantError(f"freeness and invertibility disagree on {d}")
     return SheafReport(obstruction is None, chart_units, obstruction)
-
-
-def shifted_minimal_generators(spec: RingSpec, free_coords,
-                               d: GroupElement) -> tuple[ExponentVector, ...]:
-    """Minimal degree-d Laurent monomials modulo the degree-zero semigroup.
-
-    free_coords tells which exponents may be negative.  The result
-    generates {a : deg(a) = d, a >= 0 off free_coords} as a module over the
-    degree-zero semigroup, one canonical representative per unit coset,
-    graded-lex ordered.  Empty iff the solution set is empty; for d = 0 the
-    answer is the zero vector alone.
-    """
-    ok, a0 = subgroup_member(spec.group.subgroup(spec.degrees), d)
-    if not ok:
-        return ()
-    return _minimal_lifts(spec.semigroup(free_coords), a0)
-
-
-def twist_module_generators(spec: RingSpec, f, d: GroupElement) -> tuple[ExponentVector, ...]:
-    """Minimal generators of the degree-d chart module over the chart algebra."""
-    f = spec.relevant_monomial(f)
-    return shifted_minimal_generators(spec, f.support, d)
 
 
 def _bounded_exponents(n: int, bound: int):

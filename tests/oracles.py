@@ -4,8 +4,9 @@ Everything here is deliberately naive: exhaustive box enumeration, rational
 Gaussian elimination, textbook determinants.  The point is independence from
 the library's own lattice machinery.  It also holds the checks of paper
 claims that no projd command runs: the prime-collision scan, the
-Veronese-scaled spec and the twist-product audit; and the primal form of
-the weak-pair criterion, a glue vector found in a product chart's units.
+Veronese-scaled spec, the twist module generators and the twist-product
+audit; and the primal form of the weak-pair criterion, a glue vector
+found in a product chart's units.
 """
 
 from __future__ import annotations
@@ -879,9 +880,17 @@ def _degree_row_candidates(spec, free_coords, rhs=None):
 
 
 def shifted_generators_by_membership(spec, free_coords, d):
-    """shifted_minimal_generators by the inhomogeneous search over the
-    split exponent layout: a candidate is dropped when its difference with
-    another is a nonzero member of the degree-zero semigroup."""
+    """Minimal degree-d exponent vectors modulo the degree-zero semigroup.
+
+    free_coords tells which exponents may be negative.  The result
+    generates {a : deg(a) = d, a >= 0 off free_coords} as a module over the
+    degree-zero semigroup, one coset-minimal representative per unit
+    coset, graded-lex ordered; on the support of a relevant f these are
+    the generators of the degree-d twist module on the chart of f.  Empty
+    iff the solution set is empty; for d = 0 the zero vector alone.  Found
+    by the inhomogeneous search over the split exponent layout: a
+    candidate is dropped when its difference with another is a nonzero
+    member of the degree-zero semigroup."""
     free_coords = frozenset(free_coords)
     if d.is_zero():
         return ((0,) * len(spec.variables),)
@@ -906,12 +915,10 @@ def twist_product_surjective(spec, f, d, e):
     e-generator plus a degree-zero chart element; the witness quadruples
     are (target, d-part, e-part, chart remainder).
     """
-    from projd.sheaves import twist_module_generators
-
     f = spec.relevant_monomial(f)
-    gens_d = twist_module_generators(spec, f, d)
-    gens_e = twist_module_generators(spec, f, e)
-    targets = twist_module_generators(spec, f, d + e)
+    gens_d = shifted_generators_by_membership(spec, f.support, d)
+    gens_e = shifted_generators_by_membership(spec, f.support, e)
+    targets = shifted_generators_by_membership(spec, f.support, d + e)
     sg = spec.semigroup(f.support)
     decompositions = []
     surjective = True

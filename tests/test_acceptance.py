@@ -11,7 +11,8 @@ import itertools
 import random
 
 from oracles import (box, lattice_tester, psi_collision_scan, rational_solve,
-                     relevance_via_components, veronese_scaled_spec)
+                     relevance_via_components, shifted_generators_by_membership,
+                     veronese_scaled_spec)
 from projd.charts import chart_algebra
 from projd.diophantine import (
     ConstrainedSemigroup,
@@ -27,7 +28,7 @@ from projd.separation import (
     separated_submodels,
     weak_pairs,
 )
-from projd.sheaves import is_free, is_invertible, twist_module_generators
+from projd.sheaves import is_free, is_invertible
 
 
 def plane_spec():
@@ -241,7 +242,7 @@ def test_criterion_7_oracle_equivalence():
         f = rng.choice(spec.irrelevant_generators())
         shift = [rng.randint(0, 2) for _ in range(n)]
         d = spec.degree_of(Monomial(tuple(shift)))
-        gens = twist_module_generators(spec, f, d)
+        gens = shifted_generators_by_membership(spec, f.support, d)
         truth = [vec for vec in box(n, -3, 3) if _vec_degree(spec, vec) == d
                  and all(vec[i] >= 0 for i in range(n) if i not in f.support)]
         for g in gens:

@@ -1008,7 +1008,11 @@ def test_every_public_function_is_reached_by_a_command_or_named_in_the_readme():
     finally:
         sys.setprofile(previous)
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    unreached = sorted(name for code, name in public.items()
-                       if code not in reached and name != "projd.cli.main"
-                       and not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", readme))
-    assert unreached == []
+    unreached = {name for code, name in public.items()
+                 if code not in reached and name != "projd.cli.main"}
+    named = {name for name in unreached
+             if re.search(rf"\b{name.rsplit('.', 1)[1]}\b", readme)}
+    assert sorted(unreached - named) == []
+    # what the README alone keeps alive: the index of the twist subgroup,
+    # which a command that reports that subgroup would read
+    assert named == {"projd.fgab.subgroup_index"}

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.charts import chart_algebra
 from projd.cli import execute
-from projd.diophantine import _minimal_lifts, minimal_nonneg_solutions, vector_key
+from projd.diophantine import minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
 from projd.ringspec import Monomial, NotEffective, NotRelevant, ParseError, RingSpec
 from projd.separation import (
@@ -629,9 +629,9 @@ def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, searches):
     searched = []
     search = diophantine._minimal_lifts
 
-    def counted(sg, a0):
+    def counted(sg):
         searched.append(sg.free_coords)
-        return search(sg, a0)
+        return search(sg)
 
     monkeypatch.setattr(diophantine, "_minimal_lifts", counted)
     degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
@@ -734,20 +734,6 @@ def test_sorted_pool_is_the_distinct_pool_in_graded_lex_order():
                 assert len(set(sg.pool)) == len(sg.pool), support
                 assert sg.sorted_pool == tuple(sorted(set(sg.pool), key=vector_key)), support
         assert relevant == count
-
-
-def test_minimal_lifts_search_the_zero_coset_like_any_other():
-    # None asks for the chart's generators; the zero coset is the
-    # degree-zero twist module, generated by the zero vector alone
-    from projd.cli import fixture_text, parse_ring_spec
-
-    specs = [parse_ring_spec(fixture_text(name)) for name in FIXTURES]
-    for spec in specs + [l5_spec(), r3a_spec(), tor3_spec()]:
-        n = len(spec.variables)
-        for f in spec.irrelevant_generators():
-            chart = chart_algebra(spec, f)
-            assert _minimal_lifts(chart, None) == chart.generators, f
-            assert _minimal_lifts(chart, (0,) * n) == ((0,) * n,), f
 
 
 def test_l5_separated_reads_three_charts_per_pair(monkeypatch):

@@ -8,7 +8,7 @@ import time
 import oracles
 import projd.fgab
 import pytest
-from oracles import twist_product_surjective
+from oracles import shifted_generators_by_membership, twist_product_surjective
 from projd.diophantine import hilbert_basis, semigroup_member
 from projd.fgab import FgAbGroup, kernel_basis, solve_linear, subgroup_member
 from projd.ringspec import Monomial, NotEffective, NotRelevant, RingSpec
@@ -17,8 +17,6 @@ from projd.sheaves import (
     global_sections,
     is_free,
     is_invertible,
-    shifted_minimal_generators,
-    twist_module_generators,
     unit_of_degree,
 )
 
@@ -245,41 +243,65 @@ def test_free_agrees_with_invertible():
 
 def test_twist_generators_examples():
     R = plane_spec()
-    assert twist_module_generators(R, "xy", R.group.zero()) == ((0, 0, 0),)
-    assert twist_module_generators(R, "xy", R.group.element((1, 1))) == ((1, 1, 0),)
+    assert shifted_generators_by_membership(R, {0, 1}, R.group.zero()) == ((0, 0, 0),)
+    assert shifted_generators_by_membership(R, {0, 1}, R.group.element((1, 1))) == (
+        (1, 1, 0),)
     T = torsion_spec()
-    assert twist_module_generators(T, "x", T.group.element((0,), (1,))) == (
+    assert shifted_generators_by_membership(T, {0}, T.group.element((0,), (1,))) == (
         (0, 1, 0), (-1, 0, 1))
-    assert twist_module_generators(T, "x", T.group.element((2,), (0,))) == ((2, 0, 0),)
+    assert shifted_generators_by_membership(T, {0}, T.group.element((2,), (0,))) == (
+        (2, 0, 0),)
 
 
-def test_twist_generators_reject_irrelevant():
-    R = plane_spec()
-    with pytest.raises(NotRelevant):
-        twist_module_generators(R, "z", R.group.zero())
+def drawn_gradings(rng, count):
+    """Mixed-sign gradings of rank 1-2 with torsion [4], [6] or [2, 2], and
+    of rank 3 without, in turn."""
+    families = ((1, [4]), (1, [6]), (2, [2, 2]), (3, []))
+    specs = []
+    while len(specs) < count:
+        r, torsion = families[len(specs) % len(families)]
+        G = FgAbGroup(r, torsion)
+        degrees = [G.element(tuple(rng.randint(-1, 1) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in torsion))
+                   for _ in range(rng.randint(r + 1, r + 2))]
+        try:
+            specs.append(RingSpec(G, [f"v{i}" for i in range(len(degrees))], degrees))
+        except NotEffective:
+            continue
+    return specs
 
 
 def test_single_generator_in_chart_iff_unit():
+    # a unit of degree d on the chart of f generates the degree-d module
+    # alone, so the module has one generator inside supp f exactly when
+    # such a unit exists, and that generator is the unit unit_of_degree finds
     rng = random.Random(12)
-    specs = (plane_spec(), torsion_spec(), quad_spec(), steep_spec())
-    for spec in specs:
+    specs = [plane_spec(), torsion_spec(), quad_spec(), steep_spec()]
+    drawn = drawn_gradings(random.Random(151), 12)
+    kinds = set()
+    for spec in specs + drawn:
         for f in spec.irrelevant_generators():
             if not f.support:
                 continue
             elems = small_elements(spec.group, 2)
             for d in rng.sample(elems, min(12, len(elems))):
-                gens = twist_module_generators(spec, f, d)
+                gens = shifted_generators_by_membership(spec, f.support, d)
                 unit = unit_of_degree(spec, f, d)
                 single_inside = (len(gens) == 1 and
                                  {i for i, e in enumerate(gens[0]) if e} <= f.support)
-                assert (unit is not None) == single_inside
+                assert (unit is not None) == single_inside, (spec.degrees, f, d)
+                if unit is not None:
+                    assert gens == (unit,), (spec.degrees, f, d)
+                if spec in drawn:
+                    kinds.add(unit is not None)
+    assert kinds == {True, False}
 
 
 def test_single_generator_outside_support_has_no_unit():
     # degree 1 on the chart of x is generated by y alone, yet carries no unit
     R = steep_spec()
     d = R.group.element((1,))
-    assert twist_module_generators(R, "x", d) == ((0, 1),)
+    assert shifted_generators_by_membership(R, {0}, d) == ((0, 1),)
     assert unit_of_degree(R, "x", d) is None
     assert not is_free(R, d)
 
@@ -302,8 +324,8 @@ def test_twist_product_can_fail():
     three = R.group.element((3,))
     report = twist_product_surjective(R, "x", three, three)
     assert not report.surjective
-    assert twist_module_generators(R, "x", three) == ((0, 1),)
-    assert twist_module_generators(R, "x", three + three) == ((3, 0),)
+    assert shifted_generators_by_membership(R, {0}, three) == ((0, 1),)
+    assert shifted_generators_by_membership(R, {0}, three + three) == ((3, 0),)
     # on the bigger chart xy the same product map is onto
     assert twist_product_surjective(R, "xy", three, three).surjective
 
@@ -377,7 +399,7 @@ def test_sections_listing_matches_the_bounded_scan():
         assert _is_pointed(spec)
         for d in small_elements(spec.group, 2):
             # on a pointed grading these are the whole degree class
-            whole = shifted_minimal_generators(spec, (), d)
+            whole = shifted_generators_by_membership(spec, (), d)
             top = max((sum(v) for v in whole), default=0)
             for bound in range(6):
                 report = global_sections(spec, d, bound)
@@ -461,7 +483,7 @@ def test_global_sections_are_chart_module_numerators():
     expected = {(2, 1, 0), (1, 0, 1)}
     assert {m.exponents for m in report.monomials} == expected
     for f in R.irrelevant_generators():
-        gens = twist_module_generators(R, f, d)
+        gens = shifted_generators_by_membership(R, f.support, d)
         sg = R.semigroup(f.support)
         units, pointed = hilbert_basis(sg)
         pool = list(pointed) + [list(u) for u in units] + \
