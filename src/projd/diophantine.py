@@ -11,8 +11,10 @@ time, extending t by e_j only while <A t, A e_j> < 0, and prune anything
 that dominates a known minimal solution.  The procedure is exact and
 complete; inhomogeneous problems are homogenized with an extra counter
 coordinate.  Chart generators are the minimal nonzero points of the
-lattice projected to the constrained coordinates, cut out by congruences
-read off a Smith form, one auxiliary column per modulus.
+lattice projected to the constrained coordinates.  Where that projection
+is onto, they are the unit vectors, lifted by rows of a Hermite form;
+else they are cut out by congruences read off a Smith form, one auxiliary
+column per modulus.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ class ConstrainedSemigroup:
     the units.
 
     The units are the vectors of L that are zero off free_coords.  The
-    generators are found by a search (see _minimal_lifts), or, given a
-    base, read off the base's with none (see _localize).  A base is a
+    generators are read off a Hermite form of L when L projects onto the
+    constrained coordinates; else, given a base, off the base's (see
+    _localize), or else found by a search (see _minimal_lifts).  A base is a
     semigroup of the same lattice whose free set is a proper subset of
     free_coords, and relevant: L projects onto a full-rank lattice off
     it.  The base takes no part in comparison: the answer does not depend
@@ -122,22 +125,50 @@ class ConstrainedSemigroup:
         return U, moduli, sum(1 for s in moduli if s), V
 
     @cached_property
+    def _hermite(self) -> tuple[ExponentVector, ...]:
+        """Row HNF of L with the constrained columns first (Cohen 1993,
+        section 2.4), its columns put back in place.  The rows nonzero on
+        the constrained columns come first; units and generators read it."""
+        order = (*self.constrained_coords, *sorted(self.free_coords))
+        hnf = row_hnf([[v[i] for i in order] for v in self.kernel_basis], self.nvars)
+        back = sorted(range(self.nvars), key=order.__getitem__)  # column i is at back[i]
+        return tuple(tuple([r[p] for p in back]) for r in hnf)
+
+    @cached_property
     def units(self) -> tuple[ExponentVector, ...]:
         """HNF basis of the invertible part: lattice vectors supported on F.
 
-        In a row HNF of L with the constrained columns first, the rows that
-        are zero on those columns span them.  With the columns put back
-        they are a row HNF already, as the free columns keep their order.
+        In the row HNF of L with the constrained columns first, the rows
+        that are zero on those columns span them.  With the columns put
+        back they are a row HNF already, as the free columns keep their
+        order.
         """
         conn = self.constrained_coords
-        order = (*conn, *sorted(self.free_coords))
-        hnf = row_hnf([[v[i] for i in order] for v in self.kernel_basis], self.nvars)
-        back = sorted(range(self.nvars), key=order.__getitem__)  # column i is at back[i]
-        return tuple(tuple([r[p] for p in back]) for r in hnf if not any(r[:len(conn)]))
+        return tuple(r for r in self._hermite if not any(r[i] for i in conn))
 
     @cached_property
     def generators(self) -> tuple[ExponentVector, ...]:
-        """Minimal generators of the pointed quotient; see hilbert_basis."""
+        """Minimal generators of the pointed quotient; see hilbert_basis.
+
+        Read off the Hermite form when the projection pi of L to the k
+        constrained coordinates is onto Z^k, else localized from the base
+        (see _localize) or searched (see _minimal_lifts).  pi(L) = Z^k
+        exactly when k rows of the form are nonzero on the constrained
+        columns and each has pivot 1: the form is echelon, so those pivots
+        sit on the k constrained columns in turn, and the entries above a
+        pivot 1 are reduced to 0, so the constrained block is the identity.
+        Row j then lifts e_j.  The kernel of pi on L is the unit lattice,
+        so modulo units the semigroup is pi(L) meet N^k = N^k, whose
+        minimal nonzero points are the unit vectors.  The generators are
+        therefore those k rows made coset-minimal and sorted graded-lex:
+        the answer of _minimal_lifts and _localize, which find the same
+        minimal points and take the same representatives.
+        """
+        conn = self.constrained_coords
+        head = [r for r in self._hermite if any(r[i] for i in conn)]
+        if len(head) == len(conn) and all(r[i] == 1 for i, r in zip(conn, head)):
+            units = _checked_units(self, len(conn))
+            return tuple(sorted((_coset_minimal(r, units) for r in head), key=vector_key))
         if self.base is not None:
             return _localize(self)
         return hilbert_basis(self)[1]
@@ -364,6 +395,17 @@ def _coset_minimal(vec: Sequence[int], units: Sequence[Sequence[int]]) -> Expone
     return best[1]
 
 
+def _checked_units(sg: ConstrainedSemigroup, rank: int) -> tuple[ExponentVector, ...]:
+    """sg.units, checked to have rank rank L - rank, for rank that of the
+    projection pi(L): a smaller unit lattice is a fault of the engine,
+    raised under -O too."""
+    units, want = sg.units, len(sg.kernel_basis) - rank
+    if len(units) != want:
+        raise InvariantError(f"generators need a unit lattice of rank {want}, "
+                             f"got {len(units)}")
+    return units
+
+
 def _minimal_lifts(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
     """The semigroup's irreducibles: minimal nonzero members of L >= 0 on conn.
 
@@ -375,12 +417,10 @@ def _minimal_lifts(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
     are those points; they are lifted through V, made coset-minimal and
     sorted graded-lex.
     """
-    K, units = sg.kernel_basis, sg.units
+    K = sg.kernel_basis
     conn = sg.constrained_coords
     U, moduli, rank, V = sg._smith
-    if len(units) != len(K) - rank:
-        raise InvariantError(f"generators need a unit lattice of rank "
-                             f"{len(K) - rank}, got {len(units)}")
+    units = _checked_units(sg, rank)
     lifts = [[sum(map(mul, c, column)) for column in zip(*K)]
              for c in list(zip(*V))[:rank]]
     rows, _, width = _congruences(U, moduli, [0] * len(U), len(conn))
@@ -432,11 +472,7 @@ def _localize(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
     rank L - |C'|; a smaller one is a fault of the engine.
     """
     conn = sg.constrained_coords
-    units = sg.units
-    want = len(sg.kernel_basis) - len(conn)
-    if len(units) != want:
-        raise InvariantError(f"generators need a unit lattice of rank {want}, "
-                             f"got {len(units)}")
+    units = _checked_units(sg, len(conn))
     lift = {}
     for g in sg.base.generators:
         p = tuple(g[i] for i in conn)

@@ -230,9 +230,11 @@ class RingSpec:
 
         The charts glue along D+(fg) = D+(f) meet D+(g): the chart of fg is
         that of f with degree-zero elements inverted.  So a relevant set of
-        more than r = rank D coordinates is localized from the chart of the
-        first basis inside it (see diophantine._localize), with no search.
-        A basis has no units, as its free degree parts are independent.
+        more than r = rank D coordinates is given the chart of the first
+        basis inside it as its base, from which it is localized with no
+        search (see diophantine._localize) unless its generators are read
+        off its Hermite form first.  A basis has no units, as its free
+        degree parts are independent.
         """
         free = frozenset(free_coords)
         sg = self._semigroups.get(free)

@@ -16,7 +16,7 @@ from projd.charts import (
     psi_image,
     v_plus,
 )
-from projd.diophantine import ConstrainedSemigroup, hilbert_basis
+from projd.diophantine import ConstrainedSemigroup, _localize, hilbert_basis
 from projd.fgab import FgAbGroup, subgroup_index
 from projd.ringspec import (InvalidInput, Monomial, NotEffective, NotRelevant, ParseError,
                             RingSpec)
@@ -412,9 +412,13 @@ def test_localized_charts_match_the_standalone_search():
     # every chart of a relevant support past rank D is localized from a
     # relevant support inside it; from each of several, it must equal the
     # chart searched alone, units and generators both.  The smallest
-    # subsets are bases, the largest are localized themselves.
+    # subsets are bases, the largest are localized themselves.  A chart
+    # whose lattice projects onto its constrained coordinates (index 1 in
+    # its Smith form) reads its generators off its Hermite form instead,
+    # so the search and the localization are each also called directly
     rng = random.Random(26)
-    seen = {"torsion": set(), "rank 3": 0, "chained": 0, "units": 0, "checks": 0}
+    seen = {"torsion": set(), "rank 3": 0, "chained": 0, "units": 0, "checks": 0,
+            "index 1": 0, "index > 1": 0}
     for _ in range(150):
         spec = _drawn_grading(rng)
         n, r = len(spec.variables), spec.group.rank
@@ -428,11 +432,15 @@ def test_localized_charts_match_the_standalone_search():
             if not inside:
                 continue
             alone = ConstrainedSemigroup(n, spec.kernel, wide)
+            searched = hilbert_basis(alone)
+            assert (alone.units, alone.generators) == searched, (spec.degrees, wide)
+            seen["index 1" if math.prod(alone._smith[1]) == 1 else "index > 1"] += 1
             for narrow in dict.fromkeys(inside[:2] + inside[-2:]):
                 base = spec.semigroup(narrow)
                 chart = ConstrainedSemigroup(n, spec.kernel, wide, base)
-                assert (chart.units, chart.generators) == (alone.units, alone.generators), \
+                assert (chart.units, chart.generators) == searched, \
                     (spec.degrees, wide, narrow)
+                assert _localize(chart) == searched[1], (spec.degrees, wide, narrow)
                 assert chart == alone
                 seen["chained"] += base.base is not None
                 seen["units"] += bool(chart.units)
@@ -440,6 +448,7 @@ def test_localized_charts_match_the_standalone_search():
     assert seen["torsion"] == {(), (2,), (3,), (4,), (6,), (2, 2)}, seen
     assert min(seen["rank 3"], seen["chained"], seen["units"]) >= 30, seen
     assert seen["checks"] >= 2500, seen
+    assert min(seen["index 1"], seen["index > 1"]) >= 300, seen
 
 
 def test_units_match_the_smith_kernel_of_the_projection():

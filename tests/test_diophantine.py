@@ -763,8 +763,8 @@ def _run_optimized(script: str) -> subprocess.CompletedProcess:
 
 def test_invariant_checks_survive_optimized_mode():
     # without the unit lattice, the two signs of the unit xy/z are distinct
-    # generators of the chart of xyz, whether it is searched alone or
-    # localized from the chart of xy
+    # generators of the chart of xyz, whether it is searched alone or read
+    # off its Hermite form
     done = _run_optimized(
         "import projd.diophantine as d\n"
         "from projd.diophantine import ConstrainedSemigroup, InvariantError\n"
@@ -791,8 +791,8 @@ def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):
 
     spec = tmp_path / "plane.yaml"
     spec.write_text(fixture_text("plane"), encoding="utf-8")
-    # without its unit lattice the chart of xyz^2 offers a unit as a
-    # generator, which the decomposition search must refuse
+    # without its unit lattice the chart of xyz^2 would offer a unit as a
+    # generator; the unit-rank check of its Hermite step refuses it
     done = _run_optimized(
         "import sys\n"
         "import projd.diophantine as d\n"
@@ -805,24 +805,31 @@ def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):
 
 
 def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
-    # the chart of x0x1x2 on the L5 rung is localized from that of x0x1;
-    # without its unit lattice it would offer no unit where it has one,
+    # the chart of x0x1x2 on tor3 (Z^2 + Z/3) is localized from that of
+    # x0x1: its lattice projects to the constrained coordinate x3 with
+    # index 3, so its generators are not read off its Hermite form.
+    # Without its unit lattice it would offer no unit where it has one,
     # which the localization must refuse under -O too, and the CLI exits 4
-    degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))
-    spec = tmp_path / "l5.yaml"
-    spec.write_text("group: {rank: 2, torsion: []}\nvariables:\n" + "".join(
-        f"  - {{name: x{i}, degree: {{free: {list(d)}, torsion: []}}}}\n"
-        for i, d in enumerate(degrees)), encoding="utf-8")
+    degrees = (((1, 0), 1), ((0, 1), 2), ((1, 1), 0), ((1, 2), 1))
+    spec = tmp_path / "tor3.yaml"
+    spec.write_text("group: {rank: 2, torsion: [3]}\nvariables:\n" + "".join(
+        f"  - {{name: x{i}, degree: {{free: {list(d)}, torsion: [{t}]}}}}\n"
+        for i, (d, t) in enumerate(degrees)), encoding="utf-8")
     done = _run_optimized(
-        "import sys\n"
+        "import math, sys\n"
         "import projd.diophantine as d\n"
         "from projd.charts import chart_algebra\n"
         "from projd.cli import main, parse_ring_spec\n"
         "assert False, 'asserts must be off in this check'\n"
+        "localize = d._localize\n"
+        "def counted(sg):\n"
+        "    print('localized', sorted(sg.free_coords))\n"
+        "    return localize(sg)\n"
+        "d._localize = counted\n"
         "d.ConstrainedSemigroup.units = ()\n"
         f"with open({str(spec)!r}, encoding='utf-8') as fh:\n"
         "    chart = chart_algebra(parse_ring_spec(fh.read()), 'x0*x1*x2')\n"
-        "print('base', sorted(chart.base.free_coords))\n"
+        "print('base', sorted(chart.base.free_coords), 'index', math.prod(chart._smith[1]))\n"
         "try:\n"
         "    chart.generators\n"
         "except d.InvariantError as exc:\n"
@@ -831,5 +838,6 @@ def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
         "main()\n")
     assert done.returncode == 4, (done.returncode, done.stderr)
     assert done.stdout.splitlines() == [
-        "base [0, 1]", "raised generators need a unit lattice of rank 1, got 0"]
+        "base [0, 1] index 3", "localized [0, 1, 2]",
+        "raised generators need a unit lattice of rank 1, got 0", "localized [0, 1, 2]"]
     assert "internal error: generators need a unit lattice of rank 1" in done.stderr

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.charts import chart_algebra
 from projd.cli import execute
-from projd.diophantine import minimal_nonneg_solutions, vector_key
+from projd.diophantine import _localize, hilbert_basis, minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
 from projd.ringspec import Monomial, NotEffective, NotRelevant, ParseError, RingSpec
 from projd.separation import (
@@ -597,8 +597,12 @@ def test_l6_charts_match_the_degree_row_search():
 def test_every_relevant_chart_matches_the_degree_row_search():
     # the localized charts too: all 57 relevant supports of L6 and the 11
     # of tor3, which has torsion, in two orders, so that a chart is
-    # localized both from a memoized chart and from a basis searched for it
-    for make, count in ((l6_spec, 57), (tor3_spec, 11)):
+    # localized both from a memoized chart and from a basis searched for it.
+    # Most charts read their generators off their Hermite form, as their
+    # lattice projects onto their constrained coordinates (onto: how many
+    # do and how many do not), so the search and, for a chart with a base,
+    # the localization are each also called directly
+    for make, count, onto in ((l6_spec, 57, (51, 6)), (tor3_spec, 11, (4, 7))):
         n = len(make().variables)
         supports = [frozenset(s) for k in range(n + 1)
                     for s in itertools.combinations(range(n), k)]
@@ -607,23 +611,31 @@ def test_every_relevant_chart_matches_the_degree_row_search():
             relevant = [s for s in order
                         if spec.is_relevant(Monomial(tuple(int(i in s) for i in range(n))))]
             assert len(relevant) == count
-            localized = 0
+            localized, sides = 0, [0, 0]
             for support in relevant:
                 chart = spec.semigroup(support)
-                localized += chart.base is not None
-                assert (chart.units, chart.generators) == \
-                    oracles.hilbert_basis_by_degree_rows(spec, support), support
+                want = oracles.hilbert_basis_by_degree_rows(spec, support)
+                assert (chart.units, chart.generators) == want, support
+                assert hilbert_basis(chart) == want, support
+                if chart.base is not None:
+                    localized += 1
+                    assert _localize(chart) == want[1], support
+                sides[math.prod(chart._smith[1]) > 1] += 1
             assert localized == count - len(spec.irrelevant_generators())
+            assert tuple(sides) == onto
 
 
-@pytest.mark.parametrize("rung, searches", [(5, 6), (9, 30)], ids=["L5", "L9"])
+@pytest.mark.parametrize("rung, searches", [(5, 0), (9, 8)], ids=["L5", "L9"])
 def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, searches):
     # work, not time: every product chart is localized from a chart already
     # built, so the generator search runs at most once per basis chart (25
     # and 246 searches when every product chart ran its own).  A factor
     # pool is built only for a target that rule A and the functional leave,
     # so some basis charts are never searched (10 and 36 searches when
-    # every weak pair built both pools)
+    # every weak pair built both pools).  A chart whose lattice projects
+    # onto its constrained coordinates reads its generators off its
+    # Hermite form, so only basis charts of index > 1 are searched (6 and
+    # 30 searches when every basis chart built for a pool was searched)
     import projd.diophantine as diophantine
 
     searched = []
@@ -642,39 +654,46 @@ def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, searches):
 
 
 @pytest.mark.parametrize("make, degrees, searches", [
-    (l5_spec, [(1, 1), (2, 3)], 6),
-    (r3a_spec, [(1, 1, 1), (2, 1, 0)], 10),
-    (tor3_spec, [(1, 0, 1), (2, 2, 0)], 3),
-    (l6_spec, [(1, 1), (2, 3)], 10),
+    (l5_spec, [(1, 1), (2, 3)], 0),
+    (r3a_spec, [(1, 1, 1), (2, 1, 0)], 0),
+    (tor3_spec, [(1, 0, 1), (2, 2, 0)], 1),
+    (l6_spec, [(1, 1), (2, 3)], 0),
 ], ids=["L5", "r3a", "tor3", "L6"])
 def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees, searches):
     # work, not time: units are read off a Hermite form, so a twist, which
     # reads the units of the basis charts alone, takes no Smith form (these
     # degrees took 7 and 8, 16 and 16, 4 and 4, 10 and 11 when the units
-    # came from one), and `separated` takes one per basis chart whose
-    # generators it searches: those of the pools that the functional does
+    # came from one), and `separated` takes one per chart that takes the
+    # generator search: a basis chart of a pool that the functional does
     # not spare (10, 17, 6 and 15, one per basis chart, when every weak pair
-    # built both pools)
+    # built both pools), and whose lattice does not project onto its
+    # constrained coordinates (6, 10, 3 and 10 when every such basis chart
+    # was searched).  A chart whose generators come from its Hermite form
+    # runs neither
     import projd.diophantine as diophantine
 
-    calls = []
-    smith = diophantine.smith_normal_form
+    calls, searched = [], []
+    smith, search = diophantine.smith_normal_form, diophantine._minimal_lifts
 
     def counted(mat):
         calls.append(mat)
         return smith(mat)
 
+    def counted_search(sg):
+        searched.append(sg.free_coords)
+        return search(sg)
+
     monkeypatch.setattr(diophantine, "smith_normal_form", counted)
+    monkeypatch.setattr(diophantine, "_minimal_lifts", counted_search)
     for d in degrees:
         spec = make()
         r = spec.group.rank
         is_invertible(spec, spec.group.element(d[:r], d[r:]))
-    assert calls == []
+    assert calls == searched == []
     spec = make()
     is_separated(spec)
-    searched = [g for g in spec.irrelevant_generators()
-                if "generators" in spec.semigroup(g.support).__dict__]
-    assert len(calls) == len(searched) == searches
+    assert len(calls) == len(set(searched)) == len(searched) == searches
+    assert set(searched) <= {g.support for g in spec.irrelevant_generators()}
 
 
 @pytest.mark.parametrize("rung, calls", [(5, 0), (8, 6)], ids=["L5", "L8"])
@@ -761,7 +780,7 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
-@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 6, 31), (r3a_spec, 10, 48)],
+@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 0, 25), (r3a_spec, 0, 38)],
                          ids=["L5", "r3a"])
 def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make, searches,
                                                               hnfs):
@@ -775,7 +794,11 @@ def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make,
     # chart are searched (10 and 35, 17 and 56 calls when every weak pair
     # built both factor pools).  Weakness is decided over the free degree
     # matrix, so a pair that is not weak reads no units of its product
-    # chart: r3a ran 49 row_hnf calls when the units decided it
+    # chart: r3a ran 49 row_hnf calls when the units decided it.  Every
+    # chart read here projects onto its constrained coordinates, so its
+    # generators come from its Hermite form, with no search and no base
+    # chart read for a localization (6 and 10 solver calls, 31 and 48
+    # row_hnf calls when the basis charts were searched)
     import projd.diophantine as diophantine
     from projd.cli import execute
 
