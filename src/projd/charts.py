@@ -92,8 +92,24 @@ def chart_intersection_check(spec: RingSpec, f, g) -> ChartIntersectionReport:
     The generators of the f-chart supported inside supp(fg) become units of
     the fg-chart, and every generator and unit of the fg-chart is returned
     with its coefficients over the f-chart pool extended by their inverses.
-    Both inclusions hold (the fg-chart only relaxes signs, and steps 1-3 of
-    diophantine._localize give the other), so a failure raises InvariantError.
+    Both inclusions hold, so a failure raises InvariantError.  The fg-chart
+    only relaxes signs.  For the other, write L for the degree-zero
+    lattice, F = supp f, F' = supp fg, and S_F, S_F' for the two charts:
+
+    1. F is relevant, so for every i in F' - F some m e_i (m > 0) is
+       congruent modulo L to a vector on F.  Their sum is a vector u of L
+       supported inside F', >= 0 off F and > 0 on F' - F.
+    2. Hence S_F' = S_F + N (-u): for any t in S_F', t + k u lies in S_F
+       once k is large.
+    3. Units.  Let t in L be supported inside F'.  By 2, t + k u is a
+       member of S_F supported inside F', and so is u; write each over the
+       pool of S_F.  Every summand is >= 0 off F, and they add up to zero
+       off F', so every summand is supported inside F'.  So t lies in the
+       span of the units of S_F and its generators inside F'; all of them
+       are units of S_F'.
+
+    By 3, u is a sum of units of S_F and its generators inside F', so -u
+    decomposes over the extended pool, and by 2 so does all of S_F'.
     """
     f, g = spec.monomial(f), spec.monomial(g)  # parse both before checking either
     f, g = spec.relevant_monomial(f), spec.relevant_monomial(g)

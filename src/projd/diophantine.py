@@ -57,29 +57,18 @@ class ConstrainedSemigroup:
 
     The units are the vectors of L that are zero off free_coords.  The
     generators are read off a Hermite form of L when L projects onto the
-    constrained coordinates; else, given a base, off the base's (see
-    _localize), or else found by a search (see _minimal_lifts).  A base is a
-    semigroup of the same lattice whose free set is a proper subset of
-    free_coords, and relevant: L projects onto a full-rank lattice off
-    it.  The base takes no part in comparison: the answer does not depend
-    on it.
+    constrained coordinates, else found by a search (see _minimal_lifts).
     """
 
     def __init__(self, nvars: int, kernel_basis: tuple[ExponentVector, ...],
-                 free_coords: frozenset[int] = frozenset(),
-                 base: Optional[ConstrainedSemigroup] = None):
+                 free_coords: frozenset[int] = frozenset()):
         for v in kernel_basis:
             if len(v) != nvars:
                 raise ValueError("kernel basis vector of wrong length")
         if any(i < 0 or i >= nvars for i in free_coords):
             raise ValueError("free coordinate out of range")
-        if base is None or kernel_basis != base.kernel_basis:  # a base's is a row HNF
-            kernel_basis = row_hnf(kernel_basis, nvars)
-        if base is not None and not (base.kernel_basis == kernel_basis
-                                     and base.free_coords < free_coords):
-            raise ValueError("a base has the same lattice and fewer free coordinates")
-        self.__dict__.update(nvars=nvars, kernel_basis=kernel_basis,
-                             free_coords=free_coords, base=base)
+        self.__dict__.update(nvars=nvars, kernel_basis=row_hnf(kernel_basis, nvars),
+                             free_coords=free_coords)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -151,26 +140,24 @@ class ConstrainedSemigroup:
         """Minimal generators of the pointed quotient; see hilbert_basis.
 
         Read off the Hermite form when the projection pi of L to the k
-        constrained coordinates is onto Z^k, else localized from the base
-        (see _localize) or searched (see _minimal_lifts).  pi(L) = Z^k
-        exactly when k rows of the form are nonzero on the constrained
-        columns and each has pivot 1: the form is echelon, so those pivots
-        sit on the k constrained columns in turn, and the entries above a
-        pivot 1 are reduced to 0, so the constrained block is the identity.
+        constrained coordinates is onto Z^k, else searched (see
+        _minimal_lifts).  pi(L) = Z^k exactly when k rows of the form are
+        nonzero on the constrained columns and each has pivot 1: the form
+        is echelon, so those pivots sit on the k constrained columns in
+        turn, and the entries above a pivot 1 are reduced to 0, so the
+        constrained block is the identity.
         Row j then lifts e_j.  The kernel of pi on L is the unit lattice,
         so modulo units the semigroup is pi(L) meet N^k = N^k, whose
         minimal nonzero points are the unit vectors.  The generators are
         therefore those k rows made coset-minimal and sorted graded-lex:
-        the answer of _minimal_lifts and _localize, which find the same
-        minimal points and take the same representatives.
+        the answer of _minimal_lifts, which finds the same minimal points
+        and takes the same representatives.
         """
         conn = self.constrained_coords
         head = [r for r in self._hermite if any(r[i] for i in conn)]
         if len(head) == len(conn) and all(r[i] == 1 for i, r in zip(conn, head)):
             units = _checked_units(self, len(conn))
             return tuple(sorted((_coset_minimal(r, units) for r in head), key=vector_key))
-        if self.base is not None:
-            return _localize(self)
         return hilbert_basis(self)[1]
 
     @cached_property
@@ -434,55 +421,6 @@ def _minimal_lifts(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
             vec = [a + q * w for a, w in zip(vec, lifts[j])]
         out.append(_coset_minimal(vec, units))
     return tuple(sorted(out, key=vector_key))
-
-
-def _localize(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
-    """Generators of sg read off those of its base, with no search.
-
-    This is the chart of fg as the chart of f with degree-zero elements
-    inverted.  Write F for the free set of the base and F' for that of sg,
-    S_F and S_F' for the two semigroups, C' for the coordinates off F' and
-    pi' for the projection to C'.  The generators are those of S_F whose
-    projections are nonzero and minimal, one per projection, made
-    coset-minimal modulo sg.units and sorted graded-lex.  This is exact:
-
-    1. F is relevant, so for every i in F' - F some m e_i (m > 0) is
-       congruent modulo L to a vector on F.  Their sum is a vector u of L
-       supported inside F', >= 0 off F and > 0 on F' - F.
-    2. Hence S_F' = S_F + N (-u): for any t in S_F', t + k u lies in S_F
-       once k is large.
-    3. Units.  Let t in L be supported inside F'.  By 2, t + k u is a
-       member of S_F supported inside F', and so is u; write each over the
-       pool of S_F.  Every summand is >= 0 off F, and they add up to zero
-       off F', so every summand is supported inside F'.  So t lies in the
-       span of the units of S_F and its generators inside F'; all of them
-       are units of S_F'.
-    4. Generators.  pi'(S_F') is pi'(L) intersected with N^C', a
-       saturated monoid, so its Hilbert basis is its set of minimal
-       nonzero points, and each of them lies in every generating set.  u and the units of S_F
-       project to 0, so by 2 the projections of the generators of S_F
-       generate it: its minimal nonzero points are their nonzero
-       projections minimal among them.
-    5. The kernel of pi' on L is the unit lattice of S_F', so two
-       generators with the same projection lie in one coset of it and
-       have one coset-minimal representative.
-
-    So the answer is that of _minimal_lifts, which finds the same minimal
-    points by a search.  The unit lattice must have rank |F'| - r =
-    rank L - |C'|; a smaller one is a fault of the engine.
-    """
-    conn = sg.constrained_coords
-    units = _checked_units(sg, len(conn))
-    lift = {}
-    for g in sg.base.generators:
-        p = tuple(g[i] for i in conn)
-        if any(p):
-            lift.setdefault(p, g)
-    minimal: list[tuple[int, ...]] = []
-    for p in sorted(lift, key=sum):  # whatever lies below p comes first
-        if not any(all(map(le, m, p)) for m in minimal):
-            minimal.append(p)
-    return tuple(sorted((_coset_minimal(lift[p], units) for p in minimal), key=vector_key))
 
 
 def hilbert_basis(sg: ConstrainedSemigroup):

@@ -227,31 +227,13 @@ class RingSpec:
         One object per set of free coordinates, so its units and
         generators are computed once.  For a relevant f and free_coords =
         supp(f) this is the chart of f.
-
-        The charts glue along D+(fg) = D+(f) meet D+(g): the chart of fg is
-        that of f with degree-zero elements inverted.  So a relevant set of
-        more than r = rank D coordinates is given the chart of the first
-        basis inside it as its base, from which it is localized with no
-        search (see diophantine._localize) unless its generators are read
-        off its Hermite form first.  A basis has no units, as its free
-        degree parts are independent.
         """
         free = frozenset(free_coords)
         sg = self._semigroups.get(free)
         if sg is None:
-            sg = ConstrainedSemigroup(len(self.variables), self.kernel, free,
-                                      self._localization_base(free))
+            sg = ConstrainedSemigroup(len(self.variables), self.kernel, free)
             self._semigroups[free] = sg
         return sg
-
-    def _localization_base(self, free: frozenset[int]) -> Optional[ConstrainedSemigroup]:
-        """The chart of the first basis inside free, a relevant set of r =
-        rank D coordinates, if free is relevant and larger; else None."""
-        r = self.group.rank
-        if len(free) <= r or not self._relevant_support(free):
-            return None
-        subsets = map(frozenset, itertools.combinations(sorted(free), r))
-        return self.semigroup(next(b for b in subsets if self._relevant_support(b)))
 
     def irrelevant_generators(self) -> tuple[Monomial, ...]:
         """Minimal square-free relevant monomials, graded-lex ordered.

@@ -62,9 +62,9 @@ def mu_surjective(spec: RingSpec, f, g) -> WeakPairReport:
     of L that are >= 0 off F, and F is relevant:
 
     * if w exists, u = -w is a vector of L supported inside P, >= 0 off F
-      and > 0 on P - F, so S_P = S_f + N w (steps 1-2 of
-      diophantine._localize); and w >= 0 off G puts w in S_g.
-    * if the map is onto, take such a u0 (step 1 of _localize) and write
+      and > 0 on P - F, so S_P = S_f + N w (steps 1-2 in
+      charts.chart_intersection_check); and w >= 0 off G puts w in S_g.
+    * if the map is onto, take such a u0 (step 1 there) and write
       -u0 = a + b with a in S_f and b in S_g.  Off P both are >= 0 and
       add up to 0, so b is supported inside P.  It is >= 0 on F - G, off
       G, and on G - F it is -u0 - a <= -u0 < 0, as a >= 0 off F: w = b.

@@ -754,7 +754,7 @@ def test_cli_intersect_reverse_inclusion_failure_exits_4(tmp_path, monkeypatch):
 
 def test_cli_intersect_decomposition_failure_exits_4(tmp_path, monkeypatch):
     # every fg-chart element decomposes over the f-chart and its inverted
-    # generators (diophantine._localize, steps 1-3); a target without one
+    # generators (charts.chart_intersection_check, steps 1-3); a target without one
     # is a fault of the engine, never a FAILED verdict
     monkeypatch.setattr("projd.charts.semigroup_member", lambda pool, target: None)
     with pytest.raises(InvariantError, match="does not decompose"):

@@ -805,11 +805,11 @@ def test_invariant_failure_exits_4_in_optimized_mode(tmp_path):
 
 
 def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
-    # the chart of x0x1x2 on tor3 (Z^2 + Z/3) is localized from that of
-    # x0x1: its lattice projects to the constrained coordinate x3 with
-    # index 3, so its generators are not read off its Hermite form.
-    # Without its unit lattice it would offer no unit where it has one,
-    # which the localization must refuse under -O too, and the CLI exits 4
+    # the chart of x0x1x2 on tor3 (Z^2 + Z/3): its lattice projects to the
+    # constrained coordinate x3 with index 3, so its generators are not
+    # read off its Hermite form but searched.  Without its unit lattice it
+    # would offer no unit where it has one, which the search must refuse
+    # under -O too, and the CLI exits 4
     degrees = (((1, 0), 1), ((0, 1), 2), ((1, 1), 0), ((1, 2), 1))
     spec = tmp_path / "tor3.yaml"
     spec.write_text("group: {rank: 2, torsion: [3]}\nvariables:\n" + "".join(
@@ -821,15 +821,15 @@ def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
         "from projd.charts import chart_algebra\n"
         "from projd.cli import main, parse_ring_spec\n"
         "assert False, 'asserts must be off in this check'\n"
-        "localize = d._localize\n"
+        "search = d._minimal_lifts\n"
         "def counted(sg):\n"
-        "    print('localized', sorted(sg.free_coords))\n"
-        "    return localize(sg)\n"
-        "d._localize = counted\n"
+        "    print('searched', sorted(sg.free_coords))\n"
+        "    return search(sg)\n"
+        "d._minimal_lifts = counted\n"
         "d.ConstrainedSemigroup.units = ()\n"
         f"with open({str(spec)!r}, encoding='utf-8') as fh:\n"
         "    chart = chart_algebra(parse_ring_spec(fh.read()), 'x0*x1*x2')\n"
-        "print('base', sorted(chart.base.free_coords), 'index', math.prod(chart._smith[1]))\n"
+        "print('index', math.prod(chart._smith[1]))\n"
         "try:\n"
         "    chart.generators\n"
         "except d.InvariantError as exc:\n"
@@ -838,6 +838,6 @@ def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
         "main()\n")
     assert done.returncode == 4, (done.returncode, done.stderr)
     assert done.stdout.splitlines() == [
-        "base [0, 1] index 3", "localized [0, 1, 2]",
-        "raised generators need a unit lattice of rank 1, got 0", "localized [0, 1, 2]"]
+        "index 3", "searched [0, 1, 2]",
+        "raised generators need a unit lattice of rank 1, got 0", "searched [0, 1, 2]"]
     assert "internal error: generators need a unit lattice of rank 1" in done.stderr

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.charts import chart_algebra
 from projd.cli import execute
-from projd.diophantine import _localize, hilbert_basis, minimal_nonneg_solutions, vector_key
+from projd.diophantine import hilbert_basis, minimal_nonneg_solutions, vector_key
 from projd.fgab import FgAbGroup
 from projd.ringspec import Monomial, NotEffective, NotRelevant, ParseError, RingSpec
 from projd.separation import (
@@ -595,13 +595,11 @@ def test_l6_charts_match_the_degree_row_search():
 
 
 def test_every_relevant_chart_matches_the_degree_row_search():
-    # the localized charts too: all 57 relevant supports of L6 and the 11
-    # of tor3, which has torsion, in two orders, so that a chart is
-    # localized both from a memoized chart and from a basis searched for it.
-    # Most charts read their generators off their Hermite form, as their
-    # lattice projects onto their constrained coordinates (onto: how many
-    # do and how many do not), so the search and, for a chart with a base,
-    # the localization are each also called directly
+    # the product charts too: all 57 relevant supports of L6 and the 11 of
+    # tor3, which has torsion, in two orders.  Most charts read their
+    # generators off their Hermite form, as their lattice projects onto
+    # their constrained coordinates (onto: how many do and how many do
+    # not), so the search is also called directly
     for make, count, onto in ((l6_spec, 57, (51, 6)), (tor3_spec, 11, (4, 7))):
         n = len(make().variables)
         supports = [frozenset(s) for k in range(n + 1)
@@ -611,31 +609,27 @@ def test_every_relevant_chart_matches_the_degree_row_search():
             relevant = [s for s in order
                         if spec.is_relevant(Monomial(tuple(int(i in s) for i in range(n))))]
             assert len(relevant) == count
-            localized, sides = 0, [0, 0]
+            sides = [0, 0]
             for support in relevant:
                 chart = spec.semigroup(support)
                 want = oracles.hilbert_basis_by_degree_rows(spec, support)
                 assert (chart.units, chart.generators) == want, support
                 assert hilbert_basis(chart) == want, support
-                if chart.base is not None:
-                    localized += 1
-                    assert _localize(chart) == want[1], support
                 sides[math.prod(chart._smith[1]) > 1] += 1
-            assert localized == count - len(spec.irrelevant_generators())
             assert tuple(sides) == onto
 
 
-@pytest.mark.parametrize("rung, searches", [(5, 0), (9, 8)], ids=["L5", "L9"])
-def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, searches):
-    # work, not time: every product chart is localized from a chart already
-    # built, so the generator search runs at most once per basis chart (25
-    # and 246 searches when every product chart ran its own).  A factor
-    # pool is built only for a target that rule A and the functional leave,
-    # so some basis charts are never searched (10 and 36 searches when
-    # every weak pair built both pools).  A chart whose lattice projects
-    # onto its constrained coordinates reads its generators off its
-    # Hermite form, so only basis charts of index > 1 are searched (6 and
-    # 30 searches when every basis chart built for a pool was searched)
+@pytest.mark.parametrize("rung, searches", [(5, 0), (9, 9)], ids=["L5", "L9"])
+def test_separated_searches_only_charts_of_index_above_one(monkeypatch, rung, searches):
+    # work, not time: a factor pool is built only for a target that rule A
+    # and the functional leave, so few charts are read for their
+    # generators, each once (25 and 246 searches when every product chart
+    # ran its own, 10 and 36 when every weak pair built both pools).  A
+    # chart whose lattice projects onto its constrained coordinates reads
+    # its generators off its Hermite form, so only charts of index > 1 are
+    # searched (6 and 30 searches when every basis chart built for a pool
+    # was searched; 0 and 8 when a product chart was localized from the
+    # first basis inside it)
     import projd.diophantine as diophantine
 
     searched = []
@@ -650,7 +644,7 @@ def test_separated_searches_the_basis_charts_alone(monkeypatch, rung, searches):
     spec = graded(2, [], degrees[:rung])
     execute(spec, "separated", [])
     assert len(searched) == len(set(searched)) == searches
-    assert set(searched) <= {g.support for g in spec.irrelevant_generators()}
+    assert all(math.prod(spec.semigroup(s)._smith[1]) > 1 for s in searched)
 
 
 @pytest.mark.parametrize("make, degrees, searches", [
@@ -664,8 +658,8 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
     # reads the units of the basis charts alone, takes no Smith form (these
     # degrees took 7 and 8, 16 and 16, 4 and 4, 10 and 11 when the units
     # came from one), and `separated` takes one per chart that takes the
-    # generator search: a basis chart of a pool that the functional does
-    # not spare (10, 17, 6 and 15, one per basis chart, when every weak pair
+    # generator search: a chart of a pool that the functional does not
+    # spare (10, 17, 6 and 15, one per basis chart, when every weak pair
     # built both pools), and whose lattice does not project onto its
     # constrained coordinates (6, 10, 3 and 10 when every such basis chart
     # was searched).  A chart whose generators come from its Hermite form
@@ -693,7 +687,7 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
     spec = make()
     is_separated(spec)
     assert len(calls) == len(set(searched)) == len(searched) == searches
-    assert set(searched) <= {g.support for g in spec.irrelevant_generators()}
+    assert all(math.prod(spec.semigroup(s)._smith[1]) > 1 for s in searched)
 
 
 @pytest.mark.parametrize("rung, calls", [(5, 0), (8, 6)], ids=["L5", "L8"])
@@ -780,25 +774,25 @@ def test_l5_separated_reads_three_charts_per_pair(monkeypatch):
     assert all(support == free for support, free in calls)
 
 
-@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 0, 25), (r3a_spec, 0, 38)],
+@pytest.mark.parametrize("make, searches, hnfs", [(l5_spec, 0, 40), (r3a_spec, 0, 60)],
                          ids=["L5", "r3a"])
 def test_separated_skips_the_solver_where_the_answer_is_known(monkeypatch, make, searches,
                                                               hnfs):
     # work, not time: a witness that the sign caps refute and an
-    # equation-free chart search call no solver (25 and 55 calls before),
-    # and a localized chart keeps its base's Hermite form (50 and 78
-    # row_hnf calls before).  A pair that is not weak scans no target, so
-    # the two membership searches r3a ran on targets of such pairs that no
-    # sign rule settles are gone (19 calls before).  The functional refutes
-    # every witness here, so only the basis charts that localize a product
-    # chart are searched (10 and 35, 17 and 56 calls when every weak pair
-    # built both factor pools).  Weakness is decided over the free degree
-    # matrix, so a pair that is not weak reads no units of its product
-    # chart: r3a ran 49 row_hnf calls when the units decided it.  Every
-    # chart read here projects onto its constrained coordinates, so its
-    # generators come from its Hermite form, with no search and no base
-    # chart read for a localization (6 and 10 solver calls, 31 and 48
-    # row_hnf calls when the basis charts were searched)
+    # equation-free chart search call no solver (25 and 55 calls before).
+    # A pair that is not weak scans no target, so the two membership
+    # searches r3a ran on targets of such pairs that no sign rule settles
+    # are gone (19 calls before).  The functional refutes every witness
+    # here, so no factor pool is built (10 and 35, 17 and 56 calls when
+    # every weak pair built both factor pools).  Weakness is decided over
+    # the free degree matrix, so a pair that is not weak reads no units of
+    # its product chart: r3a ran 49 row_hnf calls when the units decided
+    # it.  Every chart read here projects onto its constrained
+    # coordinates, so its generators come from its Hermite form, with no
+    # search (6 and 10 solver calls, 31 and 48 row_hnf calls when the basis
+    # charts were searched).  Each chart brings its lattice to a row HNF
+    # of its own (25 and 38 row_hnf calls when a product chart was
+    # localized from a basis chart and kept its Hermite form)
     import projd.diophantine as diophantine
     from projd.cli import execute
 
@@ -1115,12 +1109,12 @@ def test_l9_functional_poses_rank_d_unknowns(monkeypatch):
     assert sizes == {(2, 5): 72, (2, 6): 143, (2, 8): 1}
 
 
-def _audit_spec():
+def _audit_spec(name="audit-z3-z6.yaml"):
     from pathlib import Path
 
     from projd.cli import parse_ring_spec
 
-    return parse_ring_spec((Path(__file__).parent / "audit-z3-z6.yaml").read_bytes())
+    return parse_ring_spec((Path(__file__).parent / name).read_bytes())
 
 
 def test_audit_grading_submodels_build_no_chart_generators(monkeypatch):
@@ -1135,7 +1129,7 @@ def test_audit_grading_submodels_build_no_chart_generators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a chart, generator search or membership search was built")
 
-    for name in ("_minimal_lifts", "_localize", "minimal_nonneg_solutions"):
+    for name in ("_minimal_lifts", "minimal_nonneg_solutions"):
         monkeypatch.setattr(diophantine, name, refuse)
     monkeypatch.setattr(ringspec, "ConstrainedSemigroup", refuse)
     monkeypatch.setattr(separation, "semigroup_member", refuse)
@@ -1166,6 +1160,33 @@ def test_audit_grading_weak_pairs_carry_their_evidence():
             assert semigroup_member(pool, t) is None, (f, g, t)
         else:
             _check_glue_vector(spec, f, g, w)
+
+
+def test_frontier_grading_searches_only_charts_of_small_index(monkeypatch):
+    # work, not time: on the Z^3 + Z/4 frontier grading every chart read
+    # for a factor pool searches itself, 15 charts of index at most 36.
+    # When a product chart was localized from the first basis inside it,
+    # 12 bases of index up to 56 were searched and the audit took seconds.
+    # Every one of the 53 reported pairs is weak, with the witnesses of
+    # that localized run (the digest of its payload)
+    import projd.diophantine as diophantine
+
+    searched = []
+    search = diophantine._minimal_lifts
+
+    def counted(sg):
+        searched.append(math.prod(sg._smith[1]))
+        return search(sg)
+
+    monkeypatch.setattr(diophantine, "_minimal_lifts", counted)
+    spec = _audit_spec("frontier-z3-z4.yaml")
+    reports = weak_pairs(spec)
+    assert len(searched) == 15 and max(searched) <= 36, searched
+    assert len(reports) == 53 and all(r.weak for r in reports)
+    raw = json.dumps(execute(spec, "weak-pairs", []), sort_keys=True,
+                     separators=(",", ":")).encode()
+    assert hashlib.sha256(raw).hexdigest() == \
+        "99fc0fa62c70953436667e57adf02f20e5c5d3959e19e5c901d73f8c17c8965a"
 
 
 def test_l6_gluing_answers_within_a_minute():
