@@ -20,6 +20,7 @@ column per modulus.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from operator import add, le, mul
 from typing import Optional, Sequence
@@ -224,13 +225,11 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     """The search behind minimal_nonneg_solutions: (solutions, cut).
 
     Only rhs None is homogeneous: a given zero rhs has the one minimal
-    solution 0, and a homogeneous system with no rows has the unit
-    vectors, each a solution and minimal: both are answered with no
-    search, the unit vectors kept or picked by the keys and cap below.
-    Besides the Contejean-Devie rules, one cap stops the search early.  A
-    vector t has the key (t_p, |t[:p]|) for a lead column p = least_by <
-    ncols, and (0, |t[:ncols]|) otherwise.  A vector whose key exceeds the
-    cap is never explored, and cut says whether any was that is neither a
+    solution 0, answered with no search.  Besides the Contejean-Devie
+    rules, one cap stops the search early.  A vector t has the key
+    (t_p, |t[:p]|) for a lead column p = least_by < ncols, and
+    (0, |t[:ncols]|) otherwise.  A vector whose key exceeds the cap is
+    never explored, and cut says whether any was that is neither a
     repeat nor dominated.  Once cut is set, a step past the
     cap is dropped before it is built: the least mode stops building the
     extensions of its last level at the first one it cuts.  The cap is
@@ -253,12 +252,6 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     if rhs is not None and not any(rhs):
         return [(0,) * ncols], False
     p = ncols if least_by is None else min(least_by, ncols)
-    if rhs is None and not rows:  # no equation: the unit vectors, keyed as below
-        keyed = sorted(((int(j == p), int(j < p)), (0,) * j + (1,) + (0,) * (ncols - j - 1))
-                       for j in range(ncols))
-        kept = [x for key, x in keyed if bound is None or key <= (0, bound)]
-        cut = len(kept) < ncols
-        return (kept[:1] if least_by is not None else sorted(kept, key=vector_key)), cut
     homogeneous = rhs is None
     columns = [tuple(row[j] for row in rows) for j in range(ncols)]
     if not homogeneous:
@@ -530,3 +523,53 @@ def _congruences(rows, moduli, rhs, ncols):
                        + [-s if t == j else 0 for t in reduced])
             out_rhs.append(rhs[j] % s if s else rhs[j])
     return out, out_rhs, ncols + len(reduced)
+
+
+# ---------------------------------------------------------------------------
+# Rational sign systems
+
+def _eliminate(rows, width: int) -> bool:
+    """Whether some c in Q^width has r . c >= 0 for each (r, False) in rows
+    and r . c > 0 for each (r, True).
+
+    Fourier-Motzkin elimination, fraction-free, of c_0, c_1, ... in turn.
+    Eliminating c_j keeps the rows with r_j = 0 and adds -s_j r + r_j s
+    for each r with r_j > 0 and s with s_j < 0, strict if either is: the
+    new system has a solution exactly when the old one has one for some
+    c_j (Motzkin).  Rows are kept divided by their gcd, once each, strict
+    if any copy is.  A row that is zero everywhere is dropped, or refutes
+    the system when strict, so no row is left once every c_j is
+    eliminated.  Elimination can square the number of rows at each step.
+    Three callers pose r = rank D unknowns over the free degree matrix:
+    separation._weak, separation._outside_cones and sheaves._is_pointed.
+    On pointedness at r = 5 with 14 variables (40 seeded draws, entries
+    -2..3, 2-core Xeon) it ran past 10 s on one draw that a least-mode
+    solver search answers in 4 ms, and answered in at most 7.3 s the 7
+    that the search did not answer in 10 s.
+    """
+    system: dict[tuple[int, ...], bool] = {}
+    for r, strict in rows:
+        if any(r):
+            system[r] = system.get(r, False) or strict
+        elif strict:
+            return False
+    for j in range(width):
+        above, below, kept = [], [], {}
+        for r, strict in system.items():
+            if r[j] > 0:
+                above.append((r, strict))
+            elif r[j] < 0:
+                below.append((r, strict))
+            else:
+                kept[r] = strict
+        for r, r_strict in above:
+            for s, s_strict in below:
+                v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
+                k = math.gcd(*v)
+                if k:
+                    v = tuple([a // k for a in v])
+                    kept[v] = kept.get(v, False) or r_strict or s_strict
+                elif r_strict or s_strict:
+                    return False
+        system = kept
+    return True

@@ -22,7 +22,8 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from projd.charts import chart_algebra
-from projd.diophantine import ExponentVector, InvariantError, semigroup_member, vector_key
+from projd.diophantine import (ExponentVector, InvariantError, _eliminate,
+                               semigroup_member, vector_key)
 from projd.fgab import hnf_reduce
 from projd.ringspec import Monomial, RingSpec
 
@@ -183,48 +184,6 @@ def _outside_cones(columns, t: ExponentVector, f_support, g_support) -> bool:
     rows = _sign_rows(columns, f_support, g_support)
     rows += [(tuple([-a for a in s]), True) for s in sums]
     return _eliminate(rows, len(base))
-
-
-def _eliminate(rows, width: int) -> bool:
-    """Whether some c in Q^width has r . c >= 0 for each (r, False) in rows
-    and r . c > 0 for each (r, True).
-
-    Fourier-Motzkin elimination, fraction-free, of c_0, c_1, ... in turn.
-    Eliminating c_j keeps the rows with r_j = 0 and adds -s_j r + r_j s
-    for each r with r_j > 0 and s with s_j < 0, strict if either is: the
-    new system has a solution exactly when the old one has one for some
-    c_j (Motzkin).  Rows are kept divided by their gcd, once each, strict
-    if any copy is.  A row that is zero everywhere is dropped, or refutes
-    the system when strict, so no row is left once every c_j is
-    eliminated.  Elimination can square the number of rows at each step;
-    _weak and _outside_cones pose r = rank D unknowns.
-    """
-    system: dict[tuple[int, ...], bool] = {}
-    for r, strict in rows:
-        if any(r):
-            system[r] = system.get(r, False) or strict
-        elif strict:
-            return False
-    for j in range(width):
-        above, below, kept = [], [], {}
-        for r, strict in system.items():
-            if r[j] > 0:
-                above.append((r, strict))
-            elif r[j] < 0:
-                below.append((r, strict))
-            else:
-                kept[r] = strict
-        for r, r_strict in above:
-            for s, s_strict in below:
-                v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
-                k = math.gcd(*v)
-                if k:
-                    v = tuple([a // k for a in v])
-                    kept[v] = kept.get(v, False) or r_strict or s_strict
-                elif r_strict or s_strict:
-                    return False
-        system = kept
-    return True
 
 
 def _nonneg_after(t: ExponentVector, pool, off) -> bool:

@@ -16,8 +16,8 @@ from projd.diophantine import (
     ExponentVector,
     InvariantError,
     _coset_minimal,
+    _eliminate,
     bounded_minimal_solutions,
-    minimal_nonneg_solutions,
     vector_key,
 )
 from projd.fgab import GroupElement, subgroup_member
@@ -91,19 +91,15 @@ def _bounded_exponents(n: int, bound: int):
             yield (head,) + tail
 
 
-def _free_degree_rows(spec: RingSpec) -> list[list[int]]:
-    return [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
-
-
 def _is_pointed(spec: RingSpec) -> bool:
     """Whether no nonzero monomial has degree zero.
 
-    Torsion is finite, so some power of a monomial with zero free degree
-    has degree zero: only the free coordinates need checking, and a single
-    nonnegative solution of them settles the question.
+    Torsion is finite, so only the free degree matrix A counts.  By
+    Gordan's theorem (Schrijver 1986, chapter 7), no nonzero rational, so
+    no integral, x >= 0 has A x = 0 exactly when some lambda has
+    lambda . A_i > 0 for every column A_i.
     """
-    n = len(spec.variables)
-    return not minimal_nonneg_solutions(_free_degree_rows(spec), n, least_by=n)
+    return _eliminate([(deg.free, True) for deg in spec.degrees], spec.group.rank)
 
 
 def global_sections(spec: RingSpec, d: GroupElement,
@@ -136,7 +132,7 @@ def global_sections(spec: RingSpec, d: GroupElement,
         # no two monomials of one free degree divide each other, so those
         # of free degree d.free are exactly the minimal solutions of the
         # free degree equations; the torsion part is checked below
-        found, complete = bounded_minimal_solutions(
-            _free_degree_rows(spec), n, d.free, total_degree_bound)
+        rows = [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
+        found, complete = bounded_minimal_solutions(rows, n, d.free, total_degree_bound)
     found = sorted((e for e in found if spec.degree_of(Monomial(e)) == d), key=vector_key)
     return GlobalSectionsReport(tuple(map(Monomial, found)), complete)

@@ -571,6 +571,17 @@ def psi_collision_scan(spec, f):
     return "injective"
 
 
+def is_pointed_by_search(spec):
+    """sheaves._is_pointed in its earlier form: no nonzero x >= 0 solves
+    the free degree equations, decided by a least-mode Contejean-Devie
+    search for one such x."""
+    from projd.diophantine import minimal_nonneg_solutions
+
+    n = len(spec.variables)
+    rows = [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
+    return not minimal_nonneg_solutions(rows, n, least_by=n)
+
+
 def bounded_degree_scan(spec, d, bound):
     """Every exponent vector of total degree <= bound and degree d, graded-lex."""
     n = len(spec.variables)

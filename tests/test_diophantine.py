@@ -688,16 +688,14 @@ def test_cap_refuted_member_matches_the_unpruned_search(monkeypatch):
 
 
 def test_equation_free_systems_answer_the_unit_vectors():
-    # with no equation every unit vector is a minimal solution: the
-    # answer comes with no search, in the plain, bounded and least modes
+    # with no equation every unit vector is a minimal solution, in the
+    # plain, bounded and least modes
     from projd.diophantine import _contejean_devie
 
     for n in range(6):
         units = sorted(((0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)),
                        key=vector_key)
-        (got, _), built = _lines_run(_contejean_devie, "gram = [",
-                                     lambda: _contejean_devie([], n))
-        assert built == 0
+        got, _ = _contejean_devie([], n)
         assert got == units == minimal_nonneg_solutions([], n)
         assert (got, False) == oracles.contejean_devie_by_generators([], n)
         for bound in (0, 1, n + 2):
@@ -726,32 +724,41 @@ def test_least_mode_is_the_first_graded_lex_solution(case, homogeneous):
                                     least_by=len(pool)) == full[:1]
 
 
-def test_member_and_pointedness_list_no_solutions(monkeypatch):
-    # semigroup_member and sheaves._is_pointed ask for the least solution
-    # alone; a search that lists every minimal solution raises here
+def test_member_lists_no_solutions_and_pointedness_calls_no_solver(monkeypatch):
+    # semigroup_member asks for the least solution alone, and
+    # sheaves._is_pointed asks the solver nothing: a search that lists
+    # every minimal solution raises here, and so does any search at all
+    # while pointedness is decided
     import projd.diophantine as diophantine
     import projd.sheaves as sheaves
 
     search = diophantine.minimal_nonneg_solutions
     pools = list(itertools.islice(_fixture_pools(), 200))
     members = [(pool, target, semigroup_member(pool, target)) for pool, target in pools]
-    G = FgAbGroup(1)
-    pointed = _grading(G, [(1,), (2,), (3,)])
-    mixed = _grading(G, [(1,), (-1,), (2,)])
     assert any(got is None for *_, got in members)
     assert any(got is not None and sum(got) > 1 for *_, got in members)
-    assert sheaves._is_pointed(pointed) and not sheaves._is_pointed(mixed)
+    G, Z6 = FgAbGroup(1), FgAbGroup(0, [6])
+    gradings = [(_grading(G, [(1,), (2,), (3,)]), True),
+                (_grading(G, [(1,), (-1,), (2,)]), False),
+                (_grading(Z6, [(1,), (2,)]), False),
+                (_grading(Z6, []), True),
+                (_grading(FgAbGroup(2), []), True)]
+    assert [sheaves._is_pointed(spec) for spec, _ in gradings] == [w for _, w in gradings]
 
     def refuse_listing(rows, ncols, rhs=None, least_by=None):
         if least_by is None:
             raise AssertionError("full listing")
         return search(rows, ncols, rhs, least_by)
 
+    def refuse_search(*args, **kwargs):
+        raise AssertionError("solver search")
+
     monkeypatch.setattr(diophantine, "minimal_nonneg_solutions", refuse_listing)
-    monkeypatch.setattr(sheaves, "minimal_nonneg_solutions", refuse_listing)
     for pool, target, want in members:
         assert semigroup_member(pool, target) == want, (pool, target)
-    assert sheaves._is_pointed(pointed) and not sheaves._is_pointed(mixed)
+    monkeypatch.setattr(diophantine, "_contejean_devie", refuse_search)
+    for spec, want in gradings:
+        assert sheaves._is_pointed(spec) == want, spec.degrees
 
 
 def _run_optimized(script: str) -> subprocess.CompletedProcess:

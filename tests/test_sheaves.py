@@ -445,6 +445,54 @@ def test_pointedness_matches_degree_zero_hilbert_basis():
     assert kinds == {True, False}
 
 
+def test_pointedness_matches_the_search_on_seeded_gradings():
+    # the elimination answers as the least-mode search did, over every
+    # rank up to 4, with torsion and with mixed signs
+    rng = random.Random(31)
+    answers, ranks, torsion, mixed = {True: 0, False: 0}, set(), 0, 0
+    for _ in range(300):
+        r = rng.randint(0, 4)
+        G = FgAbGroup(r, rng.choice([[], [2], [3], [6]]))
+        degrees = [G.element(tuple(rng.randint(-2, 3) for _ in range(r)),
+                             tuple(rng.randrange(m) for m in G.torsion))
+                   for _ in range(rng.randint(1, r + 4))]
+        spec = RingSpec(G, [f"v{i}" for i in range(len(degrees))], degrees,
+                        check_effective=False)
+        got = _is_pointed(spec)
+        assert got == oracles.is_pointed_by_search(spec), degrees
+        answers[got] += 1
+        ranks.add(r)
+        torsion += bool(G.torsion)
+        # pointed, yet some degree has a negative free entry
+        mixed += got and any(a < 0 for deg in degrees for a in deg.free)
+    assert min(answers.values()) >= 100 and ranks == set(range(5)), (answers, ranks)
+    assert torsion >= 150 and mixed >= 100, (torsion, mixed)
+
+
+def test_pointed_z3_grading_decides_pointedness_with_no_search(monkeypatch):
+    # work, not time: a least-mode search took 20 s to find this mixed-sign
+    # Z^3 grading pointed; the elimination calls no solver at all, and the
+    # sections payloads are those the search gave
+    from pathlib import Path
+
+    import projd.diophantine as diophantine
+    from projd.cli import execute, parse_ring_spec
+
+    def refuse_search(*args, **kwargs):
+        raise AssertionError("solver search")
+
+    spec = parse_ring_spec((Path(__file__).parent / "pointed-z3.yaml").read_bytes())
+    assert any(a < 0 for deg in spec.degrees for a in deg.free)
+    with monkeypatch.context() as patch:
+        patch.setattr(diophantine, "_contejean_devie", refuse_search)
+        assert _is_pointed(spec)
+    # the payloads recorded from the search
+    assert execute(spec, "sections", ["0,0,0"], 0) == {
+        "bound": 0, "complete": True, "degree": "(0, 0, 0)", "monomials": ["1"]}
+    assert execute(spec, "sections", ["1,1,1"], 2) == {
+        "bound": 2, "complete": False, "degree": "(1, 1, 1)", "monomials": []}
+
+
 def test_global_sections_unreachable_degree():
     R = plane_spec()
     report = global_sections(R, R.group.element((-1, 0)), 5)
