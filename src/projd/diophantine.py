@@ -58,7 +58,8 @@ class ConstrainedSemigroup:
 
     The units are the vectors of L that are zero off free_coords.  The
     generators are read off a Hermite form of L when L projects onto the
-    constrained coordinates, else found by a search (see _minimal_lifts).
+    constrained coordinates, else found by the search hilbert_basis, which
+    takes its own Smith form: nothing else of the semigroup needs one.
     """
 
     def __init__(self, nvars: int, kernel_basis: tuple[ExponentVector, ...],
@@ -97,24 +98,6 @@ class ConstrainedSemigroup:
         return not any(hnf_reduce(self.kernel_basis, vec))
 
     @cached_property
-    def _smith(self):
-        """The projection of L to the constrained coordinates in Smith form.
-
-        Returns (U, moduli, rank, V): U P V = S for the matrix P whose
-        column k is basis vector k of L projected, moduli the diagonal of
-        S padded with zeros to one entry per row, and rank the number of
-        its nonzero entries.  A column of V holds coefficients on the basis
-        of L.
-        """
-        K = self.kernel_basis
-        conn = self.constrained_coords
-        if not conn:  # P has no rows: V is the identity
-            return [], [], 0, [[int(i == j) for j in range(len(K))] for i in range(len(K))]
-        U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
-        moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
-        return U, moduli, sum(1 for s in moduli if s), V
-
-    @cached_property
     def _hermite(self) -> tuple[ExponentVector, ...]:
         """Row HNF of L with the constrained columns first (Cohen 1993,
         section 2.4), its columns put back in place.  The rows nonzero on
@@ -141,8 +124,8 @@ class ConstrainedSemigroup:
         """Minimal generators of the pointed quotient; see hilbert_basis.
 
         Read off the Hermite form when the projection pi of L to the k
-        constrained coordinates is onto Z^k, else searched (see
-        _minimal_lifts).  pi(L) = Z^k exactly when k rows of the form are
+        constrained coordinates is onto Z^k, else searched by
+        hilbert_basis.  pi(L) = Z^k exactly when k rows of the form are
         nonzero on the constrained columns and each has pivot 1: the form
         is echelon, so those pivots sit on the k constrained columns in
         turn, and the entries above a pivot 1 are reduced to 0, so the
@@ -151,7 +134,7 @@ class ConstrainedSemigroup:
         so modulo units the semigroup is pi(L) meet N^k = N^k, whose
         minimal nonzero points are the unit vectors.  The generators are
         therefore those k rows made coset-minimal and sorted graded-lex:
-        the answer of _minimal_lifts, which finds the same minimal points
+        the answer of hilbert_basis, which finds the same minimal points
         and takes the same representatives.
         """
         conn = self.constrained_coords
@@ -188,7 +171,8 @@ def minimal_nonneg_solutions(rows: Sequence[Sequence[int]], ncols: int,
 
     least_by = p returns only the least solution, found without listing
     the others: the least by (x_p, vector_key(x[:p])) for p < ncols, and
-    the graded-lex least for p = ncols.  See _contejean_devie.
+    the graded-lex least for p = ncols.  It needs rhs: without one it
+    raises ValueError.  See _contejean_devie.
 
     >>> minimal_nonneg_solutions([[1, 2]], 2, rhs=[4])
     [(0, 2), (2, 1), (4, 0)]
@@ -233,10 +217,10 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
     repeat nor dominated.  Once cut is set, a step past the
     cap is dropped before it is built: the least mode stops building the
     extensions of its last level at the first one it cuts.  The cap is
-    (0, bound) for a bounded search.  In the least mode (least_by given,
-    no bound) it is the key of the least solution recorded so far, least
-    by (key, x) with x = t[:ncols]; only that solution is returned.  The
-    least mode loses nothing:
+    (0, bound) for a bounded search.  In the least mode (least_by and rhs
+    given, no bound) it is the key of the least solution recorded so
+    far, least by (key, x) with x = t[:ncols]; only that solution is
+    returned.  The least mode loses nothing:
 
     * steps only raise coordinates, so keys never fall along a path: no
       extension of a vector past the cap has a key within it.
@@ -249,6 +233,8 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
       is dropped, and s* is recorded.  A vector with the cap's own key is
       kept: it may lead to an x with the same key that is lex smaller.
     """
+    if least_by is not None and rhs is None:
+        raise ValueError("the least mode needs a right-hand side")
     if rhs is not None and not any(rhs):
         return [(0,) * ncols], False
     p = ncols if least_by is None else min(least_by, ncols)
@@ -290,7 +276,7 @@ def _contejean_devie(rows, ncols, rhs=None, bound=None, least_by=None):
                 for i, a in enumerate(t):
                     if a:
                         by_entry.setdefault((i, a), []).append(t)
-                if least_by is not None and (homogeneous or t[ncols] == 1):
+                if least_by is not None and t[ncols] == 1:
                     if best is None or (key, t[:ncols]) < best:
                         best = key, t[:ncols]
                         cap = key
@@ -386,20 +372,36 @@ def _checked_units(sg: ConstrainedSemigroup, rank: int) -> tuple[ExponentVector,
     return units
 
 
-def _minimal_lifts(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
-    """The semigroup's irreducibles: minimal nonzero members of L >= 0 on conn.
+def hilbert_basis(sg: ConstrainedSemigroup):
+    """Unit lattice basis and minimal generators of the pointed quotient.
 
-    The one search for chart generators.  The kernel of the projection pi
-    to conn on L is the unit lattice, so modulo units the answer is the
-    minimal nonzero points of P = pi(L) in N^conn.  With U P V = S in
-    Smith form (sg._smith), b is in P iff (U b)_j = 0 mod s_j, which
-    _congruences turns into homogeneous equations whose minimal solutions
-    are those points; they are lifted through V, made coset-minimal and
-    sorted graded-lex.
+    Returns (units_basis, generators): the semigroup is generated by the
+    generators together with both signs of the units basis.  Generator
+    representatives are the graded-lex least members of their unit cosets,
+    listed in graded-lex order; the whole answer depends only on the
+    lattice and the free coordinates, not on the presented basis.
+
+    The one search for chart generators, the minimal nonzero members of L
+    that are >= 0 on the constrained coordinates conn.  The kernel of the
+    projection pi to conn on L is the unit lattice, so modulo units the
+    answer is the minimal nonzero points of P = pi(L) in N^conn.  With
+    U P V = S in Smith form, taken here and cached nowhere, b is in P iff
+    (U b)_j = 0 mod s_j, which _congruences turns into homogeneous
+    equations whose minimal solutions are those points; they are lifted
+    through V, whose columns hold coefficients on the basis of L, made
+    coset-minimal and sorted graded-lex.
+
+    >>> sg = ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1}))
+    >>> hilbert_basis(sg)
+    ((), ((-1, -1, 1),))
+    >>> hilbert_basis(ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1, 2})))
+    (((1, 1, -1),), ())
     """
     K = sg.kernel_basis
     conn = sg.constrained_coords
-    U, moduli, rank, V = sg._smith
+    U, S, V = smith_normal_form([[v[i] for v in K] for i in conn])
+    moduli = [S[j][j] if j < len(K) else 0 for j in range(len(conn))]
+    rank = sum(1 for s in moduli if s)
     units = _checked_units(sg, rank)
     lifts = [[sum(map(mul, c, column)) for column in zip(*K)]
              for c in list(zip(*V))[:rank]]
@@ -413,25 +415,7 @@ def _minimal_lifts(sg: ConstrainedSemigroup) -> tuple[ExponentVector, ...]:
                 raise InvariantError(f"generator {sol[:len(conn)]} leaves the lattice")
             vec = [a + q * w for a, w in zip(vec, lifts[j])]
         out.append(_coset_minimal(vec, units))
-    return tuple(sorted(out, key=vector_key))
-
-
-def hilbert_basis(sg: ConstrainedSemigroup):
-    """Unit lattice basis and minimal generators of the pointed quotient.
-
-    Returns (units_basis, generators): the semigroup is generated by the
-    generators together with both signs of the units basis.  Generator
-    representatives are the graded-lex least members of their unit cosets,
-    listed in graded-lex order; the whole answer depends only on the
-    lattice and the free coordinates, not on the presented basis.
-
-    >>> sg = ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1}))
-    >>> hilbert_basis(sg)
-    ((), ((-1, -1, 1),))
-    >>> hilbert_basis(ConstrainedSemigroup(3, ((1, 1, -1),), frozenset({0, 1, 2})))
-    (((1, 1, -1),), ())
-    """
-    return sg.units, _minimal_lifts(sg)
+    return units, tuple(sorted(out, key=vector_key))
 
 
 def semigroup_member(gens, target: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -7,7 +7,7 @@ presentation Z^(rank+t), where torsion coordinate j contributes the relation
 m_j * e_j.  Yes/no questions reduce against a row Hermite basis; kernels and
 witnesses come from one Hermite form of [A^T | I] (Cohen 1993, 2.4).  The
 Smith form is used only where invariant factors are read: the torsion normal
-form and the congruence moduli of diophantine._minimal_lifts.  All
+form and the congruence moduli of diophantine.hilbert_basis.  All
 arithmetic uses plain Python integers, so nothing overflows.
 """
 

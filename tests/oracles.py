@@ -331,6 +331,19 @@ def kernel_basis_by_smith(mat, ncols):
     return row_hnf([[V[i][j] for i in range(ncols)] for j in range(rank, ncols)], ncols)
 
 
+def chart_index(sg):
+    """[Z^k : pi(L)] for the projection pi of the chart's lattice L to its
+    k constrained coordinates: the product of the Smith invariant factors
+    of pi, 0 below full rank.  A chart of index 1 reads its generators off
+    its Hermite form; every other chart searches for them."""
+    from projd.fgab import smith_normal_form
+
+    basis = sg.kernel_basis
+    conn = [i for i in range(sg.nvars) if i not in sg.free_coords]
+    _, S, _ = smith_normal_form([[v[i] for v in basis] for i in conn])
+    return math.prod(S[j][j] if j < len(basis) else 0 for j in range(len(conn)))
+
+
 def units_by_smith_kernel(sg):
     """sg.units, computed apart from it: the vectors of the lattice zero
     off the free coordinates, as the kernel of the projection to the
@@ -573,13 +586,11 @@ def psi_collision_scan(spec, f):
 
 def is_pointed_by_search(spec):
     """sheaves._is_pointed in its earlier form: no nonzero x >= 0 solves
-    the free degree equations, decided by a least-mode Contejean-Devie
-    search for one such x."""
-    from projd.diophantine import minimal_nonneg_solutions
-
+    the free degree equations, decided by a least-only Contejean-Devie
+    search for one such x (contejean_devie_by_generators)."""
     n = len(spec.variables)
     rows = [[deg.free[r] for deg in spec.degrees] for r in range(spec.group.rank)]
-    return not minimal_nonneg_solutions(rows, n, least_by=n)
+    return not contejean_devie_by_generators(rows, n, least_only=True)[0]
 
 
 def bounded_degree_scan(spec, d, bound):

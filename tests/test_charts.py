@@ -431,7 +431,7 @@ def test_localized_charts_match_the_standalone_search():
                 continue
             chart = spec.semigroup(wide)
             assert (chart.units, chart.generators) == hilbert_basis(chart), (spec.degrees, wide)
-            seen["index 1" if math.prod(chart._smith[1]) == 1 else "index > 1"] += 1
+            seen["index 1" if oracles.chart_index(chart) == 1 else "index > 1"] += 1
             seen["units"] += bool(chart.units)
             seen["checks"] += 1
     assert seen["torsion"] == {(), (2,), (3,), (4,), (6,), (2, 2)}, seen

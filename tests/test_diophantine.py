@@ -10,6 +10,7 @@ from pathlib import Path
 
 import oracles
 import projd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from projd.diophantine import (
@@ -474,8 +475,9 @@ def test_kernel_matches_the_former_search():
     # where the former loop had a bound and least_only's level break.
     # Full listings and bounded searches must visit, prune and return the
     # same: (solutions, cut) on seeded systems of every call shape.  The
-    # least mode returns the first entry of least_only's level, and with a
-    # lead column p the least by (x_p, vector_key(x[:p])) of the listing.
+    # least mode, which needs a right-hand side, returns the first entry of
+    # least_only's level, and with a lead column p the least by
+    # (x_p, vector_key(x[:p])) of the listing.
     from projd.diophantine import _contejean_devie
 
     rng = random.Random(241)
@@ -492,9 +494,7 @@ def test_kernel_matches_the_former_search():
             systems.append((rows, n, None, None))
         elif kind == 1:
             systems.append((rows, n, [0] * m if k % 3 == 0 else rhs, None))
-        elif kind == 2:
-            least.append((rows, n, None))
-        elif kind == 3:
+        elif kind in (2, 3):
             least.append((rows, n, rhs))
         else:
             systems.append((rows, n, rhs, rng.randint(0, 6)))
@@ -512,11 +512,12 @@ def test_kernel_matches_the_former_search():
         want = oracles.contejean_devie_by_generators(rows, n, rhs, least_only=True)[0]
         assert _contejean_devie(rows, n, rhs, least_by=n)[0] == want[:1], (rows, n, rhs)
     found = 0
-    for k in range(400):
+    # every draw has a right-hand side, as the least mode needs one
+    for k in range(600):
         m = rng.randint(0, 3)
         n = rng.randint(1, 7 if m < 2 else 6 if m == 2 else 4)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        rhs = [rng.randint(-3, 3) for _ in range(m)] if k % 2 else None
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
         p = rng.randrange(n)
         full = oracles.contejean_devie_by_generators(rows, n, rhs)[0]
         want = [min(full, key=lambda s: (s[p], vector_key(s[:p]), s))] if full else []
@@ -689,7 +690,7 @@ def test_cap_refuted_member_matches_the_unpruned_search(monkeypatch):
 
 def test_equation_free_systems_answer_the_unit_vectors():
     # with no equation every unit vector is a minimal solution, in the
-    # plain, bounded and least modes
+    # plain and bounded modes
     from projd.diophantine import _contejean_devie
 
     for n in range(6):
@@ -705,23 +706,27 @@ def test_equation_free_systems_answer_the_unit_vectors():
             sols, reached = bounded_minimal_solutions([], n, [], bound)
             want = oracles.contejean_devie_by_generators([], n, [], bound=bound)
             assert (sols, not reached) == want == ([(0,) * n], False)
-        least = oracles.contejean_devie_by_generators([], n, least_only=True)[0]
-        assert minimal_nonneg_solutions([], n, least_by=n) == least[:1]
-        for p in range(n):
-            want = min(units, key=lambda s: (s[p], vector_key(s[:p]), s))
-            assert minimal_nonneg_solutions([], n, least_by=p) == [want], (n, p)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_pool_cases, st.booleans())
-def test_least_mode_is_the_first_graded_lex_solution(case, homogeneous):
+@given(_pool_cases)
+def test_least_mode_is_the_first_graded_lex_solution(case):
     pool, target = case
     n = len(target)
     rows = [[g[i] for g in pool] for i in range(n)]
-    rhs = None if homogeneous else list(target)
-    full = minimal_nonneg_solutions(rows, len(pool), rhs=rhs)
-    assert minimal_nonneg_solutions(rows, len(pool), rhs=rhs,
+    full = minimal_nonneg_solutions(rows, len(pool), rhs=list(target))
+    assert minimal_nonneg_solutions(rows, len(pool), rhs=list(target),
                                     least_by=len(pool)) == full[:1]
+
+
+def test_least_mode_needs_a_right_hand_side():
+    # the least mode serves systems with a right-hand side alone, those of
+    # semigroup_member and degree_zero_companion; a homogeneous system is
+    # refused, with a lead column or without, equations or none
+    for rows, n in (([[1, -1]], 2), ([[1, 1, -2], [0, 1, -1]], 3), ([], 2), ([], 0)):
+        for p in range(n + 1):
+            with pytest.raises(ValueError, match="right-hand side"):
+                minimal_nonneg_solutions(rows, n, least_by=p)
 
 
 def test_member_lists_no_solutions_and_pointedness_calls_no_solver(monkeypatch):
@@ -822,21 +827,25 @@ def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
     spec.write_text("group: {rank: 2, torsion: [3]}\nvariables:\n" + "".join(
         f"  - {{name: x{i}, degree: {{free: {list(d)}, torsion: [{t}]}}}}\n"
         for i, (d, t) in enumerate(degrees)), encoding="utf-8")
+    from projd.charts import chart_algebra
+    from projd.cli import parse_ring_spec
+
+    chart = chart_algebra(parse_ring_spec(spec.read_text(encoding="utf-8")), "x0*x1*x2")
+    assert oracles.chart_index(chart) == 3
     done = _run_optimized(
-        "import math, sys\n"
+        "import sys\n"
         "import projd.diophantine as d\n"
         "from projd.charts import chart_algebra\n"
         "from projd.cli import main, parse_ring_spec\n"
         "assert False, 'asserts must be off in this check'\n"
-        "search = d._minimal_lifts\n"
+        "search = d.hilbert_basis\n"
         "def counted(sg):\n"
         "    print('searched', sorted(sg.free_coords))\n"
         "    return search(sg)\n"
-        "d._minimal_lifts = counted\n"
+        "d.hilbert_basis = counted\n"
         "d.ConstrainedSemigroup.units = ()\n"
         f"with open({str(spec)!r}, encoding='utf-8') as fh:\n"
         "    chart = chart_algebra(parse_ring_spec(fh.read()), 'x0*x1*x2')\n"
-        "print('index', math.prod(chart._smith[1]))\n"
         "try:\n"
         "    chart.generators\n"
         "except d.InvariantError as exc:\n"
@@ -845,6 +854,6 @@ def test_a_localized_chart_checks_its_units_in_optimized_mode(tmp_path):
         "main()\n")
     assert done.returncode == 4, (done.returncode, done.stderr)
     assert done.stdout.splitlines() == [
-        "index 3", "searched [0, 1, 2]",
+        "searched [0, 1, 2]",
         "raised generators need a unit lattice of rank 1, got 0", "searched [0, 1, 2]"]
     assert "internal error: generators need a unit lattice of rank 1" in done.stderr

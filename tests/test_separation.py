@@ -615,7 +615,7 @@ def test_every_relevant_chart_matches_the_degree_row_search():
                 want = oracles.hilbert_basis_by_degree_rows(spec, support)
                 assert (chart.units, chart.generators) == want, support
                 assert hilbert_basis(chart) == want, support
-                sides[math.prod(chart._smith[1]) > 1] += 1
+                sides[oracles.chart_index(chart) > 1] += 1
             assert tuple(sides) == onto
 
 
@@ -633,18 +633,49 @@ def test_separated_searches_only_charts_of_index_above_one(monkeypatch, rung, se
     import projd.diophantine as diophantine
 
     searched = []
-    search = diophantine._minimal_lifts
+    search = diophantine.hilbert_basis
 
     def counted(sg):
         searched.append(sg.free_coords)
         return search(sg)
 
-    monkeypatch.setattr(diophantine, "_minimal_lifts", counted)
+    monkeypatch.setattr(diophantine, "hilbert_basis", counted)
     degrees = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
     spec = graded(2, [], degrees[:rung])
     execute(spec, "separated", [])
     assert len(searched) == len(set(searched)) == searches
-    assert all(math.prod(spec.semigroup(s)._smith[1]) > 1 for s in searched)
+    assert all(oracles.chart_index(spec.semigroup(s)) > 1 for s in searched)
+
+
+def test_generators_search_exactly_the_charts_of_index_above_one(monkeypatch):
+    # every relevant chart of the bench's gradings, the gluing ten and L6:
+    # a chart whose lattice projects onto its constrained coordinates
+    # (index 1) reads its generators off its Hermite form, and every
+    # other chart calls the search, once: 187 of the 213 charts read theirs
+    import projd.diophantine as diophantine
+
+    searched = []
+    search = diophantine.hilbert_basis
+
+    def counted(sg):
+        searched.append(sg)
+        return search(sg)
+
+    monkeypatch.setattr(diophantine, "hilbert_basis", counted)
+    sides = [0, 0]
+    for spec in [graded(*grading) for grading in GLUING_GRADINGS] + [l6_spec()]:
+        n = len(spec.variables)
+        for k in range(n + 1):
+            for s in map(frozenset, itertools.combinations(range(n), k)):
+                if not spec.is_relevant(Monomial(tuple(int(i in s) for i in range(n)))):
+                    continue
+                chart = spec.semigroup(s)
+                del searched[:]
+                generators = chart.generators
+                index = oracles.chart_index(chart)
+                assert searched == ([chart] if index > 1 else []), (s, index, generators)
+                sides[index > 1] += 1
+    assert sides == [187, 26], sides
 
 
 @pytest.mark.parametrize("make, degrees, searches", [
@@ -667,7 +698,7 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
     import projd.diophantine as diophantine
 
     calls, searched = [], []
-    smith, search = diophantine.smith_normal_form, diophantine._minimal_lifts
+    smith, search = diophantine.smith_normal_form, diophantine.hilbert_basis
 
     def counted(mat):
         calls.append(mat)
@@ -678,7 +709,7 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
         return search(sg)
 
     monkeypatch.setattr(diophantine, "smith_normal_form", counted)
-    monkeypatch.setattr(diophantine, "_minimal_lifts", counted_search)
+    monkeypatch.setattr(diophantine, "hilbert_basis", counted_search)
     for d in degrees:
         spec = make()
         r = spec.group.rank
@@ -687,7 +718,7 @@ def test_smith_form_runs_only_for_a_generator_search(monkeypatch, make, degrees,
     spec = make()
     is_separated(spec)
     assert len(calls) == len(set(searched)) == len(searched) == searches
-    assert all(math.prod(spec.semigroup(s)._smith[1]) > 1 for s in searched)
+    assert all(oracles.chart_index(spec.semigroup(s)) > 1 for s in searched)
 
 
 @pytest.mark.parametrize("rung, calls", [(5, 0), (8, 6)], ids=["L5", "L8"])
@@ -1129,7 +1160,7 @@ def test_audit_grading_submodels_build_no_chart_generators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a chart, generator search or membership search was built")
 
-    for name in ("_minimal_lifts", "minimal_nonneg_solutions"):
+    for name in ("hilbert_basis", "minimal_nonneg_solutions"):
         monkeypatch.setattr(diophantine, name, refuse)
     monkeypatch.setattr(ringspec, "ConstrainedSemigroup", refuse)
     monkeypatch.setattr(separation, "semigroup_member", refuse)
@@ -1172,13 +1203,13 @@ def test_frontier_grading_searches_only_charts_of_small_index(monkeypatch):
     import projd.diophantine as diophantine
 
     searched = []
-    search = diophantine._minimal_lifts
+    search = diophantine.hilbert_basis
 
     def counted(sg):
-        searched.append(math.prod(sg._smith[1]))
+        searched.append(oracles.chart_index(sg))
         return search(sg)
 
-    monkeypatch.setattr(diophantine, "_minimal_lifts", counted)
+    monkeypatch.setattr(diophantine, "hilbert_basis", counted)
     spec = _audit_spec("frontier-z3-z4.yaml")
     reports = weak_pairs(spec)
     assert len(searched) == 15 and max(searched) <= 36, searched
