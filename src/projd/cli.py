@@ -5,7 +5,8 @@ of variables carrying degree coordinates, and an optional monomial list
 B restricting the model.  Every command parses the file, delegates to
 one library operation, and emits either a short human rendering or a
 byte-stable JSON report {command, digest, payload}, in one write to
-stdout.  The command line is read against COMMANDS by `parse_argv`,
+stdout; digest is the SHA-256 of the spec file's bytes as read, before
+parsing.  The command line is read against COMMANDS by `parse_argv`,
 and each --help screen is rendered from it when asked for.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage (an
@@ -15,12 +16,22 @@ any other fault or a fixture mismatch.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import sys
 from typing import Optional, Sequence
+
+# hashlib loads OpenSSL's libcrypto, a few MiB, to hash a spec of a few
+# hundred bytes: the interpreter's built-in SHA-256 first, as random.py
+# does for SHA-512
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 from projd.charts import (
     chart_algebra,
@@ -914,7 +925,7 @@ def _run(argv: Sequence[str]) -> int:
         return 4
     if as_json:
         report = {"command": command,
-                  "digest": hashlib.sha256(raw).hexdigest(),
+                  "digest": sha256(raw).hexdigest(),
                   "payload": payload}
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -560,7 +561,7 @@ def test_cli_sections_bound(tmp_path):
     assert "{z, xy} (complete)" in out
 
 
-def test_cli_json_digest_matches_file_bytes(tmp_path):
+def test_cli_json_digest_matches_file_bytes(monkeypatch, tmp_path):
     path = write_spec(tmp_path, "plane")
     first = run_cli(["gens", "--spec", path, "--json"])
     second = run_cli(["gens", "--spec", path, "--json"])
@@ -573,6 +574,57 @@ def test_cli_json_digest_matches_file_bytes(tmp_path):
         "digest": digest,
         "payload": {"generators": ["yz", "xz", "xy"], "single_chart": False},
     }
+    # the digest comes from the interpreter's built-in SHA-256 when it has
+    # one: on every packaged fixture and every benchmark grading it is
+    # hashlib's sha256 of the file's bytes as read, before parsing
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    paths = [str(resources.files("projd") / "fixtures" / f"{name}.yaml")
+             for name in FIXTURES]
+    for name in workloads.GRADINGS:
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(workloads.spec_yaml(name), encoding="utf-8")
+        paths.append(str(path))
+    for path in paths:
+        code, out, err = run_cli(["check", "--spec", path, "--json"])
+        assert (code, err) == (0, ""), path
+        raw = Path(path).read_bytes()
+        assert json.loads(out)["digest"] == hashlib.sha256(raw).hexdigest(), path
+    # a comment line changes the bytes, so the digest, and not the payload
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(TORSION_TEXT)
+    commented = tmp_path / "commented.yaml"
+    commented.write_text("# the same grading\n" + TORSION_TEXT)
+    reports = []
+    for path in (plain, commented):
+        code, out, err = run_cli(["gens", "--spec", str(path), "--json"])
+        assert code == 0
+        reports.append(json.loads(out))
+        assert reports[-1]["digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert reports[0]["payload"] == reports[1]["payload"]
+    assert reports[0]["digest"] != reports[1]["digest"]
+
+
+def test_cli_json_digest_falls_back_to_hashlib():
+    # an interpreter built without the built-in SHA-256 module (_sha2 from
+    # Python 3.12, _sha256 before) hashes with hashlib: every --json
+    # report of the corpus, byte for byte the same
+    src = str(Path(projd.__file__).resolve().parents[1])
+    argvs = [argv + ["--json"] for _, _, argv in corpus_argvs()]
+    expected = "".join(run_cli(argv)[1] for argv in argvs)
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
+              "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+              "import projd.cli\n"
+              "print('hashlib' in sys.modules, file=sys.stderr)\n"
+              f"for argv in {argvs!r}:\n"
+              "    assert projd.cli._run(argv) == 0, argv\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "True\n")
+    assert done.stdout == expected
 
 
 def test_cli_json_is_compact_and_sorted(tmp_path):
@@ -907,11 +959,13 @@ def test_single_dash_tokens_are_params():
 
 
 def test_cli_call_does_not_import_argparse():
-    # a fresh interpreter per fixture: the call's own work, not what a test
-    # runner or an earlier call imported.  Neither argparse nor PyYAML: the
-    # command line is read from COMMANDS and each fixture by the spec reader.
-    # Nor dataclasses and the inspect it pulls in, a start-up cost of about
-    # 8 ms: the value classes and reports are spelled without them
+    # a fresh interpreter per fixture, under -S: the call's own work, not
+    # what a test runner, a site hook or an earlier call imported.  Neither
+    # argparse nor PyYAML: the command line is read from COMMANDS and each
+    # fixture by the spec reader.  Nor dataclasses and the inspect it pulls
+    # in, a start-up cost of about 8 ms: the value classes and reports are
+    # spelled without them.  Nor hashlib, which loads OpenSSL's libcrypto
+    # (and _blake2): the --json digest is the built-in SHA-256
     src = str(Path(projd.__file__).resolve().parents[1])
     path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = {}
@@ -921,12 +975,12 @@ def test_cli_call_does_not_import_argparse():
     for argv in argvs.values():
         script = ("import sys, projd.cli\n"
                   "try:\n"
-                  f"    projd.cli.main.main(args={argv!r}, prog_name='projd')\n"
+                  f"    projd.cli.main.main(args={argv + ['--json']!r}, prog_name='projd')\n"
                   "except SystemExit as exc:\n"
                   "    assert exc.code == 0, exc.code\n"
-                  "print(sorted({'argparse', 'yaml', 'dataclasses', 'inspect'}"
-                  " & set(sys.modules)))\n")
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                  "print(sorted({'argparse', 'yaml', 'dataclasses', 'inspect',"
+                  " 'hashlib', '_hashlib', '_blake2'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                               text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=path_env))
         assert done.returncode == 0, done.stderr
