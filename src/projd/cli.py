@@ -81,8 +81,11 @@ def _int_list(value, where, length=None) -> list[int]:
 
 
 # A spec in the flow grammar that every fixture and example uses reads
-# straight into the value `yaml.safe_load` gives it; PyYAML, imported only
-# when needed, reads every other text (test_reader_route_matches_pyyaml).
+# straight into the value `yaml.safe_load` gives it: the lines and tokens
+# are checked here, and `json.loads` reads the nodes, names quoted.  PyYAML,
+# imported only when needed, reads every other text
+# (test_reader_route_matches_pyyaml), a flow mapping with an integer key,
+# which has no JSON form, among them.
 # Newline and printable ASCII: no tab, carriage return or other text that
 # PyYAML reads in its own way.
 _SPEC_CHARS = re.compile(r"[\n -~]*")
@@ -90,12 +93,16 @@ _SPEC_CHARS = re.compile(r"[\n -~]*")
 # scalar, checked against _INTEGER and _NAME), or a ":" no space follows.
 # Spaces between tokens are dropped.
 _TOKENS = re.compile(r"[\[\]{},]|: |[^ \[\]{},:]+|:")
+# the indicators that JSON reads as PyYAML does, and the depth each adds
+_INDICATORS = {"[": 1, "{": 1, "]": -1, "}": -1, ",": 0, ": ": 0}
 _INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_*^]*")
 # plain names that PyYAML reads as a bool or as null
 _YAML_WORDS = frozenset("yes Yes YES no No NO true True TRUE false False FALSE "
                         "on On ON off Off OFF null Null NULL".split())
-# PyYAML refuses a key whose ":" is more than 1024 characters past its start
+# PyYAML refuses a key whose ":" is more than 1024 characters past its
+# start; JSON text does not tell a key from a value, so no name that long
+# is read here
 _KEY_LIMIT = 1024
 
 
@@ -103,54 +110,28 @@ class _Unsure(Exception):
     """The spec reader cannot be sure of PyYAML's reading."""
 
 
-def _scalar(token: str, key: bool = False):
-    if key and len(token) >= _KEY_LIMIT:
-        raise _Unsure
-    if _INTEGER.fullmatch(token):
-        try:
-            return int(token)
-        except ValueError:  # past the int() digit limit: PyYAML's error
-            raise _Unsure from None
-    if _NAME.fullmatch(token) and token not in _YAML_WORDS:
-        return token
-    raise _Unsure
+def _json_node(text: str) -> str:
+    """The flow node or key that is all of `text`, as JSON text.
 
-
-def _flow_node(tokens: list[str], i: int):
-    """The node that starts at tokens[i], and the index past it."""
-    token = tokens[i]
-    if token not in ("[", "{"):
-        return _scalar(token), i + 1
-    close = "]" if token == "[" else "}"
-    node = [] if token == "[" else {}
-    i += 1
-    if tokens[i] == close:
-        return node, i + 1
-    while True:
-        if token == "[":
-            value, i = _flow_node(tokens, i)
-            node.append(value)
-        else:
-            key = _scalar(tokens[i], key=True)
-            if tokens[i + 1] != ": ":
-                raise _Unsure
-            node[key], i = _flow_node(tokens, i + 2)  # a repeated key: the last
-        if tokens[i] == close:
-            return node, i + 1
-        if tokens[i] != ",":
+    A token past the end of the first token's node is refused, so that no
+    node reaches into the next.  Tokens are joined with spaces, so that
+    [0,1 1] stays invalid and does not read [0,11].
+    """
+    out, depth = [], 0
+    for token in _TOKENS.findall(text):
+        if out and depth <= 0:
             raise _Unsure
-        i += 1
-
-
-def _line_node(text: str):
-    """The flow node that is all of `text`."""
-    if " :" in text:  # spaces before a ":" count toward PyYAML's key limit
+        if token in _INDICATORS:
+            depth += _INDICATORS[token]
+        elif _NAME.fullmatch(token) and token not in _YAML_WORDS \
+                and len(token) < _KEY_LIMIT:
+            token = f'"{token}"'
+        elif not _INTEGER.fullmatch(token):
+            raise _Unsure
+        out.append(token)
+    if depth:  # a node left open
         raise _Unsure
-    tokens = _TOKENS.findall(text)
-    node, end = _flow_node(tokens, 0)
-    if end != len(tokens):
-        raise _Unsure
-    return node
+    return " ".join(out)
 
 
 def _read_spec_text(text: str) -> Optional[dict]:
@@ -160,41 +141,48 @@ def _read_spec_text(text: str) -> Optional[dict]:
     "- NODE" lines at one indentation; NODE a flow mapping {k: v, ...}, a
     flow sequence [v, ...], a decimal integer -?(0|[1-9][0-9]*) or a name
     [A-Za-z_][A-Za-z0-9_*^]* that PyYAML reads as a string, each node on
-    one line; blank lines, comment lines and " # ..." after a node.  A
-    repeated key keeps its last value, as in PyYAML.  None for any other
-    text, and for any text whose reading by PyYAML it is not sure of.
+    one line; blank lines, comment lines and " # ..." after a node.  The
+    document is read as JSON, {"key": NODE, "key": [NODE, ...]}, which
+    keeps the last value of a repeated key at its first position, as
+    PyYAML does.  None for any other text, and for any text whose reading
+    by PyYAML it is not sure of.
     """
     if not _SPEC_CHARS.fullmatch(text):
         return None
-    data, items, indent = {}, None, None
+    members, entries, indent = [], None, None
     try:
         for line in text.split("\n"):
             body = line.split(" #", 1)[0].rstrip(" ")
             stripped = body.lstrip(" ")
             if not stripped or stripped[0] == "#":
                 continue
+            if " :" in body:  # spaces before a ":" count toward PyYAML's key limit
+                return None
             depth = len(body) - len(stripped)
             if stripped[:2] == "- ":  # an entry of the last key's sequence
-                if items is None or indent not in (None, depth):
+                if entries is None or indent not in (None, depth):
                     return None
                 indent = depth
-                items.append(_line_node(stripped[2:]))
+                entries.append(_json_node(stripped[2:]))
                 continue
-            if depth or items == []:  # a key with no entries is PyYAML's null
+            if depth or entries == []:  # a key with no entries is PyYAML's null
                 return None
-            token = _TOKENS.match(body)
-            key, rest = _scalar(token.group(), key=True), body[token.end():]
-            if rest == ":":
-                items, indent = [], None
-                data[key] = items
-            elif rest[:2] == ": ":
-                items = None
-                data[key] = _line_node(rest[2:])
+            key, colon, node = body.partition(":")
+            if colon and not node:
+                entries, indent = [], None
+                members.append((_json_node(key), entries))
+            elif node[:1] == " ":
+                entries = None
+                members.append((_json_node(key), _json_node(node[1:])))
             else:
                 return None
-    except (_Unsure, IndexError, RecursionError):  # IndexError: a node left open
+        if not members or entries == []:
+            return None
+        return json.loads("{" + ", ".join(
+            f"{key}: " + (value if isinstance(value, str) else f"[{', '.join(value)}]")
+            for key, value in members) + "}")
+    except (_Unsure, ValueError, RecursionError):  # not JSON, or past int()'s limit
         return None
-    return data if data and items != [] else None
 
 
 def _load_yaml(text: str):

@@ -532,12 +532,18 @@ def _eliminate(rows, width: int) -> bool:
     that the search did not answer in 10 s.
     """
     system: dict[tuple[int, ...], bool] = {}
-    for r, strict in rows:
-        if any(r):
-            system[r] = system.get(r, False) or strict
-        elif strict:
-            return False
-    for j in range(width):
+    new = rows  # rows not yet divided by their gcd: the input, then each step's
+    for j in range(width + 1):
+        for r, strict in new:
+            k = math.gcd(*r)
+            if k:
+                if k > 1:
+                    r = tuple([a // k for a in r])
+                system[r] = system.get(r, False) or strict
+            elif strict:
+                return False
+        if j == width:
+            return True
         above, below, kept = [], [], {}
         for r, strict in system.items():
             if r[j] > 0:
@@ -546,14 +552,9 @@ def _eliminate(rows, width: int) -> bool:
                 below.append((r, strict))
             else:
                 kept[r] = strict
+        new = []
         for r, r_strict in above:
             for s, s_strict in below:
-                v = tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)])
-                k = math.gcd(*v)
-                if k:
-                    v = tuple([a // k for a in v])
-                    kept[v] = kept.get(v, False) or r_strict or s_strict
-                elif r_strict or s_strict:
-                    return False
+                new.append((tuple([-s[j] * a + r[j] * b for a, b in zip(r, s)]),
+                            r_strict or s_strict))
         system = kept
-    return True

@@ -316,8 +316,21 @@ def test_reader_keeps_pyyaml_limits():
             (f"B: {{{'k' * 1030}: 1}}\n" + plane, False),
             (f"B: {{{'9' * 1030}: 1}}\n" + plane, False),
             (f"B: {{k{' ' * 1030}: 1}}\n" + plane, False),
+            (f"k{' ' * 1030}: 1\n" + plane, False),
+            ("k : 1\n" + plane, False),
             (plane.replace("torsion: []}", f"torsion: [{'9' * 5000}]}}", 1), False)]:
         assert _reader_agrees(text) == read
+
+
+def test_reader_reads_one_node_per_line():
+    # a node that ends before its line does, or runs on past it, is
+    # PyYAML's, although JSON would read the tokens past it as more
+    # members or entries
+    plane = fixture_text("plane")
+    entry = "  - {name: w, degree: {free: [1, 2], torsion: []}}"
+    for tail in ["B: [x*y], C: [x]\n", "B: {a: 1\nb: 2}\n", entry + ", {name: v}\n",
+                 entry + "], B: [x*y\n"]:
+        assert not _reader_agrees(plane + tail)
 
 
 def test_spec_loading_without_yaml(monkeypatch, tmp_path):

@@ -745,6 +745,7 @@ def test_member_lists_no_solutions_and_pointedness_calls_no_solver(monkeypatch):
     G, Z6 = FgAbGroup(1), FgAbGroup(0, [6])
     gradings = [(_grading(G, [(1,), (2,), (3,)]), True),
                 (_grading(G, [(1,), (-1,), (2,)]), False),
+                (_grading(G, [(2,), (4,), (-1,), (-3,)]), False),  # parallel rows
                 (_grading(Z6, [(1,), (2,)]), False),
                 (_grading(Z6, []), True),
                 (_grading(FgAbGroup(2), []), True)]
